@@ -14,7 +14,6 @@ from .errors import GameError, NotSymmetric
 from .game_core import format_profile, full_sets, restrict
 from .game_io import (
     GameDocument,
-    build_report,
     format_round,
     format_survivors,
     matrix_lines,
@@ -23,16 +22,13 @@ from .game_io import (
     render_sweep_report,
     serialize_game,
 )
-from .solvers import eliminate_round, iterate_elimination
+from .solvers import build_report, iterate_elimination
 from .verify import (
     ALL_PROPERTIES,
+    CHECKERS,
     HOFSTADTER_INDIVIDUALLY_RATIONAL,
     HOFSTADTER_RATIONALIZABLE,
     SweepConfig,
-    check_hofstadter_individually_rational,
-    check_hofstadter_rationalizable,
-    check_ir_survives_round1,
-    check_order_independence,
     gen_random_game,
     gen_random_symmetric_game,
     sweep,
@@ -69,35 +65,32 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_eliminate(args) -> int:
-    doc = _load(args.path)
-    g = doc.game
+    g = _load(args.path).game
+    trace = iterate_elimination(g)
     survivors = full_sets(g)
-    round_no = 0
-    while True:
-        survivors_next, batch = eliminate_round(g, survivors)
-        if not batch:
-            break
-        round_no += 1
+    for round_no, batch in enumerate(trace.rounds, start=1):
         print(format_round(g, round_no, batch))
-        survivors = survivors_next
         if args.trace:
+            survivors = tuple(
+                tuple(v for v in alive if (i, v) not in batch)
+                for i, alive in enumerate(survivors)
+            )
             for line in matrix_lines(restrict(g, survivors)):
                 print("  " + line)
-    if round_no == 0:
+    if not trace.rounds:
         print("no strategies eliminated")
-    print("survivors: " + format_survivors(g, survivors))
+    print("survivors: " + format_survivors(g, trace.final_survivors))
     return 0
 
 
-def _print_verdict(verdict, label: str | None = None) -> bool:
+def _print_verdict(verdict) -> bool:
     """Print one verdict line (plus note / counterexample); returns pass."""
-    name = label or verdict.name
     if verdict.passed:
-        print(f"{name}: PASS")
+        print(f"{verdict.name}: PASS")
         if verdict.detail and verdict.detail.startswith("IR profiles"):
             print(f"note: {verdict.detail}")
         return True
-    print(f"{name}: FAIL ({verdict.detail})")
+    print(f"{verdict.name}: FAIL ({verdict.detail})")
     if verdict.game is not None:
         print("counterexample:")
         sys.stdout.write(serialize_game(GameDocument(game=verdict.game)))
@@ -109,21 +102,21 @@ def _print_verdict(verdict, label: str | None = None) -> bool:
 
 
 def cmd_check(args) -> int:
-    doc = _load(args.path)
-    g = doc.game
-    ok = True
-    for name, checker in (
-        (HOFSTADTER_RATIONALIZABLE, check_hofstadter_rationalizable),
-        (HOFSTADTER_INDIVIDUALLY_RATIONAL, check_hofstadter_individually_rational),
-    ):
+    report = build_report(_load(args.path).game)
+    # Every verdict is computed before any is printed, so an input error
+    # (such as --orders 0) leaves stdout empty.
+    verdicts = {}
+    for name, checker in CHECKERS.items():
         try:
-            verdict = checker(g)
+            verdicts[name] = checker(report, args.orders, args.seed)
         except NotSymmetric:
+            verdicts[name] = None
+    ok = True
+    for name, verdict in verdicts.items():
+        if verdict is None:
             print(f"{name}: SKIPPED (asymmetric game)")
-            continue
-        ok = _print_verdict(verdict) and ok
-    ok = _print_verdict(check_order_independence(g, args.orders, args.seed)) and ok
-    ok = _print_verdict(check_ir_survives_round1(g)) and ok
+        else:
+            ok = _print_verdict(verdict) and ok
     return 0 if ok else 1
 
 
@@ -232,7 +225,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GameError, OSError) as exc:
+    except (GameError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -78,11 +78,7 @@ class Game:
 
     @cached_property
     def strides(self) -> tuple[int, ...]:
-        counts = self.strategy_counts
-        strides = [1] * len(counts)
-        for i in range(len(counts) - 2, -1, -1):
-            strides[i] = strides[i + 1] * counts[i + 1]
-        return tuple(strides)
+        return _strides(self.strategy_counts)
 
     def cell_index(self, profile: Profile) -> int:
         """Mixed-radix index of a profile (player 0 most significant)."""
@@ -91,8 +87,25 @@ class Game:
             idx += v * stride
         return idx
 
-    def payoff(self, profile: Profile, player: int) -> int:
-        return payoff(self, profile, player)
+
+def _strides(counts: tuple[int, ...]) -> tuple[int, ...]:
+    """Mixed-radix place values of `counts`, player 0 most significant."""
+    strides = [1] * len(counts)
+    for i in range(len(counts) - 2, -1, -1):
+        strides[i] = strides[i + 1] * counts[i + 1]
+    return tuple(strides)
+
+
+def check_size_guard(counts: tuple[int, ...], max_entries: int = MAX_ENTRIES) -> None:
+    """Raise SizeGuardExceeded if cells x players exceeds `max_entries`;
+    callers run it before materializing any cell."""
+    n_cells = math.prod(counts)
+    n = len(counts)
+    if n_cells * n > max_entries:
+        raise SizeGuardExceeded(
+            f"{n_cells} cells x {n} players = {n_cells * n} payoff entries "
+            f"exceeds the guard of {max_entries}"
+        )
 
 
 def _profile_from_index(counts: tuple[int, ...], idx: int) -> Profile:
@@ -139,18 +152,10 @@ def new_game(strategy_labels, cells, *, max_entries: int = MAX_ENTRIES) -> Game:
 
     n = len(labels)
     counts = tuple(len(player_labels) for player_labels in labels)
-    n_cells = math.prod(counts)
-    if n_cells * n > max_entries:
-        raise SizeGuardExceeded(
-            f"{n_cells} cells x {n} players = {n_cells * n} payoff entries "
-            f"exceeds the guard of {max_entries}"
-        )
+    check_size_guard(counts, max_entries)
+    strides = _strides(counts)
 
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * counts[i + 1]
-
-    slots: list = [None] * n_cells
+    slots: list = [None] * math.prod(counts)
     for profile, values in cells:
         profile = tuple(profile)
         if len(profile) != n:
@@ -295,11 +300,10 @@ def restrict(g: Game, survivors) -> Game:
     labels = tuple(
         tuple(g.strategy_labels[i][v] for v in alive) for i, alive in enumerate(s)
     )
-    cells = []
-    for new_profile in itertools.product(*(range(len(alive)) for alive in s)):
-        old = tuple(s[i][v] for i, v in enumerate(new_profile))
-        cells.append((new_profile, g.payoffs[g.cell_index(old)]))
-    return new_game(labels, cells)
+    # A valid game's sub-table needs no re-validation; product over the
+    # sorted survivor tuples walks it in the restricted game's cell order.
+    payoffs = tuple(g.payoffs[g.cell_index(p)] for p in itertools.product(*s))
+    return Game(strategy_labels=labels, payoffs=payoffs)
 
 
 def format_profile(g: Game, profile: Profile) -> str:

@@ -1,5 +1,9 @@
 """Text serialization of games and rendering of analysis reports.
 
+This module only parses, serializes and renders; it never solves.  The
+reports it renders are built by :func:`nonnash.solvers.build_report` and
+:func:`nonnash.verify.sweep`.
+
 Game file format, version 1 (conventional extension ``.gnf``)::
 
     gnf 1
@@ -18,26 +22,10 @@ given the same game emit identical bytes.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GnfSyntaxError, UnknownFormat, VersionUnsupported
-from .game_core import (
-    Game,
-    Profile,
-    format_profile,
-    is_symmetric,
-    new_game,
-    profiles,
-)
-from .solvers import (
-    EliminationTrace,
-    MaximinVector,
-    hofstadter_equilibria,
-    individually_rational_profiles,
-    iterate_elimination,
-    maximin_values,
-    pure_nash,
-)
+from .game_core import Game, Profile, format_profile, new_game, profiles
 
 FORMAT_VERSION = 1
 
@@ -157,44 +145,6 @@ def serialize_game(doc: GameDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Every solution concept of one game, ready for rendering.
-
-    All profile collections are in enumeration order; `hofstadter` and
-    `regions` are None for asymmetric games, where those concepts are
-    undefined.
-    """
-
-    name: str
-    game: Game
-    symmetric: bool
-    nash: tuple[Profile, ...]
-    hofstadter: tuple[Profile, ...] | None
-    maximin: MaximinVector
-    individually_rational: tuple[Profile, ...]
-    trace: EliminationTrace
-    regions: dict | None = field(default=None)
-
-
-def build_report(game: Game, name: str = "") -> AnalysisReport:
-    """Run every solver on `game` and collect the results."""
-    from . import verify  # local import: verify imports this module
-
-    symmetric = is_symmetric(game)
-    return AnalysisReport(
-        name=name,
-        game=game,
-        symmetric=symmetric,
-        nash=tuple(pure_nash(game)),
-        hofstadter=tuple(hofstadter_equilibria(game)) if symmetric else None,
-        maximin=maximin_values(game),
-        individually_rational=tuple(individually_rational_profiles(game)),
-        trace=iterate_elimination(game),
-        regions=verify.classify_regions(game) if symmetric else None,
-    )
-
-
 def format_round(g: Game, round_no: int, batch) -> str:
     """One elimination round as text, e.g.
     ``round 1: player 0: C; player 1: C``."""
@@ -265,7 +215,7 @@ def matrix_lines(g: Game, markers: dict | None = None) -> list[str]:
     return [line.rstrip() for line in lines]
 
 
-def _render_text(r: AnalysisReport) -> str:
+def _render_text(r) -> str:
     g = r.game
     nash = set(r.nash)
     ir = set(r.individually_rational)
@@ -327,7 +277,7 @@ def _render_text(r: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(r: AnalysisReport) -> str:
+def _render_csv(r) -> str:
     g = r.game
     n = g.n_players
     nash = set(r.nash)
@@ -354,7 +304,7 @@ def _render_csv(r: AnalysisReport) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _render_json(r: AnalysisReport) -> str:
+def _render_json(r) -> str:
     g = r.game
     obj = {
         "name": r.name,
@@ -384,8 +334,9 @@ def _render_json(r: AnalysisReport) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def render_report(r: AnalysisReport, fmt: str = "text") -> str:
-    """Render a report as ``text``, ``csv`` or ``json``."""
+def render_report(r, fmt: str = "text") -> str:
+    """Render an :class:`~nonnash.solvers.AnalysisReport` as ``text``,
+    ``csv`` or ``json``."""
     if fmt == "text":
         return _render_text(r)
     if fmt == "csv":

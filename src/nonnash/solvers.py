@@ -13,16 +13,18 @@ Five families are implemented:
   their maximin value.
 
 Everything is exact integer comparison; no payoff arithmetic anywhere.
+:func:`build_report` computes each of these once per game; the checkers,
+sweeps, renderers and CLI all read its record.
 """
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import DeadStrategy, IndexOutOfRange, NotSymmetric
+from .errors import DeadStrategy, IndexOutOfRange
 from .game_core import (
     Game,
     Profile,
     Survivors,
+    diagonal_profiles,
     full_sets,
     is_symmetric,
     normalize_survivors,
@@ -111,13 +113,14 @@ def hofstadter_equilibria(g: Game) -> list[Profile]:
     best of those.  By symmetry the player-0 payoff decides; every
     maximizer is returned on ties.  Undefined off the symmetric class.
     """
-    if not is_symmetric(g):
-        raise NotSymmetric("Hofstadter equilibria are defined only for symmetric games")
-    n = g.n_players
-    diagonal = [(k,) * n for k in range(g.strategy_counts[0])]
-    payoff_table = g.payoffs
-    best = max(payoff_table[g.cell_index(p)][0] for p in diagonal)
-    return [p for p in diagonal if payoff_table[g.cell_index(p)][0] == best]
+    return _best_diagonal(g, diagonal_profiles(g))
+
+
+def _best_diagonal(g: Game, diagonal: list[Profile]) -> list[Profile]:
+    """Profiles of `diagonal` with the top player-0 payoff; `g` is symmetric."""
+    values = [g.payoffs[g.cell_index(p)][0] for p in diagonal]
+    best = max(values)
+    return [p for p, u in zip(diagonal, values) if u == best]
 
 
 def maximin_values(g: Game) -> MaximinVector:
@@ -140,7 +143,10 @@ def individually_rational_profiles(g: Game) -> list[Profile]:
     Thresholds are always computed against the full game, never a reduced
     one.
     """
-    thresholds = maximin_values(g)
+    return _rational_profiles(g, maximin_values(g))
+
+
+def _rational_profiles(g: Game, thresholds: MaximinVector) -> list[Profile]:
     n = g.n_players
     payoff_table = g.payoffs
     out = []
@@ -220,3 +226,66 @@ def minimax_rationalizable_profiles(g: Game) -> list[Profile]:
     in profile enumeration order."""
     alive = [set(x) for x in iterate_elimination(g).final_survivors]
     return [p for p in profiles(g) if all(v in alive[i] for i, v in enumerate(p))]
+
+
+@dataclass(frozen=True)
+class RegionTag:
+    """Membership flags of one profile in the three profile regions."""
+
+    rationalizable: bool
+    individually_rational: bool
+    hofstadter: bool
+
+
+@dataclass(frozen=True)
+class AnalysisReport:
+    """Every solution concept of one game, ready for rendering.
+
+    All profile collections are in enumeration order; `hofstadter` and
+    `regions` are None for asymmetric games, where those concepts are
+    undefined.  `regions` maps every profile to its :class:`RegionTag`.
+    """
+
+    name: str
+    game: Game
+    symmetric: bool
+    nash: tuple[Profile, ...]
+    hofstadter: tuple[Profile, ...] | None
+    maximin: MaximinVector
+    individually_rational: tuple[Profile, ...]
+    trace: EliminationTrace
+    regions: dict[Profile, RegionTag] | None = None
+
+
+def build_report(game: Game, name: str = "") -> AnalysisReport:
+    """Run every solver on `game` once and collect the results."""
+    symmetric = is_symmetric(game)
+    maximin = maximin_values(game)
+    rational = tuple(_rational_profiles(game, maximin))
+    trace = iterate_elimination(game)
+    hofstadter = regions = None
+    if symmetric:
+        diagonal = [(k,) * game.n_players for k in range(game.strategy_counts[0])]
+        hofstadter = tuple(_best_diagonal(game, diagonal))
+        hof_set = set(hofstadter)
+        rational_set = set(rational)
+        alive = [set(x) for x in trace.final_survivors]
+        regions = {
+            p: RegionTag(
+                rationalizable=all(v in alive[i] for i, v in enumerate(p)),
+                individually_rational=p in rational_set,
+                hofstadter=p in hof_set,
+            )
+            for p in profiles(game)
+        }
+    return AnalysisReport(
+        name=name,
+        game=game,
+        symmetric=symmetric,
+        nash=tuple(pure_nash(game)),
+        hofstadter=hofstadter,
+        maximin=maximin,
+        individually_rational=rational,
+        trace=trace,
+        regions=regions,
+    )

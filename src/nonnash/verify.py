@@ -22,11 +22,12 @@ machine and under any worker count.
 """
 
 import itertools
+import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import game_io
 from .errors import BadRange, NotSymmetric, SizeGuardExceeded
 from .game_core import (
     MAX_ENTRIES,
@@ -34,20 +35,14 @@ from .game_core import (
     PAYOFF_MIN,
     Game,
     Profile,
+    check_size_guard,
     format_profile,
     full_sets,
-    is_symmetric,
     new_game,
-    profiles,
 )
+from .game_io import GameDocument, serialize_game
 from .rng import SplitMix64, derive_seed
-from .solvers import (
-    eliminate_round,
-    hofstadter_equilibria,
-    individually_rational_profiles,
-    iterate_elimination,
-    maximin_values,
-)
+from .solvers import AnalysisReport, RegionTag, build_report, eliminate_round
 
 HOFSTADTER_RATIONALIZABLE = "hofstadter-rationalizable"
 HOFSTADTER_INDIVIDUALLY_RATIONAL = "hofstadter-individually-rational"
@@ -60,15 +55,6 @@ ALL_PROPERTIES = (
     IR_SURVIVES_ROUND_1,
     ORDER_INDEPENDENCE,
 )
-
-
-@dataclass(frozen=True)
-class RegionTag:
-    """Membership flags of one profile in the three profile regions."""
-
-    rationalizable: bool
-    individually_rational: bool
-    hofstadter: bool
 
 
 @dataclass(frozen=True)
@@ -123,6 +109,7 @@ def gen_random_game(
     """
     counts = _check_counts(n_players, strategy_counts)
     _check_payoff_range(lo, hi)
+    check_size_guard(counts, max_entries)
     labels = tuple(tuple(f"s{v}" for v in range(k)) for k in counts)
     rng = SplitMix64(seed)
     cells = []
@@ -152,6 +139,7 @@ def gen_random_symmetric_game(
     if any(c != k for c in counts):
         raise BadRange("symmetric games need one shared strategy count")
     _check_payoff_range(lo, hi)
+    check_size_guard(counts, max_entries)
     rng = SplitMix64(seed)
     class_value: dict[tuple[int, tuple[int, ...]], int] = {}
     for own in range(k):
@@ -168,35 +156,42 @@ def gen_random_symmetric_game(
     return new_game(labels, cells, max_entries=max_entries)
 
 
-def check_hofstadter_rationalizable(g: Game) -> Verdict:
-    """Every Hofstadter equilibrium must survive iterated elimination."""
-    equilibria = hofstadter_equilibria(g)
-    alive = [set(x) for x in iterate_elimination(g).final_survivors]
-    for p in equilibria:
-        if not all(v in alive[i] for i, v in enumerate(p)):
+def _require_symmetric(r: AnalysisReport, what: str) -> None:
+    if not r.symmetric:
+        raise NotSymmetric(f"{what} requires a symmetric game")
+
+
+# The property predicates below read one AnalysisReport.  Each takes
+# (report, n_orders, seed) so CHECKERS can call them alike; only
+# order-independence uses the last two.
+
+
+def _hofstadter_rationalizable(r: AnalysisReport, *_) -> Verdict:
+    _require_symmetric(r, "the Hofstadter check")
+    for p in r.hofstadter:
+        if not r.regions[p].rationalizable:
             return Verdict(
                 HOFSTADTER_RATIONALIZABLE,
                 False,
-                f"Hofstadter equilibrium {format_profile(g, p)} was eliminated",
-                game=g,
+                f"Hofstadter equilibrium {format_profile(r.game, p)} was eliminated",
+                game=r.game,
                 profile=p,
             )
     return Verdict(HOFSTADTER_RATIONALIZABLE, True)
 
 
-def check_hofstadter_individually_rational(g: Game) -> Verdict:
-    """Every Hofstadter equilibrium must reach every player's maximin."""
-    equilibria = hofstadter_equilibria(g)
-    thresholds = maximin_values(g)
-    for p in equilibria:
+def _hofstadter_individually_rational(r: AnalysisReport, *_) -> Verdict:
+    _require_symmetric(r, "the Hofstadter check")
+    g = r.game
+    for p in r.hofstadter:
         u = g.payoffs[g.cell_index(p)]
         for i in range(g.n_players):
-            if u[i] < thresholds[i]:
+            if u[i] < r.maximin[i]:
                 return Verdict(
                     HOFSTADTER_INDIVIDUALLY_RATIONAL,
                     False,
                     f"Hofstadter equilibrium {format_profile(g, p)} pays player {i} "
-                    f"{u[i]} below the maximin {thresholds[i]}",
+                    f"{u[i]} below the maximin {r.maximin[i]}",
                     game=g,
                     profile=p,
                 )
@@ -210,23 +205,17 @@ def _delete_pair(survivors, player: int, strategy: int):
     )
 
 
-def check_order_independence(
-    g: Game, n_orders: int = 20, seed: int = 0, *, exhaustive_limit: int = 3
+def _order_independence(
+    r: AnalysisReport, n_orders: int, seed: int, exhaustive_limit: int = 3
 ) -> Verdict:
-    """Sequential one-at-a-time deletion must match batch elimination.
-
-    Each sequential step deletes a single currently dominated pair and
-    re-scans.  When the batch trace deletes at most `exhaustive_limit`
-    pairs in total, every deletion order is enumerated (with memoization
-    over reached survivor states); otherwise `n_orders` random orders are
-    sampled from the substreams of `seed`.
-    """
-    trace = iterate_elimination(g)
-    target = trace.final_survivors
-    if trace.total_deletions == 0:
+    if n_orders < 1:
+        raise BadRange(f"need at least one deletion order, got {n_orders}")
+    g = r.game
+    target = r.trace.final_survivors
+    if r.trace.total_deletions == 0:
         return Verdict(ORDER_INDEPENDENCE, True, "no strategies to eliminate")
 
-    if trace.total_deletions <= exhaustive_limit:
+    if r.trace.total_deletions <= exhaustive_limit:
         seen = set()
         stack = [full_sets(g)]
         while stack:
@@ -269,24 +258,18 @@ def check_order_independence(
     return Verdict(ORDER_INDEPENDENCE, True, f"{n_orders} random orders agree")
 
 
-def check_ir_survives_round1(g: Game) -> Verdict:
-    """No individually rational profile may lose a strategy in round 1.
-
-    Later rounds are allowed to kill them; when that happens the verdict
-    still passes but reports which IR profiles die in which round.
-    """
-    rational = individually_rational_profiles(g)
-    trace = iterate_elimination(g)
-    if not trace.rounds:
+def _ir_survives_round1(r: AnalysisReport, *_) -> Verdict:
+    g = r.game
+    if not r.trace.rounds:
         return Verdict(IR_SURVIVES_ROUND_1, True)
 
     death_round: dict[tuple[int, int], int] = {}
-    for round_no, batch in enumerate(trace.rounds, start=1):
+    for round_no, batch in enumerate(r.trace.rounds, start=1):
         for pair in batch:
             death_round[pair] = round_no
 
     by_round: dict[int, list[Profile]] = {}
-    for p in rational:
+    for p in r.individually_rational:
         hits = [death_round[(i, v)] for i, v in enumerate(p) if (i, v) in death_round]
         if not hits:
             continue
@@ -310,25 +293,57 @@ def check_ir_survives_round1(g: Game) -> Verdict:
     return Verdict(IR_SURVIVES_ROUND_1, True, "; ".join(notes))
 
 
+# Property name -> predicate, in the order `nonnash check` prints them.
+CHECKERS: dict[str, Callable[[AnalysisReport, int, int], Verdict]] = {
+    HOFSTADTER_RATIONALIZABLE: _hofstadter_rationalizable,
+    HOFSTADTER_INDIVIDUALLY_RATIONAL: _hofstadter_individually_rational,
+    ORDER_INDEPENDENCE: _order_independence,
+    IR_SURVIVES_ROUND_1: _ir_survives_round1,
+}
+
+
+def check_hofstadter_rationalizable(g: Game) -> Verdict:
+    """Every Hofstadter equilibrium must survive iterated elimination."""
+    return _hofstadter_rationalizable(build_report(g))
+
+
+def check_hofstadter_individually_rational(g: Game) -> Verdict:
+    """Every Hofstadter equilibrium must reach every player's maximin."""
+    return _hofstadter_individually_rational(build_report(g))
+
+
+def check_order_independence(
+    g: Game, n_orders: int = 20, seed: int = 0, *, exhaustive_limit: int = 3
+) -> Verdict:
+    """Sequential one-at-a-time deletion must match batch elimination.
+
+    Each sequential step deletes a single currently dominated pair and
+    re-scans.  When the batch trace deletes at most `exhaustive_limit`
+    pairs in total, every deletion order is enumerated (with memoization
+    over reached survivor states); otherwise `n_orders` random orders are
+    sampled from the substreams of `seed`.  `n_orders` must be positive.
+    """
+    return _order_independence(build_report(g), n_orders, seed, exhaustive_limit)
+
+
+def check_ir_survives_round1(g: Game) -> Verdict:
+    """No individually rational profile may lose a strategy in round 1.
+
+    Later rounds are allowed to kill them; when that happens the verdict
+    still passes but reports which IR profiles die in which round.
+    """
+    return _ir_survives_round1(build_report(g))
+
+
 def classify_regions(g: Game) -> dict[Profile, RegionTag]:
     """Tag every profile with its three region memberships.
 
     Only defined for symmetric games (the Hofstadter flag needs one).
     Iteration order of the result is profile enumeration order.
     """
-    if not is_symmetric(g):
-        raise NotSymmetric("region classification requires a symmetric game")
-    hof = set(hofstadter_equilibria(g))
-    rational = set(individually_rational_profiles(g))
-    alive = [set(x) for x in iterate_elimination(g).final_survivors]
-    tags: dict[Profile, RegionTag] = {}
-    for p in profiles(g):
-        tags[p] = RegionTag(
-            rationalizable=all(v in alive[i] for i, v in enumerate(p)),
-            individually_rational=p in rational,
-            hofstadter=p in hof,
-        )
-    return tags
+    r = build_report(g)
+    _require_symmetric(r, "region classification")
+    return r.regions
 
 
 def strict_inclusion_witnesses(tags: dict[Profile, RegionTag]) -> tuple[int, int]:
@@ -342,13 +357,6 @@ def strict_inclusion_witnesses(tags: dict[Profile, RegionTag]) -> tuple[int, int
         1 for t in tags.values() if t.individually_rational and not t.hofstadter
     )
     return rationalizable, rational
-
-
-_CHECKERS = {
-    HOFSTADTER_RATIONALIZABLE: check_hofstadter_rationalizable,
-    HOFSTADTER_INDIVIDUALLY_RATIONAL: check_hofstadter_individually_rational,
-    IR_SURVIVES_ROUND_1: check_ir_survives_round1,
-}
 
 
 @dataclass(frozen=True)
@@ -387,7 +395,6 @@ class SweepReport:
     violations: tuple[tuple[str, str], ...]
     rationalizable_not_hofstadter: int
     ir_not_hofstadter: int
-    rng_seed: int
     elapsed: float
 
     @property
@@ -405,6 +412,8 @@ def _validate_config(config: SweepConfig) -> None:
             f"bad strategy range {config.min_strategies}..{config.max_strategies}"
         )
     _check_payoff_range(config.payoff_lo, config.payoff_hi)
+    if config.orders_per_game < 1:
+        raise BadRange(f"need at least one deletion order, got {config.orders_per_game}")
     for prop in config.properties:
         if prop not in ALL_PROPERTIES:
             raise BadRange(f"unknown property {prop!r}")
@@ -434,17 +443,11 @@ def _sweep_chunk(config: SweepConfig, start: int, stop: int):
             skipped += 1
             continue
         checked += 1
+        report = build_report(g)
         for prop in config.properties:
-            if prop == ORDER_INDEPENDENCE:
-                verdict = check_order_independence(
-                    g, config.orders_per_game, order_seed
-                )
-            else:
-                verdict = _CHECKERS[prop](g)
-            if not verdict.passed:
-                text = game_io.serialize_game(game_io.GameDocument(game=g))
-                violations.append((j, text, prop))
-        w_rationalizable, w_ir = strict_inclusion_witnesses(classify_regions(g))
+            if not CHECKERS[prop](report, config.orders_per_game, order_seed).passed:
+                violations.append((j, serialize_game(GameDocument(game=g)), prop))
+        w_rationalizable, w_ir = strict_inclusion_witnesses(report.regions)
         rationalizable_witnesses += w_rationalizable
         ir_witnesses += w_ir
     return checked, skipped, violations, rationalizable_witnesses, ir_witnesses
@@ -454,15 +457,16 @@ def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     """Run a campaign of `config.games` random symmetric games.
 
     Games that trip the size guard are skipped and counted, not fatal.
-    Work may be spread over processes; per-game seeding makes the report
+    Work may be spread over up to `workers` processes, never more than
+    there are CPUs or games; per-game seeding makes the report
     independent of the worker count.
     """
     _validate_config(config)
     started = time.perf_counter()
-    if workers <= 1 or config.games <= 1:
+    workers = min(workers, config.games, os.cpu_count() or 1)
+    if workers <= 1:
         parts = [_sweep_chunk(config, 0, config.games)]
     else:
-        workers = min(workers, config.games)
         bounds = [
             (config.games * w // workers, config.games * (w + 1) // workers)
             for w in range(workers)
@@ -482,6 +486,5 @@ def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
         violations=tuple((text, prop) for _, text, prop in indexed),
         rationalizable_not_hofstadter=sum(p[3] for p in parts),
         ir_not_hofstadter=sum(p[4] for p in parts),
-        rng_seed=config.seed,
         elapsed=time.perf_counter() - started,
     )

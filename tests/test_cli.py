@@ -5,7 +5,7 @@ import pytest
 
 from nonnash import Verdict, parse_game
 from nonnash.cli import main
-from nonnash.verify import HOFSTADTER_RATIONALIZABLE
+from nonnash.verify import CHECKERS, HOFSTADTER_RATIONALIZABLE
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +62,14 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "no-such-file.gnf")
         assert code == 2
         assert "error:" in err
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.gnf"
+        bad.write_bytes("gnf 1\n# caf\u00e9\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "analyze", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.gnf"
@@ -121,19 +129,26 @@ class TestCheck:
         assert "order-independence: PASS" in out
         assert "ir-survives-round-1: PASS" in out
 
+    @pytest.mark.parametrize("orders", ["0", "-5"])
+    def test_orders_below_one_exits_2(self, capsys, games_dir, orders):
+        code, out, err = run_cli(
+            capsys, "check", str(games_dir / "g3x3.gnf"), "--orders", orders
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_seeded_violation_stub_exits_1(self, capsys, games_dir, monkeypatch, pd):
-        def fake_checker(g):
+        def fake(r, orders, seed):
             return Verdict(
                 HOFSTADTER_RATIONALIZABLE,
                 False,
                 "injected failure",
-                game=g,
+                game=r.game,
                 profile=(1, 1),
             )
 
-        monkeypatch.setattr(
-            "nonnash.cli.check_hofstadter_rationalizable", fake_checker
-        )
+        monkeypatch.setitem(CHECKERS, HOFSTADTER_RATIONALIZABLE, fake)
         code, out, _ = run_cli(capsys, "check", str(games_dir / "pd.gnf"))
         assert code == 1
         assert "FAIL" in out
@@ -164,6 +179,15 @@ class TestSearch:
     def test_zero_strategies_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "search", "--strategies", "0", "--games", "5")
         assert code == 2
+        assert "error:" in err
+
+    def test_orders_below_one_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "search", "--games", "5", "--properties", "order-independence",
+            "--orders", "0",
+        )
+        assert code == 2
+        assert out == ""
         assert "error:" in err
 
     def test_unknown_property(self, capsys):

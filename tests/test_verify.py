@@ -1,14 +1,21 @@
 import dataclasses
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nonnash.cli
+import nonnash.game_core
+import nonnash.solvers
+import nonnash.verify
 from nonnash import (
     BadRange,
     NotSymmetric,
     SizeGuardExceeded,
+    SplitMix64,
     SweepConfig,
+    build_report,
     check_hofstadter_individually_rational,
     check_hofstadter_rationalizable,
     check_ir_survives_round1,
@@ -21,6 +28,7 @@ from nonnash import (
     sweep,
 )
 from nonnash.verify import (
+    ALL_PROPERTIES,
     HOFSTADTER_INDIVIDUALLY_RATIONAL,
     HOFSTADTER_RATIONALIZABLE,
     IR_SURVIVES_ROUND_1,
@@ -48,6 +56,24 @@ class TestGenerators:
     def test_size_guard(self):
         with pytest.raises(SizeGuardExceeded):
             gen_random_game(2, (100, 100), 0, 9, seed=0, max_entries=1000)
+
+    def test_size_guard_trips_before_any_draw(self, monkeypatch):
+        draws = []
+
+        class CountingStream(SplitMix64):
+            def next_u64(self):
+                draws.append(1)
+                return super().next_u64()
+
+        monkeypatch.setattr(nonnash.verify, "SplitMix64", CountingStream)
+        with pytest.raises(SizeGuardExceeded):
+            gen_random_game(2, (100, 100), 0, 9, seed=0, max_entries=1000)
+        with pytest.raises(SizeGuardExceeded):
+            gen_random_symmetric_game(3, 40, 0, 9, seed=0, max_entries=1000)
+        assert draws == []
+        # the generators do draw from the patched stream once under the guard
+        gen_random_game(2, (2, 2), 0, 9, seed=0)
+        assert len(draws) == 8
 
     def test_bad_ranges(self):
         with pytest.raises(BadRange):
@@ -128,6 +154,14 @@ class TestOrderIndependence:
     def test_3x3_random_orders(self, g3x3):
         verdict = check_order_independence(g3x3, n_orders=30, seed=5)
         assert verdict.passed
+
+    def test_rejects_fewer_than_one_order(self, pd, g3x3):
+        for g in (pd, g3x3):
+            for n_orders in (0, -5):
+                with pytest.raises(BadRange):
+                    check_order_independence(g, n_orders)
+        with pytest.raises(BadRange):
+            sweep(SweepConfig(games=5, orders_per_game=0))
 
     def test_random_symmetric_sample(self):
         for j in range(60):
@@ -210,6 +244,36 @@ class TestSweep:
         b = sweep(config, workers=3)
         assert dataclasses.replace(a, elapsed=0.0) == dataclasses.replace(b, elapsed=0.0)
 
+    def test_workers_clamped_to_cpus_and_games(self, monkeypatch):
+        pool_sizes = []
+
+        class InlinePool:
+            """Stands in for ProcessPoolExecutor; runs chunks in-process."""
+
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(nonnash.verify, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(nonnash.verify.os, "cpu_count", lambda: 3)
+        config = SweepConfig(games=10, seed=41)
+        report = sweep(config, workers=64)
+        sweep(SweepConfig(games=2, seed=41), workers=64)
+        assert pool_sizes == [3, 2]
+        assert dataclasses.replace(report, elapsed=0.0) == dataclasses.replace(
+            sweep(config), elapsed=0.0
+        )
+
     def test_size_guard_skips_and_counts(self):
         config = SweepConfig(
             min_strategies=50, max_strategies=60, games=5, seed=1, max_entries=100
@@ -239,3 +303,33 @@ class TestSweep:
             HOFSTADTER_INDIVIDUALLY_RATIONAL,
         )
         assert IR_SURVIVES_ROUND_1 not in report.config.properties
+
+
+class TestOneAnalysisPerGame:
+    COUNTED = ("is_symmetric", "maximin_values", "iterate_elimination", "_best_diagonal")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count calls of each COUNTED function under every module name."""
+        counts = dict.fromkeys(self.COUNTED, 0)
+        modules = (nonnash.game_core, nonnash.solvers, nonnash.verify, nonnash.cli)
+        for name in self.COUNTED:
+            original = getattr(nonnash.solvers, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_build_report_computes_each_fact_once(self, calls, g3x3):
+        build_report(g3x3)
+        assert calls == dict.fromkeys(self.COUNTED, 1)
+
+    def test_sweep_computes_each_fact_once_per_game(self, calls):
+        report = sweep(SweepConfig(games=40, seed=3, properties=ALL_PROPERTIES))
+        assert report.games_checked == 40
+        assert calls == dict.fromkeys(self.COUNTED, 40)
