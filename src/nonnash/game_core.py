@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     DuplicateCell,
@@ -61,6 +62,13 @@ class Game:
         Flat tuple with one entry per cell, each entry one payoff per
         player, indexed by :meth:`cell_index`.
 
+    The derived layout :attr:`own_rows` is built on first use and cached:
+    ``own_rows[i][a]`` is the tuple of player i's payoffs when i plays
+    strategy a, one entry per joint opponent profile.  Opponent profiles
+    are enumerated in the same mixed-radix order as cells with player i
+    left out, so entry x of every row of player i refers to the same
+    opponent profile.  The solvers read rows instead of indexing cells.
+
     Games are immutable; all operations on them are pure functions, so
     values can be shared freely across threads or worker processes.
     """
@@ -79,6 +87,28 @@ class Game:
     @cached_property
     def strides(self) -> tuple[int, ...]:
         return _strides(self.strategy_counts)
+
+    @cached_property
+    def own_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        n_cells = len(self.payoffs)
+        out = []
+        for i, (k, stride) in enumerate(zip(self.strategy_counts, self.strides)):
+            column = list(map(itemgetter(i), self.payoffs))
+            if stride == 1:
+                rows = [tuple(column[a::k]) for a in range(k)]
+            else:
+                block = k * stride
+                rows = [
+                    tuple(
+                        itertools.chain.from_iterable(
+                            column[h : h + stride]
+                            for h in range(a * stride, n_cells, block)
+                        )
+                    )
+                    for a in range(k)
+                ]
+            out.append(tuple(rows))
+        return tuple(out)
 
     def cell_index(self, profile: Profile) -> int:
         """Mixed-radix index of a profile (player 0 most significant)."""
@@ -237,18 +267,23 @@ def is_symmetric(g: Game) -> bool:
     n = g.n_players
     if n == 1:
         return True
-    payoff_table = g.payoffs
+    # Swapping players k and k + 1 maps cell base + a*sk + b*sl to
+    # base + b*sk + a*sl; each unordered pair {a, b} is visited once.
+    table = g.payoffs
+    n_cells = len(table)
+    n_strategies = len(first)
     for k in range(n - 1):
-        for p in profiles(g):
-            q = list(p)
-            q[k], q[k + 1] = q[k + 1], q[k]
-            up = payoff_table[g.cell_index(p)]
-            uq = payoff_table[g.cell_index(tuple(q))]
-            if up[k] != uq[k + 1] or up[k + 1] != uq[k]:
-                return False
-            for i in range(n):
-                if i != k and i != k + 1 and up[i] != uq[i]:
-                    return False
+        swap = itemgetter(*range(k), k + 1, k, *range(k + 2, n))
+        sk, sl = g.strides[k], g.strides[k + 1]
+        bases = [
+            h + low for h in range(0, n_cells, n_strategies * sk) for low in range(sl)
+        ]
+        for a in range(n_strategies):
+            for b in range(a, n_strategies):
+                here, there = a * sk + b * sl, b * sk + a * sl
+                for base in bases:
+                    if swap(table[base + here]) != table[base + there]:
+                        return False
     return True
 
 

@@ -22,6 +22,7 @@ given the same game emit identical bytes.
 """
 
 import json
+import re
 from dataclasses import dataclass
 
 from .errors import GnfSyntaxError, UnknownFormat, VersionUnsupported
@@ -30,10 +31,13 @@ from .game_core import Game, Profile, format_profile, new_game, profiles
 FORMAT_VERSION = 1
 
 
+# ASCII digits only: str.isdigit also accepts characters such as "²",
+# which int() rejects, and "٠", which int() reads as 0.
+_INT_RE = re.compile(r"-?[0-9]+\Z")
+
+
 def _is_int(token: str) -> bool:
-    if token.startswith("-"):
-        token = token[1:]
-    return token.isdigit() and token != ""
+    return _INT_RE.match(token) is not None
 
 
 @dataclass(frozen=True)

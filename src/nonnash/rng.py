@@ -36,9 +36,13 @@ class SplitMix64:
     def next_in_range(self, lo: int, hi: int) -> int:
         """Draw from [lo, hi] by modular reduction of one 64-bit output.
 
-        The reduction is part of the documented draw rule; the residual
-        modulo bias (< 2**-50 for the ranges used here) is irrelevant for
-        test-case generation.
+        With r = hi - lo + 1, every value has probability floor(2**64 / r)
+        or ceil(2**64 / r) in 2**64, so its relative bias from 1/r is below
+        r / 2**64: about 5e-18 for the default payoffs 0..99, but about
+        1/2 for the widest range the generators accept (r = 2**63 + 1),
+        where the low values are drawn twice as often as the high ones.  The
+        rule stays fixed anyway, since changing it would change every
+        seeded game and sweep report.
         """
         return lo + self.next_u64() % (hi - lo + 1)
 

@@ -15,9 +15,27 @@ Five families are implemented:
 Everything is exact integer comparison; no payoff arithmetic anywhere.
 :func:`build_report` computes each of these once per game; the checkers,
 sweeps, renderers and CLI all read its record.
+
+The solvers read :attr:`Game.own_rows`: for each player and own strategy,
+the player's payoffs over every joint opponent profile, in one shared
+opponent order.  Maximin is the best row minimum, and pure Nash compares
+each cell with the per-opponent-profile maximum over the player's rows.
+
+Elimination keeps one state per run (:class:`_Elimination`): each row's
+entries sorted once by payoff, a dead flag per opponent profile, and a
+pointer to the least and to the greatest alive entry of each row.  A
+deletion only sets the dead flags of the opponent profiles that use the
+deleted strategy.  Since flags are never cleared, both pointers only move
+inward, so a run scans each row at most once in total instead of once per
+round.  :func:`iterate_elimination`, :func:`eliminate_round`,
+:func:`is_minimax_dominated` and :func:`sequential_elimination` all use it.
 """
 
+import itertools
+from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import ge
 
 from .errors import DeadStrategy, IndexOutOfRange
 from .game_core import (
@@ -55,54 +73,30 @@ class EliminationTrace:
         return sum(len(r) for r in self.rounds)
 
 
-def _strategy_bounds(g: Game, s: Survivors, player: int):
-    """Min and max payoff of each alive strategy of `player`, taken over
-    the joint profiles of the *alive* opponent strategies."""
-    strides = g.strides
-    payoff_table = g.payoffs
-    offsets = [0]
-    for j in range(g.n_players):
-        if j == player:
-            continue
-        stride = strides[j]
-        offsets = [base + stride * v for base in offsets for v in s[j]]
-    own_stride = strides[player]
-    mins: dict[int, int] = {}
-    maxs: dict[int, int] = {}
-    for own in s[player]:
-        base = own * own_stride
-        values = [payoff_table[base + off][player] for off in offsets]
-        mins[own] = min(values)
-        maxs[own] = max(values)
-    return mins, maxs
-
-
 def pure_nash(g: Game) -> list[Profile]:
     """All pure Nash equilibria, in profile enumeration order.
 
     A profile qualifies when every unilateral deviation of every player
     yields at most the player's current payoff.
     """
-    counts = g.strategy_counts
-    strides = g.strides
-    payoff_table = g.payoffs
-    result = []
-    for p in profiles(g):
-        idx = g.cell_index(p)
-        stable = True
-        for i, k in enumerate(counts):
-            u = payoff_table[idx][i]
-            base = idx - p[i] * strides[i]
-            stride = strides[i]
-            for alt in range(k):
-                if payoff_table[base + alt * stride][i] > u:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            result.append(p)
-    return result
+    best_by_cell = [
+        _by_cell(list(map(max, zip(*rows))), stride, len(rows))
+        for rows, stride in zip(g.own_rows, g.strides)
+    ]
+    # u_i never exceeds player i's best, so u equals the bests iff Nash.
+    return [
+        p
+        for p, u, best in zip(profiles(g), g.payoffs, zip(*best_by_cell))
+        if u == best
+    ]
+
+
+def _by_cell(values: list[int], stride: int, k: int):
+    """Spread `values`, one per opponent profile of a player with `k`
+    strategies and place value `stride`, lazily over the cells in order."""
+    return itertools.chain.from_iterable(
+        values[x : x + stride] * k for x in range(0, len(values), stride)
+    )
 
 
 def hofstadter_equilibria(g: Game) -> list[Profile]:
@@ -129,12 +123,7 @@ def maximin_values(g: Game) -> MaximinVector:
     Entry i is the max over player i's strategies of the min over all
     joint opponent profiles of player i's payoff.
     """
-    s = full_sets(g)
-    out = []
-    for i in range(g.n_players):
-        mins, _ = _strategy_bounds(g, s, i)
-        out.append(max(mins.values()))
-    return tuple(out)
+    return tuple(max(map(min, rows)) for rows in g.own_rows)
 
 
 def individually_rational_profiles(g: Game) -> list[Profile]:
@@ -147,14 +136,86 @@ def individually_rational_profiles(g: Game) -> list[Profile]:
 
 
 def _rational_profiles(g: Game, thresholds: MaximinVector) -> list[Profile]:
-    n = g.n_players
-    payoff_table = g.payoffs
-    out = []
-    for p in profiles(g):
-        u = payoff_table[g.cell_index(p)]
-        if all(u[i] >= thresholds[i] for i in range(n)):
-            out.append(p)
-    return out
+    return [
+        p
+        for p, u in zip(profiles(g), g.payoffs)
+        if all(map(ge, u, thresholds))
+    ]
+
+
+class _Elimination:
+    """Alive strategies and per-row min/max pointers of one elimination run.
+
+    For player i, `_orders[i][a]` lists the opponent-profile indices of row
+    ``own_rows[i][a]`` in ascending payoff order, `_dead[i]` flags the
+    opponent profiles that use a deleted strategy, and `_lo[i][a]` and
+    `_hi[i][a]` point into the order at the least and greatest alive entry.
+    """
+
+    def __init__(self, g: Game, survivors: Survivors):
+        self._rows = g.own_rows
+        self._orders = [
+            [array("I", sorted(range(len(row)), key=row.__getitem__)) for row in rows]
+            for rows in self._rows
+        ]
+        self._lo = [[0] * len(rows) for rows in self._rows]
+        self._hi = [[len(rows[0]) - 1] * len(rows) for rows in self._rows]
+        self._dead = [bytearray(len(rows[0])) for rows in self._rows]
+        self._strides = g.strides
+        counts = g.strategy_counts
+        self.alive = [list(range(k)) for k in counts]
+        for i, keep in enumerate(survivors):
+            for v in set(range(counts[i])) - set(keep):
+                self.delete(i, v)
+
+    def delete(self, player: int, strategy: int) -> None:
+        """Remove one alive strategy and kill the opponent profiles using it."""
+        self.alive[player].remove(strategy)
+        k = len(self._rows[player])
+        for i, dead in enumerate(self._dead):
+            if i == player:
+                continue
+            # `player`'s place value among i's opponents
+            stride = self._strides[player]
+            if player < i:
+                stride //= len(self._rows[i])
+            if stride == 1:
+                dead[strategy::k] = b"\x01" * (len(dead) // k)
+            else:
+                for h in range(strategy * stride, len(dead), k * stride):
+                    dead[h : h + stride] = b"\x01" * stride
+
+    def bounds(self, player: int) -> tuple[dict[int, int], dict[int, int]]:
+        """Min and max payoff of each alive strategy of `player` over the
+        alive opponent profiles."""
+        rows, orders = self._rows[player], self._orders[player]
+        lo, hi, dead = self._lo[player], self._hi[player], self._dead[player]
+        mins: dict[int, int] = {}
+        maxs: dict[int, int] = {}
+        for a in self.alive[player]:
+            order = orders[a]
+            x, y = lo[a], hi[a]
+            while dead[order[x]]:
+                x += 1
+            while dead[order[y]]:
+                y -= 1
+            lo[a], hi[a] = x, y
+            mins[a] = rows[a][order[x]]
+            maxs[a] = rows[a][order[y]]
+        return mins, maxs
+
+    def dominated(self) -> list[tuple[int, int]]:
+        """Every minimax-dominated (player, strategy) pair, sorted; a
+        strategy attaining its player's best guarantee is never among them."""
+        batch = []
+        for i in range(len(self.alive)):
+            mins, maxs = self.bounds(i)
+            best_guarantee = max(mins.values())
+            batch.extend((i, a) for a in self.alive[i] if maxs[a] < best_guarantee)
+        return batch
+
+    def survivors(self) -> Survivors:
+        return tuple(map(tuple, self.alive))
 
 
 def is_minimax_dominated(
@@ -176,7 +237,7 @@ def is_minimax_dominated(
         raise DeadStrategy(
             f"player {player} strategy {strategy} is not in the surviving set"
         )
-    mins, maxs = _strategy_bounds(g, s, player)
+    mins, maxs = _Elimination(g, s).bounds(player)
     cap = maxs[strategy]
     for candidate in s[player]:
         if mins[candidate] > cap:
@@ -192,40 +253,42 @@ def eliminate_round(g: Game, survivors) -> tuple[Survivors, list[tuple[int, int]
     is deterministic and keeps symmetric games symmetric.  An empty batch
     is a legal result.
     """
-    s = normalize_survivors(g, survivors)
-    batch: list[tuple[int, int]] = []
-    new_sets = []
-    for i in range(g.n_players):
-        mins, maxs = _strategy_bounds(g, s, i)
-        best_guarantee = max(mins.values())
-        dead = {own for own in s[i] if best_guarantee > maxs[own]}
-        batch.extend((i, own) for own in sorted(dead))
-        keep = tuple(own for own in s[i] if own not in dead)
-        # the strategy attaining best_guarantee is never dominated
-        assert keep, "elimination emptied a survivor set"
-        new_sets.append(keep)
-    batch.sort()
-    return tuple(new_sets), batch
+    state = _Elimination(g, normalize_survivors(g, survivors))
+    batch = state.dominated()
+    for pair in batch:
+        state.delete(*pair)
+    return state.survivors(), batch
 
 
 def iterate_elimination(g: Game) -> EliminationTrace:
     """Run batch elimination from the full sets to a fixed point."""
-    s = full_sets(g)
+    state = _Elimination(g, full_sets(g))
     rounds: list[tuple[tuple[int, int], ...]] = []
-    while True:
-        s_next, batch = eliminate_round(g, s)
-        if not batch:
-            break
+    while batch := state.dominated():
         rounds.append(tuple(batch))
-        s = s_next
-    return EliminationTrace(rounds=tuple(rounds), final_survivors=s)
+        for pair in batch:
+            state.delete(*pair)
+    return EliminationTrace(rounds=tuple(rounds), final_survivors=state.survivors())
+
+
+def sequential_elimination(
+    g: Game, choose: Callable[[list[tuple[int, int]]], tuple[int, int]]
+) -> Survivors:
+    """Delete one dominated pair at a time until none is left.
+
+    At each step `choose` receives every currently dominated pair, sorted,
+    and returns the one to delete; returns the final surviving sets.
+    """
+    state = _Elimination(g, full_sets(g))
+    while pairs := state.dominated():
+        state.delete(*choose(pairs))
+    return state.survivors()
 
 
 def minimax_rationalizable_profiles(g: Game) -> list[Profile]:
     """Profiles made only of strategies that survive iterated elimination,
     in profile enumeration order."""
-    alive = [set(x) for x in iterate_elimination(g).final_survivors]
-    return [p for p in profiles(g) if all(v in alive[i] for i, v in enumerate(p))]
+    return list(itertools.product(*iterate_elimination(g).final_survivors))
 
 
 @dataclass(frozen=True)
@@ -235,6 +298,12 @@ class RegionTag:
     rationalizable: bool
     individually_rational: bool
     hofstadter: bool
+
+
+# The 8 possible tags, shared by every report.
+_REGION_TAGS = {
+    flags: RegionTag(*flags) for flags in itertools.product((False, True), repeat=3)
+}
 
 
 @dataclass(frozen=True)
@@ -269,13 +338,9 @@ def build_report(game: Game, name: str = "") -> AnalysisReport:
         hofstadter = tuple(_best_diagonal(game, diagonal))
         hof_set = set(hofstadter)
         rational_set = set(rational)
-        alive = [set(x) for x in trace.final_survivors]
+        rationalizable = set(itertools.product(*trace.final_survivors))
         regions = {
-            p: RegionTag(
-                rationalizable=all(v in alive[i] for i, v in enumerate(p)),
-                individually_rational=p in rational_set,
-                hofstadter=p in hof_set,
-            )
+            p: _REGION_TAGS[p in rationalizable, p in rational_set, p in hof_set]
             for p in profiles(game)
         }
     return AnalysisReport(

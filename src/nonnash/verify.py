@@ -42,7 +42,13 @@ from .game_core import (
 )
 from .game_io import GameDocument, serialize_game
 from .rng import SplitMix64, derive_seed
-from .solvers import AnalysisReport, RegionTag, build_report, eliminate_round
+from .solvers import (
+    AnalysisReport,
+    RegionTag,
+    build_report,
+    eliminate_round,
+    sequential_elimination,
+)
 
 HOFSTADTER_RATIONALIZABLE = "hofstadter-rationalizable"
 HOFSTADTER_INDIVIDUALLY_RATIONAL = "hofstadter-individually-rational"
@@ -241,13 +247,7 @@ def _order_independence(
 
     for run in range(n_orders):
         rng = SplitMix64(derive_seed(seed, run))
-        s = full_sets(g)
-        while True:
-            _, pairs = eliminate_round(g, s)
-            if not pairs:
-                break
-            player, strategy = pairs[rng.next_u64() % len(pairs)]
-            s = _delete_pair(s, player, strategy)
+        s = sequential_elimination(g, lambda pairs: pairs[rng.next_u64() % len(pairs)])
         if s != target:
             return Verdict(
                 ORDER_INDEPENDENCE,

@@ -95,3 +95,41 @@ def random_increasing_map(values, rng) -> dict[int, int]:
         out[v] = current
         current += rng.next_in_range(1, 7)
     return out
+
+
+def _alive_payoffs(g: Game, survivors, player: int, strategy: int) -> list[int]:
+    """`player`'s payoffs at `strategy` against every alive opponent profile."""
+    others = [survivors[j] for j in range(g.n_players) if j != player]
+    return [
+        payoff(g, q[:player] + (strategy,) + q[player:], player)
+        for q in itertools.product(*others)
+    ]
+
+
+def dominators_oracle(g: Game, survivors, player: int, strategy: int) -> list[int]:
+    """Alive strategies of `player` whose worst payoff strictly beats the
+    best payoff of `strategy`, both over alive opponent profiles."""
+    cap = max(_alive_payoffs(g, survivors, player, strategy))
+    return [
+        b for b in survivors[player] if min(_alive_payoffs(g, survivors, player, b)) > cap
+    ]
+
+
+def elimination_oracle(g: Game, survivors):
+    """Batch elimination from `survivors` to a fixed point, every round
+    recomputed from the definition; returns (rounds, final survivors)."""
+    s = tuple(tuple(sorted(set(alive))) for alive in survivors)
+    rounds = []
+    while True:
+        batch = tuple(
+            (i, a)
+            for i in range(g.n_players)
+            for a in s[i]
+            if dominators_oracle(g, s, i, a)
+        )
+        if not batch:
+            return tuple(rounds), s
+        rounds.append(batch)
+        s = tuple(
+            tuple(a for a in alive if (i, a) not in batch) for i, alive in enumerate(s)
+        )

@@ -78,6 +78,23 @@ class TestAnalyze:
         assert code == 2
         assert "version" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "gnf 1\nplayers ²\n",
+            "gnf 1\nplayers 1\nstrategies 0 a\npayoffs\n0 ²\nend\n",
+            "gnf 1\nplayers 1\nstrategies 0 a\npayoffs\n0 ٠\nend\n",
+        ],
+        ids=["superscript-players", "superscript-payoff", "arabic-indic-payoff"],
+    )
+    def test_non_ascii_digits_exit_2(self, capsys, tmp_path, text):
+        bad = tmp_path / "digits.gnf"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestEliminate:
     def test_g3x3_rounds(self, capsys, games_dir):
