@@ -157,6 +157,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
+# argparse reads "-30..30" as an option, so a negative LO needs the = form.
+_PAYOFF_RANGE_HELP = "LO..HI (default 0..99); negative: --payoff-range=-5..5"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonnash",
@@ -191,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--games", type=int, default=1000)
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--payoff-range", default="0..99", help="LO..HI (default 0..99)")
+    p.add_argument("--payoff-range", default="0..99", help=_PAYOFF_RANGE_HELP)
     p.add_argument(
         "--properties",
         default=",".join(
@@ -215,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--payoff-range", default="0..99", help="LO..HI (default 0..99)")
+    p.add_argument("--payoff-range", default="0..99", help=_PAYOFF_RANGE_HELP)
     p.set_defaults(func=cmd_gen)
 
     return parser

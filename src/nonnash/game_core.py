@@ -59,8 +59,8 @@ class Game:
         ``[A-Za-z0-9_-]+`` so any game can be written in the whitespace
         separated text format.
     payoffs:
-        Flat tuple with one entry per cell, each entry one payoff per
-        player, indexed by :meth:`cell_index`.
+        Flat tuple with one entry per cell (one payoff per player), in
+        profile enumeration order; :meth:`cell_index` is for random access.
 
     The derived layout :attr:`own_rows` is built on first use and cached:
     ``own_rows[i][a]`` is the tuple of player i's payoffs when i plays

@@ -26,14 +26,16 @@ import re
 from dataclasses import dataclass
 
 from .errors import GnfSyntaxError, UnknownFormat, VersionUnsupported
-from .game_core import Game, Profile, format_profile, new_game, profiles
+from .game_core import Game, format_profile, new_game, profiles
 
 FORMAT_VERSION = 1
 
 
 # ASCII digits only: str.isdigit also accepts characters such as "²",
-# which int() rejects, and "٠", which int() reads as 0.
-_INT_RE = re.compile(r"-?[0-9]+\Z")
+# which int() rejects, and "٠", which int() reads as 0.  At most 640
+# digits, the lowest limit sys.set_int_max_str_digits allows, so int()
+# never raises; no valid payoff, player count or index needs as many.
+_INT_RE = re.compile(r"-?[0-9]{1,640}\Z")
 
 
 def _is_int(token: str) -> bool:
@@ -142,9 +144,7 @@ def serialize_game(doc: GameDocument) -> str:
     for i, player_labels in enumerate(g.strategy_labels):
         lines.append(f"strategies {i} " + " ".join(player_labels))
     lines.append("payoffs")
-    for p in profiles(g):
-        u = g.payoffs[g.cell_index(p)]
-        lines.append(" ".join(str(v) for v in p) + " " + " ".join(str(v) for v in u))
+    lines.extend(" ".join(map(str, p + u)) for p, u in zip(profiles(g), g.payoffs))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -188,18 +188,16 @@ def matrix_lines(g: Game, markers: dict | None = None) -> list[str]:
     annotation strings shown next to the payoffs.
     """
     markers = markers or {}
-
-    def cell_text(p: Profile) -> str:
-        u = g.payoffs[g.cell_index(p)]
-        text = ",".join(str(v) for v in u)
+    cells = {}
+    for p, u in zip(profiles(g), g.payoffs):
+        text = ",".join(map(str, u))
         mark = markers.get(p, "")
-        return f"{text} [{mark}]" if mark else text
+        cells[p] = f"{text} [{mark}]" if mark else text
 
     if g.n_players != 2:
-        return [f"{format_profile(g, p)} -> {cell_text(p)}" for p in profiles(g)]
+        return [f"{format_profile(g, p)} -> {text}" for p, text in cells.items()]
 
     row_labels, col_labels = g.strategy_labels
-    cells = {p: cell_text(p) for p in profiles(g)}
     left = max(len(label) for label in row_labels)
     widths = [
         max(len(col_labels[c]), max(len(cells[(r, c)]) for r in range(len(row_labels))))

@@ -111,8 +111,9 @@ def hofstadter_equilibria(g: Game) -> list[Profile]:
 
 
 def _best_diagonal(g: Game, diagonal: list[Profile]) -> list[Profile]:
-    """Profiles of `diagonal` with the top player-0 payoff; `g` is symmetric."""
-    values = [g.payoffs[g.cell_index(p)][0] for p in diagonal]
+    """Profiles of `diagonal` (all of symmetric `g`'s, in order) best for player 0."""
+    # Profile (a, ..., a) is cell a * sum(strides): the slice is the diagonal.
+    values = [u[0] for u in g.payoffs[:: sum(g.strides)]]
     best = max(values)
     return [p for p, u in zip(diagonal, values) if u == best]
 

@@ -10,15 +10,16 @@ any one-at-a-time deletion order.
 
 Determinism contract
 --------------------
-``gen_random_game(args, seed)`` draws one splitmix64 value per payoff
-entry in profile enumeration order, player index fastest within a cell.
-``gen_random_symmetric_game`` draws one value per payoff class instead
-(a class is an own strategy plus the multiset of opponent strategies,
-enumerated own-strategy-major, multisets in lexicographic order).  A
-sweep gives game ``j`` the substream ``derive_seed(seed, j)`` and draws,
-in order: the strategy count, the game seed, the deletion-order seed.
-Identical configurations therefore produce identical reports on any
-machine and under any worker count.
+``gen_random_game(args, seed)`` draws one splitmix64 value per payoff entry
+in profile enumeration order, player index fastest within a cell, and
+``gen_random_symmetric_game`` one value per payoff class (an own strategy
+plus the multiset of opponent strategies, enumerated own-strategy-major,
+multisets in lexicographic order).  Both check their arguments, then write
+the table in cell order with no ``new_game`` pass: it is valid by
+construction.  A sweep gives game ``j`` the substream
+``derive_seed(seed, j)`` and draws, in order: the strategy count, the game
+seed, the deletion-order seed.  Identical configurations therefore produce
+identical reports on any machine and under any worker count.
 """
 
 import itertools
@@ -38,7 +39,7 @@ from .game_core import (
     check_size_guard,
     format_profile,
     full_sets,
-    new_game,
+    payoff,
 )
 from .game_io import GameDocument, serialize_game
 from .rng import SplitMix64, derive_seed
@@ -118,10 +119,11 @@ def gen_random_game(
     check_size_guard(counts, max_entries)
     labels = tuple(tuple(f"s{v}" for v in range(k)) for k in counts)
     rng = SplitMix64(seed)
-    cells = []
-    for p in itertools.product(*(range(k) for k in counts)):
-        cells.append((p, tuple(rng.next_in_range(lo, hi) for _ in range(n_players))))
-    return new_game(labels, cells, max_entries=max_entries)
+    payoffs = tuple(
+        tuple(rng.next_in_range(lo, hi) for _ in range(n_players))
+        for _ in itertools.product(*(range(k) for k in counts))
+    )
+    return Game(strategy_labels=labels, payoffs=payoffs)
 
 
 def gen_random_symmetric_game(
@@ -152,14 +154,14 @@ def gen_random_symmetric_game(
         for others in itertools.combinations_with_replacement(range(k), n_players - 1):
             class_value[(own, others)] = rng.next_in_range(lo, hi)
     labels = (tuple(f"s{v}" for v in range(k)),) * n_players
-    cells = []
-    for p in itertools.product(range(k), repeat=n_players):
-        vec = tuple(
+    payoffs = tuple(
+        tuple(
             class_value[(p[i], tuple(sorted(p[:i] + p[i + 1 :])))]
             for i in range(n_players)
         )
-        cells.append((p, vec))
-    return new_game(labels, cells, max_entries=max_entries)
+        for p in itertools.product(range(k), repeat=n_players)
+    )
+    return Game(strategy_labels=labels, payoffs=payoffs)
 
 
 def _require_symmetric(r: AnalysisReport, what: str) -> None:
@@ -190,14 +192,14 @@ def _hofstadter_individually_rational(r: AnalysisReport, *_) -> Verdict:
     _require_symmetric(r, "the Hofstadter check")
     g = r.game
     for p in r.hofstadter:
-        u = g.payoffs[g.cell_index(p)]
         for i in range(g.n_players):
-            if u[i] < r.maximin[i]:
+            u = payoff(g, p, i)
+            if u < r.maximin[i]:
                 return Verdict(
                     HOFSTADTER_INDIVIDUALLY_RATIONAL,
                     False,
                     f"Hofstadter equilibrium {format_profile(g, p)} pays player {i} "
-                    f"{u[i]} below the maximin {r.maximin[i]}",
+                    f"{u} below the maximin {r.maximin[i]}",
                     game=g,
                     profile=p,
                 )

@@ -84,8 +84,20 @@ class TestAnalyze:
             "gnf 1\nplayers ²\n",
             "gnf 1\nplayers 1\nstrategies 0 a\npayoffs\n0 ²\nend\n",
             "gnf 1\nplayers 1\nstrategies 0 a\npayoffs\n0 ٠\nend\n",
+            # int() refuses strings of more than 4300 digits by default
+            "gnf 1\nplayers 1\nstrategies 0 a\npayoffs\n0 " + "7" * 5000 + "\nend\n",
+            "gnf 1\nplayers " + "1" * 5000 + "\n",
+            "gnf 1\nplayers 1\nstrategies 0 a b\npayoffs\n0 1\n"
+            + "0" * 5000 + "1 2\nend\n",
         ],
-        ids=["superscript-players", "superscript-payoff", "arabic-indic-payoff"],
+        ids=[
+            "superscript-players",
+            "superscript-payoff",
+            "arabic-indic-payoff",
+            "5000-digit-payoff",
+            "5000-digit-players",
+            "5000-digit-index",
+        ],
     )
     def test_non_ascii_digits_exit_2(self, capsys, tmp_path, text):
         bad = tmp_path / "digits.gnf"
@@ -246,6 +258,16 @@ class TestGen:
         code, _, err = run_cli(capsys, "gen", "--payoff-range", "9..1")
         assert code == 2
         assert "error:" in err
+
+    def test_negative_payoff_range(self, capsys):
+        # "--payoff-range -5..5" reads -5..5 as an option; the = form works
+        code, out, _ = run_cli(capsys, "gen", "--players", "3", "--strategies", "3",
+                               "--seed", "4", "--payoff-range=-5..5")
+        assert code == 0
+        values = [u for cell in parse_game(out).game.payoffs for u in cell]
+        assert len(values) == 81
+        assert all(-5 <= u <= 5 for u in values)
+        assert min(values) < 0
 
 
 class TestPipeline:

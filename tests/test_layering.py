@@ -3,7 +3,10 @@
 ``game_io`` parses, serializes and renders; it must never reach the
 solvers, so it imports neither ``solvers`` nor ``verify``.  No module may
 hide an import inside a function, which is how an import cycle would
-otherwise slip back in.
+otherwise slip back in.  The generators in ``verify`` build their tables
+valid by construction and never go through ``new_game``, and whole-table
+readers walk ``payoffs`` in profile order, so ``cell_index`` (random
+access) is called only inside ``game_core``.
 """
 
 import ast
@@ -29,6 +32,29 @@ def test_game_io_imports_no_solver():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported |= _imports(node)
     assert not imported & {"solvers", "verify"}
+
+
+def test_verify_does_not_import_new_game():
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "new_game" not in names
+
+
+def test_cell_index_called_only_in_game_core():
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                if name == "cell_index":
+                    callers.append(path.name)
+    assert callers and set(callers) == {"game_core.py"}
 
 
 def test_no_function_local_imports():

@@ -14,7 +14,7 @@ from nonnash import GameDocument, GameError, gen_random_game, parse_game, serial
 TOKENS = (
     "gnf", "1", "2", "players", "strategies", "payoffs", "end", "0", "-1",
     "01", "7", "99999999999999999999", "-0", "s0", "s1", "x", "#", "²", "٠",
-    "١٢", "３", "-", "+1", "1.0", "",
+    "١٢", "３", "-", "+1", "1.0", "", "0" * 5000 + "1",
 )
 ALPHABET = st.sampled_from(
     list("gnfplayerstuodx0123456789-+# \t\r\n") + ["²", "٠", "３", " ", "\x85"]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from concurrent.futures import Future
 
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 import nonnash.cli
 import nonnash.game_core
+import nonnash.game_io
 import nonnash.solvers
 import nonnash.verify
 from nonnash import (
     BadRange,
+    GameDocument,
     NotSymmetric,
     SizeGuardExceeded,
     SplitMix64,
@@ -24,15 +27,21 @@ from nonnash import (
     gen_random_game,
     gen_random_symmetric_game,
     is_symmetric,
+    new_game,
+    profiles,
+    serialize_game,
     strict_inclusion_witnesses,
     sweep,
 )
+from nonnash.game_core import PAYOFF_MAX, PAYOFF_MIN
 from nonnash.verify import (
     ALL_PROPERTIES,
+    CHECKERS,
     HOFSTADTER_INDIVIDUALLY_RATIONAL,
     HOFSTADTER_RATIONALIZABLE,
     IR_SURVIVES_ROUND_1,
     ORDER_INDEPENDENCE,
+    Verdict,
 )
 
 from oracles import symmetric_oracle
@@ -113,6 +122,37 @@ class TestGenerators:
         assert is_symmetric(g)
         assert g.strategy_counts == (1, 1)
 
+    # sha256 of the canonical text of seeded games.  A digest that moves
+    # breaks the determinism contract in the verify module docstring.
+    PINNED = [
+        (gen_random_game, (1, (3,), -5, 5, 11),
+         "77b273d6c852046824e4c6e17f5a08e31a4960e28907aba7527922bdf8af6b36"),
+        (gen_random_game, (2, (3, 4), 0, 99, 12),
+         "5d59837e8b245cefb3b91197deb07d7f692d9d4be1c43eb177bb41fc6a372f8a"),
+        (gen_random_game, (3, (3, 1, 2), -5, 5, 13),
+         "b4a1158abfe6ffc0bbd5ca6767d22eda838e529ae83ac1ea127e07e023bb7410"),
+        (gen_random_game, (4, 2, PAYOFF_MIN, PAYOFF_MAX, 14),
+         "50a833b8879981a6d1e0f2b0b3b3511d54573a45649da2d9bb3120a3aa86a89a"),
+        (gen_random_symmetric_game, (1, 4, 0, 99, 15),
+         "8271556946fdfe5b91a1b6d6321926d37544640774c434c5603b167e68c0377c"),
+        (gen_random_symmetric_game, (2, 1, -5, 5, 16),
+         "2e6844b6222cada55c4022588b135639b61204459dcf614c2844290b00f8c5f8"),
+        (gen_random_symmetric_game, (3, 3, PAYOFF_MIN, PAYOFF_MAX, 17),
+         "b060ccf032c299e0929e19ec1df786e11447dcd4bdfb68de795b44622e1acb9a"),
+        (gen_random_symmetric_game, (4, 2, -5, 5, 18),
+         "8e4388a9562add80ea323560e8a25101f442f3cdabb35186e51b5e54b99b9c10"),
+    ]
+
+    @pytest.mark.parametrize(
+        "generate, args, digest", PINNED, ids=[f"{f.__name__}{a}" for f, a, _ in PINNED]
+    )
+    def test_pinned_output(self, generate, args, digest):
+        g = generate(*args)
+        text = serialize_game(GameDocument(game=g))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+        # the generators skip new_game; its validation still accepts the table
+        assert new_game(g.strategy_labels, zip(profiles(g), g.payoffs)) == g
+
 
 class TestCheckers:
     def test_canonical_games_pass(self, pd, chicken_game, coordination_game, g3x3):
@@ -137,6 +177,34 @@ class TestCheckers:
     def test_ir_check_runs_on_asymmetric_games(self):
         g = gen_random_game(2, (2, 3), 0, 9, seed=9)
         assert check_ir_survives_round1(g).passed
+
+    def test_hofstadter_eliminated_verdict(self, pd):
+        r = build_report(pd)
+        assert r.hofstadter == ((1, 1),)
+        eliminated = dataclasses.replace(r.regions[(1, 1)], rationalizable=False)
+        r = dataclasses.replace(r, regions={**r.regions, (1, 1): eliminated})
+        verdict = CHECKERS[HOFSTADTER_RATIONALIZABLE](r, 20, 0)
+        assert verdict == Verdict(
+            HOFSTADTER_RATIONALIZABLE,
+            False,
+            "Hofstadter equilibrium (Cooperate,Cooperate) was eliminated",
+            game=pd,
+            profile=(1, 1),
+        )
+
+    @pytest.mark.parametrize("maximin, player", [((3, 3), 0), ((2, 3), 1)])
+    def test_hofstadter_below_maximin_verdict(self, pd, maximin, player):
+        # (Cooperate,Cooperate) pays (2, 2); the true maximin is (1, 1)
+        r = dataclasses.replace(build_report(pd), maximin=maximin)
+        verdict = CHECKERS[HOFSTADTER_INDIVIDUALLY_RATIONAL](r, 20, 0)
+        assert verdict == Verdict(
+            HOFSTADTER_INDIVIDUALLY_RATIONAL,
+            False,
+            f"Hofstadter equilibrium (Cooperate,Cooperate) pays player {player} "
+            f"2 below the maximin {maximin[player]}",
+            game=pd,
+            profile=(1, 1),
+        )
 
 
 class TestOrderIndependence:
@@ -329,7 +397,18 @@ class TestOneAnalysisPerGame:
         build_report(g3x3)
         assert calls == dict.fromkeys(self.COUNTED, 1)
 
-    def test_sweep_computes_each_fact_once_per_game(self, calls):
+    def test_sweep_computes_each_fact_once_per_game(self, calls, monkeypatch):
+        built = []
+
+        def counted_new_game(*args, **kwargs):
+            built.append(1)
+            return new_game(*args, **kwargs)
+
+        # generated tables are valid by construction and skip new_game
+        for module in (nonnash.game_core, nonnash.verify, nonnash.game_io):
+            if hasattr(module, "new_game"):
+                monkeypatch.setattr(module, "new_game", counted_new_game)
         report = sweep(SweepConfig(games=40, seed=3, properties=ALL_PROPERTIES))
         assert report.games_checked == 40
         assert calls == dict.fromkeys(self.COUNTED, 40)
+        assert built == []
