@@ -24,10 +24,7 @@ from .game_io import (
 )
 from .solvers import build_report, iterate_elimination
 from .verify import (
-    ALL_PROPERTIES,
     CHECKERS,
-    HOFSTADTER_INDIVIDUALLY_RATIONAL,
-    HOFSTADTER_RATIONALIZABLE,
     SweepConfig,
     gen_random_game,
     gen_random_symmetric_game,
@@ -126,11 +123,6 @@ def cmd_search(args) -> int:
     properties = tuple(
         prop.strip() for prop in args.properties.split(",") if prop.strip()
     )
-    for prop in properties:
-        if prop not in ALL_PROPERTIES:
-            raise GameError(
-                f"unknown property {prop!r} (choose from: {', '.join(ALL_PROPERTIES)})"
-            )
     config = SweepConfig(
         players=args.players,
         min_strategies=k_min,
@@ -198,13 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--payoff-range", default="0..99", help=_PAYOFF_RANGE_HELP)
     p.add_argument(
         "--properties",
-        default=",".join(
-            (
-                HOFSTADTER_RATIONALIZABLE,
-                HOFSTADTER_INDIVIDUALLY_RATIONAL,
-                "ir-survives-round-1",
-            )
-        ),
+        default=",".join(SweepConfig.properties),
         help="comma-separated property names (default: all but order-independence)",
     )
     p.add_argument(

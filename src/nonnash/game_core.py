@@ -68,6 +68,8 @@ class Game:
     are enumerated in the same mixed-radix order as cells with player i
     left out, so entry x of every row of player i refers to the same
     opponent profile.  The solvers read rows instead of indexing cells.
+    In a symmetric game every player has the same rows (see
+    :func:`is_symmetric`).
 
     Games are immutable; all operations on them are pure functions, so
     values can be shared freely across threads or worker processes.
@@ -253,37 +255,47 @@ def is_symmetric(g: Game) -> bool:
     """Whether all players are interchangeable.
 
     Requires the strategy label lists to be identical *as sequences* (a
-    game that is symmetric only after relabeling is reported asymmetric)
-    and the payoffs to be invariant under every permutation of players.
-    Checking the adjacent transpositions (k, k+1) suffices because they
-    generate the full permutation group; the test suite cross-checks this
-    against an all-permutations scan.
+    game that is symmetric only after relabeling is reported asymmetric).
+    The payoffs are then symmetric exactly when, in :attr:`Game.own_rows`,
+    every player's rows equal player 0's and player 0's rows do not change
+    when the opponents are reordered:
+
+    * if both hold, a payoff depends only on the player's own strategy and
+      the multiset of the opponents' strategies, so every permutation of
+      players maps each payoff to an equal one;
+    * conversely, swapping players 0 and i turns player i's payoff into
+      player 0's at a reordering of the opponents.
+
+    Reordering is checked on two moves that generate every permutation of
+    the n - 1 opponents: rotating them by one place and swapping the first
+    two.  With two players there is nothing to reorder.  The test suite
+    cross-checks this against an all-permutations scan.
     """
     labels = g.strategy_labels
     first = labels[0]
-    for other in labels[1:]:
-        if other != first:
-            return False
-    n = g.n_players
-    if n == 1:
+    if any(other != first for other in labels[1:]):
+        return False
+    rows = g.own_rows
+    if any(other != rows[0] for other in rows[1:]):
+        return False
+    if g.n_players < 3:
         return True
-    # Swapping players k and k + 1 maps cell base + a*sk + b*sl to
-    # base + b*sk + a*sl; each unordered pair {a, b} is visited once.
-    table = g.payoffs
-    n_cells = len(table)
-    n_strategies = len(first)
-    for k in range(n - 1):
-        swap = itemgetter(*range(k), k + 1, k, *range(k + 2, n))
-        sk, sl = g.strides[k], g.strides[k + 1]
-        bases = [
-            h + low for h in range(0, n_cells, n_strategies * sk) for low in range(sl)
-        ]
-        for a in range(n_strategies):
-            for b in range(a, n_strategies):
-                here, there = a * sk + b * sl, b * sk + a * sl
-                for base in bases:
-                    if swap(table[base + here]) != table[base + there]:
-                        return False
+    k = len(first)
+    # Opponent profiles per strategy of the first opponent, and per
+    # strategy pair of the first two.
+    wide = k ** (g.n_players - 2)
+    narrow = wide // k
+    for row in rows[0]:
+        # Rotation (x1, rest) -> (rest, x1): the x1 = d block read in order
+        # must equal every k-th entry from d.
+        for d in range(k):
+            if row[d * wide : (d + 1) * wide] != row[d::k]:
+                return False
+        # Swap of the first two: block (b, c) must equal block (c, b).
+        for b, c in itertools.combinations(range(k), 2):
+            here, there = (b * k + c) * narrow, (c * k + b) * narrow
+            if row[here : here + narrow] != row[there : there + narrow]:
+                return False
     return True
 
 

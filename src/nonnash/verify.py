@@ -39,7 +39,7 @@ from .game_core import (
     check_size_guard,
     format_profile,
     full_sets,
-    payoff,
+    profiles,
 )
 from .game_io import GameDocument, serialize_game
 from .rng import SplitMix64, derive_seed
@@ -149,16 +149,16 @@ def gen_random_symmetric_game(
     _check_payoff_range(lo, hi)
     check_size_guard(counts, max_entries)
     rng = SplitMix64(seed)
-    class_value: dict[tuple[int, tuple[int, ...]], int] = {}
+    # Class (own, others) is stored under the sorted whole profile, then
+    # under own, so a cell needs one sort to reach every player's class.
+    class_value: dict[tuple[int, ...], dict[int, int]] = {}
     for own in range(k):
         for others in itertools.combinations_with_replacement(range(k), n_players - 1):
-            class_value[(own, others)] = rng.next_in_range(lo, hi)
+            key = tuple(sorted(others + (own,)))
+            class_value.setdefault(key, {})[own] = rng.next_in_range(lo, hi)
     labels = (tuple(f"s{v}" for v in range(k)),) * n_players
     payoffs = tuple(
-        tuple(
-            class_value[(p[i], tuple(sorted(p[:i] + p[i + 1 :])))]
-            for i in range(n_players)
-        )
+        tuple(map(class_value[tuple(sorted(p))].__getitem__, p))
         for p in itertools.product(range(k), repeat=n_players)
     )
     return Game(strategy_labels=labels, payoffs=payoffs)
@@ -191,15 +191,17 @@ def _hofstadter_rationalizable(r: AnalysisReport, *_) -> Verdict:
 def _hofstadter_individually_rational(r: AnalysisReport, *_) -> Verdict:
     _require_symmetric(r, "the Hofstadter check")
     g = r.game
-    for p in r.hofstadter:
-        for i in range(g.n_players):
-            u = payoff(g, p, i)
-            if u < r.maximin[i]:
+    hofstadter = set(r.hofstadter)
+    for p, vector in zip(profiles(g), g.payoffs):
+        if p not in hofstadter:
+            continue
+        for i, (u, floor) in enumerate(zip(vector, r.maximin)):
+            if u < floor:
                 return Verdict(
                     HOFSTADTER_INDIVIDUALLY_RATIONAL,
                     False,
                     f"Hofstadter equilibrium {format_profile(g, p)} pays player {i} "
-                    f"{u} below the maximin {r.maximin[i]}",
+                    f"{u} below the maximin {floor}",
                     game=g,
                     profile=p,
                 )
@@ -416,9 +418,12 @@ def _validate_config(config: SweepConfig) -> None:
     _check_payoff_range(config.payoff_lo, config.payoff_hi)
     if config.orders_per_game < 1:
         raise BadRange(f"need at least one deletion order, got {config.orders_per_game}")
+    choices = f"(choose from: {', '.join(ALL_PROPERTIES)})"
+    if not config.properties:
+        raise BadRange(f"no property to check {choices}")
     for prop in config.properties:
         if prop not in ALL_PROPERTIES:
-            raise BadRange(f"unknown property {prop!r}")
+            raise BadRange(f"unknown property {prop!r} {choices}")
 
 
 def _sweep_chunk(config: SweepConfig, start: int, stop: int):

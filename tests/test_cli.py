@@ -224,6 +224,16 @@ class TestSearch:
         assert code == 2
         assert "unknown property" in err
 
+    @pytest.mark.parametrize("properties", ["", ","])
+    def test_no_property_exits_2(self, capsys, properties):
+        # a sweep that checks no property must not print PASS
+        code, out, err = run_cli(
+            capsys, "search", "--games", "3", "--properties", properties
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "search", "--games", "10", "--seed", "3", "--format", "json"

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -143,7 +144,62 @@ class TestProfiles:
         assert len(set(ps)) == expected
 
 
+def equal_rows_game(n, k, f):
+    """n players with k strategies each, where every player's payoff is
+    f(own strategy, opponents' strategies in player order).  Every
+    player then has the same own_rows; the game is symmetric only if f
+    ignores the opponents' order."""
+    cells = [
+        (p, tuple(f(p[i], p[:i] + p[i + 1 :]) for i in range(n)))
+        for p in itertools.product(range(k), repeat=n)
+    ]
+    return new_game([[f"s{v}" for v in range(k)]] * n, cells)
+
+
+def _ascents(others):
+    """Cyclic ascents: unchanged by rotating `others`, not by swapping two."""
+    return sum(a < b for a, b in zip(others, others[1:] + others[:1]))
+
+
+def _random_f(n, k, seed):
+    rng = random.Random(seed)
+    table = {
+        (own, others): rng.randrange(100)
+        for own in range(k)
+        for others in itertools.product(range(k), repeat=n - 1)
+    }
+    return lambda own, others: table[own, others]
+
+
+# (players, strategies, f): each f depends on the opponents' order.
+ORDER_DEPENDENT = [
+    pytest.param(3, 2, lambda own, x: 4 * own + 2 * x[0] + x[1], id="weighted-3p"),
+    pytest.param(4, 2, lambda own, x: 4 * own + 2 * x[0] + x[1], id="weighted-4p"),
+    # unchanged when the first two opponents swap, changed by a rotation
+    pytest.param(
+        4, 2, lambda own, x: 4 * own + x[0] + x[1] + 2 * x[2], id="last-weighted-4p"
+    ),
+    # unchanged by a rotation, changed when two opponents swap
+    pytest.param(4, 3, lambda own, x: 4 * own + _ascents(x), id="cyclic-4p"),
+    *(
+        pytest.param(n, k, _random_f(n, k, seed), id=f"random-{n}p-k{k}")
+        for seed, (n, k) in enumerate([(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
+    ),
+]
+
+
 class TestIsSymmetric:
+    @pytest.mark.parametrize("n, k, f", ORDER_DEPENDENT)
+    def test_equal_rows_are_not_enough(self, n, k, f):
+        g = equal_rows_game(n, k, f)
+        assert all(rows == g.own_rows[0] for rows in g.own_rows)
+        assert not symmetric_oracle(g)
+        assert not is_symmetric(g)
+        # sorting the opponents makes f order-free and the game symmetric
+        h = equal_rows_game(n, k, lambda own, others: f(own, tuple(sorted(others))))
+        assert symmetric_oracle(h)
+        assert is_symmetric(h)
+
     def test_canonical_games(self, pd, chicken_game, coordination_game, g3x3):
         for g in (pd, chicken_game, coordination_game, g3x3):
             assert is_symmetric(g)

@@ -141,6 +141,14 @@ class TestGenerators:
          "b060ccf032c299e0929e19ec1df786e11447dcd4bdfb68de795b44622e1acb9a"),
         (gen_random_symmetric_game, (4, 2, -5, 5, 18),
          "8e4388a9562add80ea323560e8a25101f442f3cdabb35186e51b5e54b99b9c10"),
+        (gen_random_symmetric_game, (3, 6, 0, 99, 21),
+         "37ac34d22b9f15bdc734926f594949dcec403b3de564717b7378192825a99f71"),
+        (gen_random_symmetric_game, (4, 4, 0, 2, 22),
+         "b4b5028a2bdcef8e9033710213e3920d116c7ce2b53f38bc85dfd3eeb5a329fd"),
+        (gen_random_symmetric_game, (5, 3, 0, 99, 23),
+         "22f578b52491f17c84b8f2882c5aa50548c016bb111d796c9063bc3206bc782b"),
+        (gen_random_symmetric_game, (50, 1, 0, 99, 24),
+         "e39041fff3dfb84f751c4991d0429648a6a3ef1b9da76dbf1062271a00225717"),
     ]
 
     @pytest.mark.parametrize(
@@ -358,6 +366,20 @@ class TestSweep:
             sweep(SweepConfig(games=-1))
         with pytest.raises(BadRange):
             sweep(SweepConfig(properties=("no-such-property",)))
+        with pytest.raises(BadRange):
+            sweep(SweepConfig(properties=()))
+
+    def test_linear_in_players(self):
+        # one cell holding 20,000 payoff entries: the work of generating,
+        # analyzing and checking it must grow linearly with the players
+        config = SweepConfig(
+            players=20_000, min_strategies=1, max_strategies=1, games=1,
+            properties=ALL_PROPERTIES,
+        )
+        report = sweep(config)
+        assert report.passed
+        assert report.games_checked == 1
+        assert report.elapsed < 5
 
     def test_selected_properties_echoed(self):
         config = SweepConfig(
