@@ -22,6 +22,7 @@ given the same game emit identical bytes.
 """
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -217,26 +218,30 @@ def matrix_lines(g: Game, markers: dict | None = None) -> list[str]:
     return [line.rstrip() for line in lines]
 
 
+def _profile_flags(r):
+    """Yield (profile, nash, hofstadter, individually rational,
+    minimax-rationalizable) for every profile of the report's game, in
+    enumeration order; the Hofstadter flag is None for asymmetric games."""
+    nash = set(r.nash)
+    hof = None if r.hofstadter is None else set(r.hofstadter)
+    ir = set(r.individually_rational)
+    alive = [set(x) for x in r.trace.final_survivors]
+    for p in profiles(r.game):
+        yield (
+            p,
+            p in nash,
+            None if hof is None else p in hof,
+            p in ir,
+            all(v in alive[i] for i, v in enumerate(p)),
+        )
+
+
 def _render_text(r) -> str:
     g = r.game
-    nash = set(r.nash)
-    ir = set(r.individually_rational)
-    hof = set(r.hofstadter) if r.hofstadter is not None else set()
-    alive = [set(x) for x in r.trace.final_survivors]
-
-    markers = {}
-    for p in profiles(g):
-        mark = ""
-        if p in nash:
-            mark += "N"
-        if p in hof:
-            mark += "H"
-        if p in ir:
-            mark += "I"
-        if all(v in alive[i] for i, v in enumerate(p)):
-            mark += "M"
-        if mark:
-            markers[p] = mark
+    markers = {
+        p: "".join(letter for letter, flag in zip("NHIM", flags) if flag)
+        for p, *flags in _profile_flags(r)
+    }
 
     lines = [f"game: {r.name}" if r.name else "game: (unnamed)"]
     lines.append(f"players: {g.n_players}")
@@ -264,16 +269,15 @@ def _render_text(r) -> str:
         for round_no, batch in enumerate(r.trace.rounds, start=1):
             lines.append("  " + format_round(g, round_no, batch))
     lines.append("survivors: " + format_survivors(g, r.trace.final_survivors))
-    if r.regions is None:
+    if r.hofstadter is None:
         lines.append("regions: n/a (asymmetric)")
     else:
-        tags = r.regions.values()
         lines.append(
             "regions: minimax-rationalizable=%d, individually-rational=%d, hofstadter=%d"
             % (
-                sum(t.rationalizable for t in tags),
-                sum(t.individually_rational for t in tags),
-                sum(t.hofstadter for t in tags),
+                math.prod(map(len, r.trace.final_survivors)),
+                len(r.individually_rational),
+                len(r.hofstadter),
             )
         )
     return "\n".join(lines) + "\n"
@@ -282,24 +286,20 @@ def _render_text(r) -> str:
 def _render_csv(r) -> str:
     g = r.game
     n = g.n_players
-    nash = set(r.nash)
-    ir = set(r.individually_rational)
-    hof = set(r.hofstadter) if r.hofstadter is not None else None
-    alive = [set(x) for x in r.trace.final_survivors]
     rows = [
         ",".join([f"i{i}" for i in range(n)] + ["labels", "nash", "hofstadter", "ir", "rationalizable"])
     ]
-    for p in profiles(g):
+    for p, nash, hof, ir, rationalizable in _profile_flags(r):
         labels = "(" + ";".join(g.strategy_labels[i][v] for i, v in enumerate(p)) + ")"
         rows.append(
             ",".join(
                 [str(v) for v in p]
                 + [
                     labels,
-                    _bool(p in nash),
-                    "" if hof is None else _bool(p in hof),
-                    _bool(p in ir),
-                    _bool(all(v in alive[i] for i, v in enumerate(p))),
+                    _bool(nash),
+                    "" if hof is None else _bool(hof),
+                    _bool(ir),
+                    _bool(rationalizable),
                 ]
             )
         )

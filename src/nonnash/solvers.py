@@ -13,8 +13,9 @@ Five families are implemented:
   their maximin value.
 
 Everything is exact integer comparison; no payoff arithmetic anywhere.
-:func:`build_report` computes each of these once per game; the checkers,
-sweeps, renderers and CLI all read its record.
+:func:`build_report` runs each solver once per game and stores symmetry,
+maximin, the individually rational profiles, the elimination trace and the
+Hofstadter profiles; pure Nash and the region tags are derived on first read.
 
 The solvers read :attr:`Game.own_rows`: for each player and own strategy,
 the player's payoffs over every joint opponent profile, in one shared
@@ -35,14 +36,14 @@ import itertools
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from operator import ge
 
-from .errors import DeadStrategy, IndexOutOfRange
+from .errors import DeadStrategy, IndexOutOfRange, NotSymmetric
 from .game_core import (
     Game,
     Profile,
     Survivors,
-    diagonal_profiles,
     full_sets,
     is_symmetric,
     normalize_survivors,
@@ -107,15 +108,17 @@ def hofstadter_equilibria(g: Game) -> list[Profile]:
     best of those.  By symmetry the player-0 payoff decides; every
     maximizer is returned on ties.  Undefined off the symmetric class.
     """
-    return _best_diagonal(g, diagonal_profiles(g))
+    if not is_symmetric(g):
+        raise NotSymmetric("Hofstadter equilibria are defined only for symmetric games")
+    return _best_diagonal(g)
 
 
-def _best_diagonal(g: Game, diagonal: list[Profile]) -> list[Profile]:
-    """Profiles of `diagonal` (all of symmetric `g`'s, in order) best for player 0."""
+def _best_diagonal(g: Game) -> list[Profile]:
+    """Diagonal profiles of symmetric `g` best for player 0, in order."""
     # Profile (a, ..., a) is cell a * sum(strides): the slice is the diagonal.
     values = [u[0] for u in g.payoffs[:: sum(g.strides)]]
     best = max(values)
-    return [p for p, u in zip(diagonal, values) if u == best]
+    return [(a,) * g.n_players for a, u in enumerate(values) if u == best]
 
 
 def maximin_values(g: Game) -> MaximinVector:
@@ -311,47 +314,47 @@ _REGION_TAGS = {
 class AnalysisReport:
     """Every solution concept of one game, ready for rendering.
 
-    All profile collections are in enumeration order; `hofstadter` and
-    `regions` are None for asymmetric games, where those concepts are
-    undefined.  `regions` maps every profile to its :class:`RegionTag`.
+    Fields hold solver outputs; `nash` and `regions` are derived from them
+    on first read.  Profile collections are in enumeration order, and
+    `hofstadter` and `regions` (one :class:`RegionTag` per profile) are
+    None for asymmetric games, where those concepts are undefined.
     """
 
     name: str
     game: Game
     symmetric: bool
-    nash: tuple[Profile, ...]
     hofstadter: tuple[Profile, ...] | None
     maximin: MaximinVector
     individually_rational: tuple[Profile, ...]
     trace: EliminationTrace
-    regions: dict[Profile, RegionTag] | None = None
+
+    @cached_property
+    def nash(self) -> tuple[Profile, ...]:
+        return tuple(pure_nash(self.game))
+
+    @cached_property
+    def regions(self) -> dict[Profile, RegionTag] | None:
+        if self.hofstadter is None:
+            return None
+        hofstadter = set(self.hofstadter)
+        rational = set(self.individually_rational)
+        rationalizable = set(itertools.product(*self.trace.final_survivors))
+        return {
+            p: _REGION_TAGS[p in rationalizable, p in rational, p in hofstadter]
+            for p in profiles(self.game)
+        }
 
 
 def build_report(game: Game, name: str = "") -> AnalysisReport:
     """Run every solver on `game` once and collect the results."""
     symmetric = is_symmetric(game)
     maximin = maximin_values(game)
-    rational = tuple(_rational_profiles(game, maximin))
-    trace = iterate_elimination(game)
-    hofstadter = regions = None
-    if symmetric:
-        diagonal = [(k,) * game.n_players for k in range(game.strategy_counts[0])]
-        hofstadter = tuple(_best_diagonal(game, diagonal))
-        hof_set = set(hofstadter)
-        rational_set = set(rational)
-        rationalizable = set(itertools.product(*trace.final_survivors))
-        regions = {
-            p: _REGION_TAGS[p in rationalizable, p in rational_set, p in hof_set]
-            for p in profiles(game)
-        }
     return AnalysisReport(
         name=name,
         game=game,
         symmetric=symmetric,
-        nash=tuple(pure_nash(game)),
-        hofstadter=hofstadter,
+        hofstadter=tuple(_best_diagonal(game)) if symmetric else None,
         maximin=maximin,
-        individually_rational=rational,
-        trace=trace,
-        regions=regions,
+        individually_rational=tuple(_rational_profiles(game, maximin)),
+        trace=iterate_elimination(game),
     )

@@ -177,7 +177,7 @@ def _require_symmetric(r: AnalysisReport, what: str) -> None:
 def _hofstadter_rationalizable(r: AnalysisReport, *_) -> Verdict:
     _require_symmetric(r, "the Hofstadter check")
     for p in r.hofstadter:
-        if not r.regions[p].rationalizable:
+        if any(v not in alive for v, alive in zip(p, r.trace.final_survivors)):
             return Verdict(
                 HOFSTADTER_RATIONALIZABLE,
                 False,
@@ -407,23 +407,28 @@ class SweepReport:
 
 
 def _validate_config(config: SweepConfig) -> None:
-    if config.games < 0:
-        raise BadRange(f"negative game count {config.games}")
+    # A sweep that can check no game must not pass: every check here runs
+    # before the first draw.
+    if config.games < 1:
+        raise BadRange(f"need at least one game, got {config.games}")
     if config.players < 1:
         raise BadRange(f"need at least one player, got {config.players}")
     if config.min_strategies < 1 or config.min_strategies > config.max_strategies:
         raise BadRange(
             f"bad strategy range {config.min_strategies}..{config.max_strategies}"
         )
+    check_size_guard((config.min_strategies,) * config.players, config.max_entries)
     _check_payoff_range(config.payoff_lo, config.payoff_hi)
     if config.orders_per_game < 1:
         raise BadRange(f"need at least one deletion order, got {config.orders_per_game}")
     choices = f"(choose from: {', '.join(ALL_PROPERTIES)})"
     if not config.properties:
         raise BadRange(f"no property to check {choices}")
-    for prop in config.properties:
+    for n, prop in enumerate(config.properties):
         if prop not in ALL_PROPERTIES:
             raise BadRange(f"unknown property {prop!r} {choices}")
+        if prop in config.properties[:n]:
+            raise BadRange(f"property {prop!r} listed twice")
 
 
 def _sweep_chunk(config: SweepConfig, start: int, stop: int):
@@ -463,7 +468,9 @@ def _sweep_chunk(config: SweepConfig, start: int, stop: int):
 def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     """Run a campaign of `config.games` random symmetric games.
 
-    Games that trip the size guard are skipped and counted, not fatal.
+    Games that trip the size guard are skipped and counted, not fatal;
+    a config under which no game could be checked (no games, or a guard
+    tripped by the smallest strategy count) raises before any draw.
     Work may be spread over up to `workers` processes, never more than
     there are CPUs or games; per-game seeding makes the report
     independent of the worker count.

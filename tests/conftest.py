@@ -1,8 +1,10 @@
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
+import nonnash.verify
 from nonnash import chicken, coordination, elimination_ladder, prisoners_dilemma
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -34,3 +36,30 @@ def g3x3():
 @pytest.fixture
 def games_dir():
     return GAMES_DIR
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run sweep chunks in-process instead of in worker processes; returns
+    the list of pool sizes requested."""
+    pool_sizes = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor; runs chunks in-process."""
+
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(nonnash.verify, "ProcessPoolExecutor", InlinePool)
+    return pool_sizes

@@ -191,10 +191,19 @@ class TestCheck:
 
 class TestSearch:
     def test_zero_games(self, capsys):
-        code, out, _ = run_cli(capsys, "search", "--games", "0")
-        assert code == 0
-        assert "checked: 0" in out
-        assert "verdict: PASS" in out
+        # a sweep that checks no game must not print PASS
+        code, out, err = run_cli(capsys, "search", "--games", "0")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_size_guard_on_every_game_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "search", "--players", "3", "--strategies", "200", "--games", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "payoff entries" in err
 
     def test_small_sweep(self, capsys):
         code, out, _ = run_cli(
@@ -233,6 +242,15 @@ class TestSearch:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    def test_duplicate_property_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "search", "--games", "5", "--properties",
+            "hofstadter-rationalizable,hofstadter-rationalizable",
+        )
+        assert code == 2
+        assert out == ""
+        assert "listed twice" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +14,7 @@ from nonnash import (
     BadRange,
     GameDocument,
     NotSymmetric,
+    RegionTag,
     SizeGuardExceeded,
     SplitMix64,
     SweepConfig,
@@ -189,8 +189,9 @@ class TestCheckers:
     def test_hofstadter_eliminated_verdict(self, pd):
         r = build_report(pd)
         assert r.hofstadter == ((1, 1),)
-        eliminated = dataclasses.replace(r.regions[(1, 1)], rationalizable=False)
-        r = dataclasses.replace(r, regions={**r.regions, (1, 1): eliminated})
+        r = dataclasses.replace(
+            r, trace=dataclasses.replace(r.trace, final_survivors=((0,), (0,)))
+        )
         verdict = CHECKERS[HOFSTADTER_RATIONALIZABLE](r, 20, 0)
         assert verdict == Verdict(
             HOFSTADTER_RATIONALIZABLE,
@@ -282,13 +283,23 @@ class TestClassifyRegions:
         assert rationalizable == 3  # DD, DC, CD
         assert rational == 1  # DD
 
+    def test_regions_follow_replaced_fields(self, pd):
+        r = build_report(pd)
+        assert r.regions[(1, 1)] == RegionTag(True, True, True)
+        eliminated = dataclasses.replace(
+            r, trace=dataclasses.replace(r.trace, final_survivors=((0,), (0,)))
+        )
+        assert [p for p, t in eliminated.regions.items() if t.rationalizable] == [(0, 0)]
+        moved = dataclasses.replace(r, hofstadter=((0, 0),))
+        assert [p for p, t in moved.regions.items() if t.hofstadter] == [(0, 0)]
+        assert r.regions[(1, 1)] == RegionTag(True, True, True)
+
 
 class TestSweep:
     def test_empty_sweep(self):
-        report = sweep(SweepConfig(games=0))
-        assert report.passed
-        assert report.games_checked == 0
-        assert report.violations == ()
+        # a sweep that checks no game must not pass
+        with pytest.raises(BadRange):
+            sweep(SweepConfig(games=0))
 
     def test_small_sweep_clean(self):
         report = sweep(SweepConfig(games=300, seed=77))
@@ -320,43 +331,29 @@ class TestSweep:
         b = sweep(config, workers=3)
         assert dataclasses.replace(a, elapsed=0.0) == dataclasses.replace(b, elapsed=0.0)
 
-    def test_workers_clamped_to_cpus_and_games(self, monkeypatch):
-        pool_sizes = []
-
-        class InlinePool:
-            """Stands in for ProcessPoolExecutor; runs chunks in-process."""
-
-            def __init__(self, max_workers):
-                pool_sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(nonnash.verify, "ProcessPoolExecutor", InlinePool)
+    def test_workers_clamped_to_cpus_and_games(self, monkeypatch, inline_pool):
         monkeypatch.setattr(nonnash.verify.os, "cpu_count", lambda: 3)
         config = SweepConfig(games=10, seed=41)
         report = sweep(config, workers=64)
         sweep(SweepConfig(games=2, seed=41), workers=64)
-        assert pool_sizes == [3, 2]
+        assert inline_pool == [3, 2]
         assert dataclasses.replace(report, elapsed=0.0) == dataclasses.replace(
             sweep(config), elapsed=0.0
         )
 
     def test_size_guard_skips_and_counts(self):
+        # when even the smallest strategy count trips the guard, no game
+        # could be checked: an input error, raised before any draw
+        with pytest.raises(SizeGuardExceeded):
+            sweep(SweepConfig(
+                min_strategies=50, max_strategies=60, games=5, seed=1, max_entries=100
+            ))
         config = SweepConfig(
-            min_strategies=50, max_strategies=60, games=5, seed=1, max_entries=100
+            min_strategies=2, max_strategies=60, games=20, seed=2, max_entries=200
         )
         report = sweep(config)
-        assert report.games_skipped == 5
-        assert report.games_checked == 0
+        assert report.games_skipped == 15
+        assert report.games_checked == 5
         assert report.passed
 
     def test_bad_config(self):
@@ -368,6 +365,8 @@ class TestSweep:
             sweep(SweepConfig(properties=("no-such-property",)))
         with pytest.raises(BadRange):
             sweep(SweepConfig(properties=()))
+        with pytest.raises(BadRange):
+            sweep(SweepConfig(properties=(ORDER_INDEPENDENCE, ORDER_INDEPENDENCE)))
 
     def test_linear_in_players(self):
         # one cell holding 20,000 payoff entries: the work of generating,
@@ -396,7 +395,15 @@ class TestSweep:
 
 
 class TestOneAnalysisPerGame:
-    COUNTED = ("is_symmetric", "maximin_values", "iterate_elimination", "_best_diagonal")
+    COUNTED = (
+        "is_symmetric", "maximin_values", "iterate_elimination", "_best_diagonal",
+        "pure_nash",
+    )
+
+    def per_game(self, n):
+        """Expected counts for `n` reports: no reader of a sweep or of
+        `nonnash check` needs pure Nash, which is derived on read."""
+        return {**dict.fromkeys(self.COUNTED, n), "pure_nash": 0}
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -416,8 +423,19 @@ class TestOneAnalysisPerGame:
         return counts
 
     def test_build_report_computes_each_fact_once(self, calls, g3x3):
-        build_report(g3x3)
+        report = build_report(g3x3)
+        assert calls == self.per_game(1)
+        # the report stores solver outputs only
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "name", "game", "symmetric", "hofstadter", "maximin",
+            "individually_rational", "trace",
+        ]
+        assert report.nash == report.nash == ((0, 0),)
         assert calls == dict.fromkeys(self.COUNTED, 1)
+
+    def test_check_command_skips_nash(self, calls, games_dir, capsys):
+        assert nonnash.cli.main(["check", str(games_dir / "g3x3.gnf")]) == 0
+        assert calls == self.per_game(1)
 
     def test_sweep_computes_each_fact_once_per_game(self, calls, monkeypatch):
         built = []
@@ -432,5 +450,5 @@ class TestOneAnalysisPerGame:
                 monkeypatch.setattr(module, "new_game", counted_new_game)
         report = sweep(SweepConfig(games=40, seed=3, properties=ALL_PROPERTIES))
         assert report.games_checked == 40
-        assert calls == dict.fromkeys(self.COUNTED, 40)
+        assert calls == self.per_game(40)
         assert built == []
