@@ -25,6 +25,7 @@ from .game_io import (
 from .solvers import build_report, iterate_elimination
 from .verify import (
     CHECKERS,
+    IR_SURVIVES_ROUND_1,
     SweepConfig,
     gen_random_game,
     gen_random_symmetric_game,
@@ -84,7 +85,7 @@ def _print_verdict(verdict) -> bool:
     """Print one verdict line (plus note / counterexample); returns pass."""
     if verdict.passed:
         print(f"{verdict.name}: PASS")
-        if verdict.detail and verdict.detail.startswith("IR profiles"):
+        if verdict.name == IR_SURVIVES_ROUND_1 and verdict.detail:
             print(f"note: {verdict.detail}")
         return True
     print(f"{verdict.name}: FAIL ({verdict.detail})")

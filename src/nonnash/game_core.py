@@ -130,14 +130,39 @@ def _strides(counts: tuple[int, ...]) -> tuple[int, ...]:
 
 def check_size_guard(counts: tuple[int, ...], max_entries: int = MAX_ENTRIES) -> None:
     """Raise SizeGuardExceeded if cells x players exceeds `max_entries`;
-    callers run it before materializing any cell."""
-    n_cells = math.prod(counts)
+    callers run it before materializing any cell.  The message never holds
+    the cell count, which may have more digits than ``str()`` allows."""
     n = len(counts)
-    if n_cells * n > max_entries:
+    if math.prod(counts) * n > max_entries:
         raise SizeGuardExceeded(
-            f"{n_cells} cells x {n} players = {n_cells * n} payoff entries "
-            f"exceeds the guard of {max_entries}"
+            f"{n} players with {min(counts)}..{max(counts)} strategies each need "
+            f"more than {max_entries} payoff entries (cells x players)"
         )
+
+
+def check_profile(profile, counts: tuple[int, ...]) -> Profile:
+    """`profile` as a tuple; raises IndexOutOfRange unless it holds one
+    index per entry of `counts`: an int, not a bool, in [0, count)."""
+    profile = tuple(profile)
+    if len(profile) != len(counts):
+        raise IndexOutOfRange(
+            f"profile {profile} has {len(profile)} entries for {len(counts)} players"
+        )
+    for i, v in enumerate(profile):
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < counts[i]:
+            raise IndexOutOfRange(
+                f"profile {profile}: strategy {v!r} out of range for player {i}"
+            )
+    return profile
+
+
+def check_index(v, k: int, what: str) -> None:
+    """Raise IndexOutOfRange, naming `v` as `what`, unless it is an index
+    below `k` by the rule of :func:`check_profile`."""
+    try:
+        check_profile((v,), (k,))
+    except IndexOutOfRange:
+        raise IndexOutOfRange(f"{what} {v!r} out of range") from None
 
 
 def _profile_from_index(counts: tuple[int, ...], idx: int) -> Profile:
@@ -189,16 +214,7 @@ def new_game(strategy_labels, cells, *, max_entries: int = MAX_ENTRIES) -> Game:
 
     slots: list = [None] * math.prod(counts)
     for profile, values in cells:
-        profile = tuple(profile)
-        if len(profile) != n:
-            raise IndexOutOfRange(
-                f"profile {profile} has {len(profile)} entries for {n} players"
-            )
-        for i, v in enumerate(profile):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < counts[i]:
-                raise IndexOutOfRange(
-                    f"profile {profile}: strategy {v!r} out of range for player {i}"
-                )
+        profile = check_profile(profile, counts)
         vec = tuple(values)
         if len(vec) != n:
             raise InvalidGame(
@@ -226,20 +242,10 @@ def new_game(strategy_labels, cells, *, max_entries: int = MAX_ENTRIES) -> Game:
 
 
 def payoff(g: Game, profile: Profile, player: int) -> int:
-    """Payoff of `player` at `profile`; validates both arguments."""
-    counts = g.strategy_counts
-    if not 0 <= player < g.n_players:
-        raise IndexOutOfRange(f"player {player} out of range for {g.n_players} players")
-    if len(profile) != g.n_players:
-        raise IndexOutOfRange(
-            f"profile {tuple(profile)} has {len(profile)} entries for {g.n_players} players"
-        )
-    for i, v in enumerate(profile):
-        if not 0 <= v < counts[i]:
-            raise IndexOutOfRange(
-                f"profile {tuple(profile)}: strategy {v!r} out of range for player {i}"
-            )
-    return g.payoffs[g.cell_index(profile)][player]
+    """Payoff of `player` at `profile`; raises IndexOutOfRange unless both
+    hold indices in range (ints, not bools), one per player in `profile`."""
+    check_index(player, g.n_players, "player")
+    return g.payoffs[g.cell_index(check_profile(profile, g.strategy_counts))][player]
 
 
 def profiles(g: Game):
@@ -317,22 +323,19 @@ def full_sets(g: Game) -> Survivors:
 
 
 def normalize_survivors(g: Game, survivors) -> Survivors:
-    """Validate and canonicalize surviving sets (sorted, deduplicated)."""
-    s = tuple(tuple(sorted(set(alive))) for alive in survivors)
+    """Validate and canonicalize surviving sets (sorted, deduplicated): one
+    non-empty set per player of its strategy indices (ints, not bools)."""
+    s = tuple(map(tuple, survivors))
     if len(s) != g.n_players:
         raise IndexOutOfRange(
             f"{len(s)} survivor sets given for {g.n_players} players"
         )
-    counts = g.strategy_counts
-    for i, alive in enumerate(s):
+    for i, (alive, k) in enumerate(zip(s, g.strategy_counts)):
         if not alive:
             raise EmptySurvivorSet(f"player {i} has no surviving strategies")
         for v in alive:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < counts[i]:
-                raise IndexOutOfRange(
-                    f"player {i}: surviving strategy {v!r} out of range"
-                )
-    return s
+            check_index(v, k, f"player {i}: surviving strategy")
+    return tuple(tuple(sorted(set(alive))) for alive in s)
 
 
 def restrict(g: Game, survivors) -> Game:

@@ -39,11 +39,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import ge
 
-from .errors import DeadStrategy, IndexOutOfRange, NotSymmetric
+from .errors import DeadStrategy, NotSymmetric
 from .game_core import (
     Game,
     Profile,
     Survivors,
+    check_index,
     full_sets,
     is_symmetric,
     normalize_survivors,
@@ -183,11 +184,8 @@ class _Elimination:
             stride = self._strides[player]
             if player < i:
                 stride //= len(self._rows[i])
-            if stride == 1:
-                dead[strategy::k] = b"\x01" * (len(dead) // k)
-            else:
-                for h in range(strategy * stride, len(dead), k * stride):
-                    dead[h : h + stride] = b"\x01" * stride
+            for h in range(strategy * stride, len(dead), k * stride):
+                dead[h : h + stride] = b"\x01" * stride
 
     def bounds(self, player: int) -> tuple[dict[int, int], dict[int, int]]:
         """Min and max payoff of each alive strategy of `player` over the
@@ -233,10 +231,8 @@ def is_minimax_dominated(
     the lowest-index witness dominator on True.
     """
     s = normalize_survivors(g, survivors)
-    if not 0 <= player < g.n_players:
-        raise IndexOutOfRange(f"player {player} out of range")
-    if not 0 <= strategy < g.strategy_counts[player]:
-        raise IndexOutOfRange(f"strategy {strategy} out of range for player {player}")
+    check_index(player, g.n_players, "player")
+    check_index(strategy, g.strategy_counts[player], f"player {player}: strategy")
     if strategy not in s[player]:
         raise DeadStrategy(
             f"player {player} strategy {strategy} is not in the surviving set"

@@ -63,6 +63,10 @@ ALL_PROPERTIES = (
     ORDER_INDEPENDENCE,
 )
 
+# Order-independence enumerates every deletion order when the batch trace
+# deletes at most this many pairs, and samples random orders above it.
+EXHAUSTIVE_LIMIT = 3
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -91,6 +95,11 @@ def _check_counts(n_players: int, counts) -> tuple[int, ...]:
         if k < 1:
             raise BadRange(f"every player needs at least one strategy, got {k}")
     return counts
+
+
+def _check_orders(n_orders: int) -> None:
+    if n_orders < 1:
+        raise BadRange(f"need at least one deletion order, got {n_orders}")
 
 
 def _check_payoff_range(lo: int, hi: int) -> None:
@@ -215,17 +224,14 @@ def _delete_pair(survivors, player: int, strategy: int):
     )
 
 
-def _order_independence(
-    r: AnalysisReport, n_orders: int, seed: int, exhaustive_limit: int = 3
-) -> Verdict:
-    if n_orders < 1:
-        raise BadRange(f"need at least one deletion order, got {n_orders}")
+def _order_independence(r: AnalysisReport, n_orders: int, seed: int) -> Verdict:
+    _check_orders(n_orders)
     g = r.game
     target = r.trace.final_survivors
     if r.trace.total_deletions == 0:
         return Verdict(ORDER_INDEPENDENCE, True, "no strategies to eliminate")
 
-    if r.trace.total_deletions <= exhaustive_limit:
+    if r.trace.total_deletions <= EXHAUSTIVE_LIMIT:
         seen = set()
         stack = [full_sets(g)]
         while stack:
@@ -316,18 +322,16 @@ def check_hofstadter_individually_rational(g: Game) -> Verdict:
     return _hofstadter_individually_rational(build_report(g))
 
 
-def check_order_independence(
-    g: Game, n_orders: int = 20, seed: int = 0, *, exhaustive_limit: int = 3
-) -> Verdict:
+def check_order_independence(g: Game, n_orders: int = 20, seed: int = 0) -> Verdict:
     """Sequential one-at-a-time deletion must match batch elimination.
 
     Each sequential step deletes a single currently dominated pair and
-    re-scans.  When the batch trace deletes at most `exhaustive_limit`
+    re-scans.  When the batch trace deletes at most :data:`EXHAUSTIVE_LIMIT`
     pairs in total, every deletion order is enumerated (with memoization
     over reached survivor states); otherwise `n_orders` random orders are
     sampled from the substreams of `seed`.  `n_orders` must be positive.
     """
-    return _order_independence(build_report(g), n_orders, seed, exhaustive_limit)
+    return _order_independence(build_report(g), n_orders, seed)
 
 
 def check_ir_survives_round1(g: Game) -> Verdict:
@@ -411,16 +415,14 @@ def _validate_config(config: SweepConfig) -> None:
     # before the first draw.
     if config.games < 1:
         raise BadRange(f"need at least one game, got {config.games}")
-    if config.players < 1:
-        raise BadRange(f"need at least one player, got {config.players}")
-    if config.min_strategies < 1 or config.min_strategies > config.max_strategies:
+    if config.min_strategies > config.max_strategies:
         raise BadRange(
             f"bad strategy range {config.min_strategies}..{config.max_strategies}"
         )
-    check_size_guard((config.min_strategies,) * config.players, config.max_entries)
+    smallest = _check_counts(config.players, config.min_strategies)
+    check_size_guard(smallest, config.max_entries)
     _check_payoff_range(config.payoff_lo, config.payoff_hi)
-    if config.orders_per_game < 1:
-        raise BadRange(f"need at least one deletion order, got {config.orders_per_game}")
+    _check_orders(config.orders_per_game)
     choices = f"(choose from: {', '.join(ALL_PROPERTIES)})"
     if not config.properties:
         raise BadRange(f"no property to check {choices}")

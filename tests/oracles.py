@@ -133,3 +133,28 @@ def elimination_oracle(g: Game, survivors):
         s = tuple(
             tuple(a for a in alive if (i, a) not in batch) for i, alive in enumerate(s)
         )
+
+
+def every_symmetric_game(n: int, k: int, levels: int):
+    """Every symmetric game of `n` players with `k` strategies each whose
+    payoffs lie in range(`levels`), one per assignment of a level to each
+    payoff class (own strategy, sorted opponent strategies)."""
+    classes = [
+        (own, others)
+        for own in range(k)
+        for others in itertools.combinations_with_replacement(range(k), n - 1)
+    ]
+    cells = list(itertools.product(range(k), repeat=n))
+    cell_classes = [
+        [classes.index((p[i], tuple(sorted(p[:i] + p[i + 1 :])))) for i in range(n)]
+        for p in cells
+    ]
+    labels = [[f"s{v}" for v in range(k)]] * n
+    for values in itertools.product(range(levels), repeat=len(classes)):
+        yield new_game(
+            labels,
+            [
+                (p, tuple(map(values.__getitem__, row)))
+                for p, row in zip(cells, cell_classes)
+            ],
+        )

@@ -298,6 +298,30 @@ class TestGen:
         assert min(values) < 0
 
 
+class TestSizeGuardOnHugeCounts:
+    """2**15000 cells and more: the guard's message must not spell out a
+    cell count with more digits than str() allows."""
+
+    @pytest.mark.parametrize("command", ["gen", "search", "analyze"])
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, command):
+        if command == "analyze":
+            lines = ["gnf 1", "players 15000"]
+            lines += [f"strategies {i} a b" for i in range(15000)]
+            path = tmp_path / "huge.gnf"
+            path.write_text("\n".join(lines + ["payoffs", "end", ""]))
+            argv = ["analyze", str(path)]
+        else:
+            argv = [command, "--players", "20000", "--strategies", "2"]
+            if command == "search":
+                argv += ["--games", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error:")
+        assert "payoff entries" in line
+
+
 class TestPipeline:
     def test_gen_pipe_analyze(self, tmp_path):
         gen = subprocess.run(

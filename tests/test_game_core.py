@@ -17,8 +17,10 @@ from nonnash import (
     PayoffOutOfRange,
     SizeGuardExceeded,
     diagonal_profiles,
+    eliminate_round,
     gen_random_game,
     gen_random_symmetric_game,
+    is_minimax_dominated,
     is_symmetric,
     new_game,
     payoff,
@@ -116,6 +118,45 @@ class TestPayoff:
     def test_bad_profile(self, pd):
         with pytest.raises(IndexOutOfRange):
             payoff(pd, (0, 2), 0)
+
+
+# Each call puts `v` where a player or strategy index of the prisoner's
+# dilemma (2 players, 2 strategies each) belongs.
+INDEX_CALLS = {
+    "new_game": lambda g, v: new_game(g.strategy_labels, [((v, 0), (0, 0))]),
+    "payoff-player": lambda g, v: payoff(g, (0, 0), v),
+    "payoff-profile": lambda g, v: payoff(g, (0, v), 0),
+    # next to a valid 1, so deduplication cannot hide 1.0 or True
+    "restrict": lambda g, v: restrict(g, [(1, v), (0, 1)]),
+    "eliminate_round": lambda g, v: eliminate_round(g, [(0, 1), (1, v)]),
+    "minimax-player": lambda g, v: is_minimax_dominated(g, full_sets(g), v, 0),
+    "minimax-strategy": lambda g, v: is_minimax_dominated(g, full_sets(g), 1, v),
+}
+
+
+class TestIndexRule:
+    """An index is an int, not a bool, in [0, k): every entry point that
+    takes one refuses the same values."""
+
+    @pytest.mark.parametrize("bad", [-1, 2, 0.5, 1.0, True], ids=repr)
+    @pytest.mark.parametrize("call", INDEX_CALLS)
+    def test_bad_index_rejected(self, pd, call, bad):
+        with pytest.raises(IndexOutOfRange):
+            INDEX_CALLS[call](pd, bad)
+
+    @pytest.mark.parametrize("profile", [(0,), (0, 0, 0)])
+    def test_wrong_length_profile_rejected(self, pd, profile):
+        with pytest.raises(IndexOutOfRange, match="entries for 2 players"):
+            new_game(pd.strategy_labels, [(profile, (0, 0))])
+        with pytest.raises(IndexOutOfRange, match="entries for 2 players"):
+            payoff(pd, profile, 0)
+
+    def test_new_game_message_names_player(self, pd):
+        with pytest.raises(IndexOutOfRange) as raised:
+            new_game(pd.strategy_labels, [((0, 0.5), (0, 0))])
+        assert str(raised.value) == (
+            "profile (0, 0.5): strategy 0.5 out of range for player 1"
+        )
 
 
 class TestProfiles:

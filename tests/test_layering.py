@@ -6,7 +6,8 @@ hide an import inside a function, which is how an import cycle would
 otherwise slip back in.  The generators in ``verify`` build their tables
 valid by construction and never go through ``new_game``, and whole-table
 readers walk ``payoffs`` in profile order, so ``cell_index`` (random
-access) is called only inside ``game_core``.
+access) is called only inside ``game_core``.  The strategy-index rule
+lives in ``game_core`` too, so only that module raises ``IndexOutOfRange``.
 """
 
 import ast
@@ -45,16 +46,24 @@ def test_verify_does_not_import_new_game():
     assert "new_game" not in names
 
 
-def test_cell_index_called_only_in_game_core():
-    callers = []
+def _modules_calling(callee: str) -> set[str]:
+    callers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
-                if name == "cell_index":
-                    callers.append(path.name)
-    assert callers and set(callers) == {"game_core.py"}
+                if name == callee:
+                    callers.add(path.name)
+    return callers
+
+
+def test_cell_index_called_only_in_game_core():
+    assert _modules_calling("cell_index") == {"game_core.py"}
+
+
+def test_index_out_of_range_raised_only_in_game_core():
+    assert _modules_calling("IndexOutOfRange") == {"game_core.py"}
 
 
 def test_no_function_local_imports():

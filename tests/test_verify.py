@@ -222,11 +222,15 @@ class TestOrderIndependence:
         assert verdict.passed
         assert "no strategies" in verdict.detail
 
-    def test_3x3_exhaustive_interleavings(self, g3x3):
-        # force full enumeration of the 4-deletion trace
-        verdict = check_order_independence(g3x3, exhaustive_limit=4)
-        assert verdict.passed
-        assert "all sequential orders" in verdict.detail
+    def test_3x3_exhaustive_interleavings(self):
+        # the batch trace deletes one strategy of each of the 3 players, at
+        # most EXHAUSTIVE_LIMIT pairs, so every deletion order is enumerated
+        g = gen_random_symmetric_game(3, 3, 0, 9, seed=27)
+        assert build_report(g).trace.total_deletions == 3
+        verdict = check_order_independence(g)
+        assert verdict == Verdict(
+            ORDER_INDEPENDENCE, True, "all sequential orders agree (8 states)"
+        )
 
     def test_3x3_random_orders(self, g3x3):
         verdict = check_order_independence(g3x3, n_orders=30, seed=5)
