@@ -19,6 +19,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import (
+    BadRange,
     DuplicateCell,
     DuplicateLabel,
     EmptySurvivorSet,
@@ -140,16 +141,56 @@ def check_size_guard(counts: tuple[int, ...], max_entries: int = MAX_ENTRIES) ->
         )
 
 
+def are_ints(*values) -> bool:
+    """Whether every value is an int, not a bool (which subclasses int)."""
+    for v in values:
+        # An exact int, the common case, needs no isinstance call.
+        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
+            return False
+    return True
+
+
+def check_count(v, what: str) -> int:
+    """`v` if it is an int of at least 1, else BadRange ``<what>, got <v>``."""
+    if not are_ints(v) or v < 1:
+        raise BadRange(f"{what}, got {v!r}")
+    return v
+
+
+def check_shape(n_players, strategy_counts) -> tuple[int, ...]:
+    """Counts for `n_players` players from one shared count or a tuple or list."""
+    check_count(n_players, "need at least one player")
+    shared = not isinstance(strategy_counts, (tuple, list))
+    counts = (strategy_counts,) * n_players if shared else tuple(strategy_counts)
+    if len(counts) != n_players:
+        raise BadRange(f"{len(counts)} strategy counts for {n_players} players")
+    for k in counts:
+        check_count(k, "every player needs at least one strategy")
+    return counts
+
+
+def check_payoff_range(lo, hi) -> None:
+    """Raise BadRange unless lo <= hi are ints in [PAYOFF_MIN, PAYOFF_MAX]."""
+    if not are_ints(lo, hi):
+        raise BadRange(f"payoff range {lo!r}..{hi!r} needs integer bounds")
+    if lo > hi:
+        raise BadRange(f"empty payoff range {lo}..{hi}")
+    if lo < PAYOFF_MIN or hi > PAYOFF_MAX:
+        raise BadRange(f"payoff range {lo}..{hi} outside [-2**62, 2**62]")
+
+
 def check_profile(profile, counts: tuple[int, ...]) -> Profile:
-    """`profile` as a tuple; raises IndexOutOfRange unless it holds one
-    index per entry of `counts`: an int, not a bool, in [0, count)."""
+    """`profile` as a tuple; IndexOutOfRange unless it has one index per count."""
     profile = tuple(profile)
     if len(profile) != len(counts):
         raise IndexOutOfRange(
             f"profile {profile} has {len(profile)} entries for {len(counts)} players"
         )
+    # One predicate call per profile; entries are tested one by one only
+    # when the profile holds a non-int.
+    ints = are_ints(*profile)
     for i, v in enumerate(profile):
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < counts[i]:
+        if not (ints or are_ints(v)) or not 0 <= v < counts[i]:
             raise IndexOutOfRange(
                 f"profile {profile}: strategy {v!r} out of range for player {i}"
             )
@@ -157,12 +198,9 @@ def check_profile(profile, counts: tuple[int, ...]) -> Profile:
 
 
 def check_index(v, k: int, what: str) -> None:
-    """Raise IndexOutOfRange, naming `v` as `what`, unless it is an index
-    below `k` by the rule of :func:`check_profile`."""
-    try:
-        check_profile((v,), (k,))
-    except IndexOutOfRange:
-        raise IndexOutOfRange(f"{what} {v!r} out of range") from None
+    """Raise IndexOutOfRange naming `v` as `what` unless it is an index below `k`."""
+    if not are_ints(v) or not 0 <= v < k:
+        raise IndexOutOfRange(f"{what} {v!r} out of range")
 
 
 def _profile_from_index(counts: tuple[int, ...], idx: int) -> Profile:
@@ -220,8 +258,11 @@ def new_game(strategy_labels, cells, *, max_entries: int = MAX_ENTRIES) -> Game:
             raise InvalidGame(
                 f"cell {profile}: expected {n} payoff values, got {len(vec)}"
             )
+        # As in check_profile: one predicate call per cell on this hot path
+        # of parse_game, one per entry only when the cell holds a non-int.
+        ints = are_ints(*vec)
         for u in vec:
-            if not isinstance(u, int) or isinstance(u, bool):
+            if not (ints or are_ints(u)):
                 raise PayoffOutOfRange(f"cell {profile}: payoff {u!r} is not an integer")
             if not PAYOFF_MIN <= u <= PAYOFF_MAX:
                 raise PayoffOutOfRange(
@@ -242,8 +283,7 @@ def new_game(strategy_labels, cells, *, max_entries: int = MAX_ENTRIES) -> Game:
 
 
 def payoff(g: Game, profile: Profile, player: int) -> int:
-    """Payoff of `player` at `profile`; raises IndexOutOfRange unless both
-    hold indices in range (ints, not bools), one per player in `profile`."""
+    """Payoff of `player` at `profile`; IndexOutOfRange unless both are indices."""
     check_index(player, g.n_players, "player")
     return g.payoffs[g.cell_index(check_profile(profile, g.strategy_counts))][player]
 
@@ -323,8 +363,7 @@ def full_sets(g: Game) -> Survivors:
 
 
 def normalize_survivors(g: Game, survivors) -> Survivors:
-    """Validate and canonicalize surviving sets (sorted, deduplicated): one
-    non-empty set per player of its strategy indices (ints, not bools)."""
+    """Surviving sets, sorted and deduplicated: one non-empty index set per player."""
     s = tuple(map(tuple, survivors))
     if len(s) != g.n_players:
         raise IndexOutOfRange(

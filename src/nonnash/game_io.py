@@ -15,10 +15,10 @@ Game file format, version 1 (conventional extension ``.gnf``)::
     end
 
 Tokens are whitespace separated; ``#`` starts a comment to end of line;
-blank lines are ignored; LF and CRLF both accepted.  Serialization is
-canonical: LF endings, cells in profile enumeration order, single spaces,
-no comments, no trailing whitespace, so two runs (or two implementations)
-given the same game emit identical bytes.
+outside comments the text is ASCII; blank lines are ignored; LF and CRLF
+both accepted.  Serialization is canonical: LF endings, cells in profile
+enumeration order, single spaces, no comments, no trailing whitespace, so
+two runs (or two implementations) given the same game emit identical bytes.
 """
 
 import json
@@ -37,10 +37,6 @@ FORMAT_VERSION = 1
 # digits, the lowest limit sys.set_int_max_str_digits allows, so int()
 # never raises; no valid payoff, player count or index needs as many.
 _INT_RE = re.compile(r"-?[0-9]{1,640}\Z")
-
-
-def _is_int(token: str) -> bool:
-    return _INT_RE.match(token) is not None
 
 
 @dataclass(frozen=True)
@@ -75,6 +71,9 @@ def parse_game(text: str) -> GameDocument:
             comment = comment.strip()
             if comment:
                 comments.append(comment)
+        # str.split() also splits on non-ASCII spaces such as U+00A0.
+        if not line.isascii():
+            raise GnfSyntaxError(lineno, "ASCII text outside comments")
         tokens = line.split()
         if tokens:
             items.append((lineno, tokens))
@@ -99,7 +98,7 @@ def parse_game(text: str) -> GameDocument:
         )
 
     lineno, tokens = take("'players <n>'")
-    if tokens[0] != "players" or len(tokens) != 2 or not _is_int(tokens[1]):
+    if tokens[0] != "players" or len(tokens) != 2 or not _INT_RE.match(tokens[1]):
         raise GnfSyntaxError(lineno, "'players <n>'")
     n = int(tokens[1])
     if n < 1:
@@ -122,7 +121,7 @@ def parse_game(text: str) -> GameDocument:
         lineno, tokens = take("a payoff cell or 'end'")
         if tokens == ["end"]:
             break
-        if len(tokens) != 2 * n or not all(_is_int(t) for t in tokens):
+        if len(tokens) != 2 * n or not all(map(_INT_RE.match, tokens)):
             raise GnfSyntaxError(
                 lineno, f"{n} strategy indices and {n} integer payoffs, or 'end'"
             )

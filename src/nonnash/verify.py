@@ -14,12 +14,12 @@ Determinism contract
 in profile enumeration order, player index fastest within a cell, and
 ``gen_random_symmetric_game`` one value per payoff class (an own strategy
 plus the multiset of opponent strategies, enumerated own-strategy-major,
-multisets in lexicographic order).  Both check their arguments, then write
-the table in cell order with no ``new_game`` pass: it is valid by
-construction.  A sweep gives game ``j`` the substream
-``derive_seed(seed, j)`` and draws, in order: the strategy count, the game
-seed, the deletion-order seed.  Identical configurations therefore produce
-identical reports on any machine and under any worker count.
+multisets in lexicographic order).  Both check their arguments through
+``game_core`` before any draw and write the table in cell order with no
+``new_game`` pass: it is valid by construction.  Sweep game ``j`` draws
+from the substream ``derive_seed(seed, j)``, in order: the strategy count,
+the game seed, the deletion-order seed.  Identical configurations
+therefore give identical reports on any machine and under any worker count.
 """
 
 import itertools
@@ -32,10 +32,12 @@ from dataclasses import dataclass
 from .errors import BadRange, NotSymmetric, SizeGuardExceeded
 from .game_core import (
     MAX_ENTRIES,
-    PAYOFF_MAX,
-    PAYOFF_MIN,
     Game,
     Profile,
+    are_ints,
+    check_count,
+    check_payoff_range,
+    check_shape,
     check_size_guard,
     format_profile,
     full_sets,
@@ -83,32 +85,6 @@ class Verdict:
     profile: Profile | None = None
 
 
-def _check_counts(n_players: int, counts) -> tuple[int, ...]:
-    if n_players < 1:
-        raise BadRange(f"need at least one player, got {n_players}")
-    if isinstance(counts, int):
-        counts = (counts,) * n_players
-    counts = tuple(counts)
-    if len(counts) != n_players:
-        raise BadRange(f"{len(counts)} strategy counts for {n_players} players")
-    for k in counts:
-        if k < 1:
-            raise BadRange(f"every player needs at least one strategy, got {k}")
-    return counts
-
-
-def _check_orders(n_orders: int) -> None:
-    if n_orders < 1:
-        raise BadRange(f"need at least one deletion order, got {n_orders}")
-
-
-def _check_payoff_range(lo: int, hi: int) -> None:
-    if lo > hi:
-        raise BadRange(f"empty payoff range {lo}..{hi}")
-    if lo < PAYOFF_MIN or hi > PAYOFF_MAX:
-        raise BadRange(f"payoff range {lo}..{hi} outside [-2**62, 2**62]")
-
-
 def gen_random_game(
     n_players: int,
     strategy_counts,
@@ -123,8 +99,8 @@ def gen_random_game(
     `strategy_counts` is a per-player sequence, or one int shared by all
     players.  Player i's labels are ``s0 .. s{k_i - 1}``.
     """
-    counts = _check_counts(n_players, strategy_counts)
-    _check_payoff_range(lo, hi)
+    counts = check_shape(n_players, strategy_counts)
+    check_payoff_range(lo, hi)
     check_size_guard(counts, max_entries)
     labels = tuple(tuple(f"s{v}" for v in range(k)) for k in counts)
     rng = SplitMix64(seed)
@@ -151,11 +127,9 @@ def gen_random_symmetric_game(
     of their class, which makes the payoff tensor invariant under every
     permutation of players.
     """
-    counts = _check_counts(n_players, strategy_count)
-    k = counts[0]
-    if any(c != k for c in counts):
-        raise BadRange("symmetric games need one shared strategy count")
-    _check_payoff_range(lo, hi)
+    counts = check_shape(n_players, strategy_count)
+    k = check_count(strategy_count, "symmetric games need one shared strategy count")
+    check_payoff_range(lo, hi)
     check_size_guard(counts, max_entries)
     rng = SplitMix64(seed)
     # Class (own, others) is stored under the sorted whole profile, then
@@ -225,7 +199,7 @@ def _delete_pair(survivors, player: int, strategy: int):
 
 
 def _order_independence(r: AnalysisReport, n_orders: int, seed: int) -> Verdict:
-    _check_orders(n_orders)
+    check_count(n_orders, "need at least one deletion order")
     g = r.game
     target = r.trace.final_survivors
     if r.trace.total_deletions == 0:
@@ -413,16 +387,14 @@ class SweepReport:
 def _validate_config(config: SweepConfig) -> None:
     # A sweep that can check no game must not pass: every check here runs
     # before the first draw.
-    if config.games < 1:
-        raise BadRange(f"need at least one game, got {config.games}")
-    if config.min_strategies > config.max_strategies:
-        raise BadRange(
-            f"bad strategy range {config.min_strategies}..{config.max_strategies}"
-        )
-    smallest = _check_counts(config.players, config.min_strategies)
-    check_size_guard(smallest, config.max_entries)
-    _check_payoff_range(config.payoff_lo, config.payoff_hi)
-    _check_orders(config.orders_per_game)
+    check_count(config.games, "need at least one game")
+    # An int max_strategies not below the count min_strategies is a count.
+    k_min, k_max = config.min_strategies, config.max_strategies
+    if not are_ints(k_min, k_max) or k_min > k_max:
+        raise BadRange(f"bad strategy range {k_min!r}..{k_max!r}")
+    check_size_guard(check_shape(config.players, k_min), config.max_entries)
+    check_payoff_range(config.payoff_lo, config.payoff_hi)
+    check_count(config.orders_per_game, "need at least one deletion order")
     choices = f"(choose from: {', '.join(ALL_PROPERTIES)})"
     if not config.properties:
         raise BadRange(f"no property to check {choices}")

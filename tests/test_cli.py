@@ -89,6 +89,11 @@ class TestAnalyze:
             "gnf 1\nplayers " + "1" * 5000 + "\n",
             "gnf 1\nplayers 1\nstrategies 0 a b\npayoffs\n0 1\n"
             + "0" * 5000 + "1 2\nend\n",
+            # str.split() takes these for whitespace; the format does not
+            *(
+                f"gnf 1\nplayers 1\nstrategies 0 a{space}b\npayoffs\n0 1\n1 2\nend\n"
+                for space in ("\u00a0", "\u2003", "\u3000", "\u0085")
+            ),
         ],
         ids=[
             "superscript-players",
@@ -97,6 +102,10 @@ class TestAnalyze:
             "5000-digit-payoff",
             "5000-digit-players",
             "5000-digit-index",
+            "no-break-space-separator",
+            "em-space-separator",
+            "ideographic-space-separator",
+            "next-line-separator",
         ],
     )
     def test_non_ascii_digits_exit_2(self, capsys, tmp_path, text):
@@ -320,6 +329,35 @@ class TestSizeGuardOnHugeCounts:
         [line] = err.splitlines()
         assert line.startswith("error:")
         assert "payoff entries" in line
+
+
+# The integer rules live in game_core; the CLI's error lines must not
+# change with where they are written.
+INTEGER_INPUT_ERRORS = [
+    ("gen --players 0", "need at least one player, got 0"),
+    ("gen --symmetric --players 0", "need at least one player, got 0"),
+    ("search --players 0", "need at least one player, got 0"),
+    ("gen --strategies 0", "every player needs at least one strategy, got 0"),
+    ("search --strategies 0", "every player needs at least one strategy, got 0"),
+    ("gen --payoff-range=5..4", "empty payoff range 5..4"),
+    (
+        "gen --payoff-range=0..4611686018427387905",
+        "payoff range 0..4611686018427387905 outside [-2**62, 2**62]",
+    ),
+    ("search --games 0", "need at least one game, got 0"),
+    ("search --orders 0", "need at least one deletion order, got 0"),
+    ("check {g3x3} --orders 0", "need at least one deletion order, got 0"),
+    ("search --strategies 3..2", "bad strategy range 3..2"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, message", INTEGER_INPUT_ERRORS, ids=[c for c, _ in INTEGER_INPUT_ERRORS]
+)
+def test_integer_input_error_lines(capsys, games_dir, command, message):
+    argv = command.format(g3x3=games_dir / "g3x3.gnf").split()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestPipeline:

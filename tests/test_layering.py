@@ -1,4 +1,4 @@
-"""Import-structure rules of the package.
+"""Source-structure rules of the package.
 
 ``game_io`` parses, serializes and renders; it must never reach the
 solvers, so it imports neither ``solvers`` nor ``verify``.  No module may
@@ -6,8 +6,10 @@ hide an import inside a function, which is how an import cycle would
 otherwise slip back in.  The generators in ``verify`` build their tables
 valid by construction and never go through ``new_game``, and whole-table
 readers walk ``payoffs`` in profile order, so ``cell_index`` (random
-access) is called only inside ``game_core``.  The strategy-index rule
-lives in ``game_core`` too, so only that module raises ``IndexOutOfRange``.
+access) is called only inside ``game_core``.  The integer rules live in
+``game_core`` too: only that module raises ``IndexOutOfRange`` or names
+the payoff bounds, and one function tells an int from a bool.  Every
+module parses as Python 3.10, the floor ``pyproject.toml`` declares.
 """
 
 import ast
@@ -77,3 +79,40 @@ def test_no_function_local_imports():
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     local.append(f"{path.name}:{node.lineno}")
     assert local == []
+
+
+def test_payoff_bounds_named_only_in_game_core():
+    naming = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            if names & {"PAYOFF_MIN", "PAYOFF_MAX"}:
+                naming.add(path.name)
+    assert naming == {"game_core.py"}
+
+
+def _tests_for_bool(node) -> bool:
+    """Whether `node` is a call ``isinstance(x, t)`` with bool among t."""
+    if not isinstance(node, ast.Call) or getattr(node.func, "id", None) != "isinstance":
+        return False
+    return any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1]))
+
+
+def test_one_function_tells_int_from_bool():
+    deciding = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                map(_tests_for_bool, ast.walk(func))
+            ):
+                deciding.append(f"{path.name}:{func.name}")
+    assert len(deciding) == 1, deciding
+
+
+def test_sources_parse_as_python_3_10():
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -26,11 +26,11 @@ def _check_total(text: str) -> None:
         doc = parse_game(text)
     except GameError:
         return
-    # Outside comments the grammar is ASCII: keywords, ASCII labels and
-    # integers written with the digits 0-9.
+    # Outside comments the grammar is ASCII: keywords, ASCII labels,
+    # integers written with the digits 0-9, and ASCII whitespace between
+    # them.
     for line in text.split("\n"):
-        for token in line.partition("#")[0].split():
-            assert token.isascii(), token
+        assert line.partition("#")[0].isascii(), line
     canonical = serialize_game(doc)
     assert serialize_game(parse_game(canonical)) == canonical
 

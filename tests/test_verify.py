@@ -24,6 +24,7 @@ from nonnash import (
     check_ir_survives_round1,
     check_order_independence,
     classify_regions,
+    elimination_ladder,
     gen_random_game,
     gen_random_symmetric_game,
     is_symmetric,
@@ -47,6 +48,20 @@ from nonnash.verify import (
 from oracles import symmetric_oracle
 
 
+@pytest.fixture
+def draws(monkeypatch):
+    """One entry per value drawn from a stream the verify module makes."""
+    drawn = []
+
+    class CountingStream(SplitMix64):
+        def next_u64(self):
+            drawn.append(1)
+            return super().next_u64()
+
+    monkeypatch.setattr(nonnash.verify, "SplitMix64", CountingStream)
+    return drawn
+
+
 class TestGenerators:
     def test_same_seed_same_game(self):
         a = gen_random_game(2, (2, 2), 0, 9, seed=1)
@@ -66,15 +81,7 @@ class TestGenerators:
         with pytest.raises(SizeGuardExceeded):
             gen_random_game(2, (100, 100), 0, 9, seed=0, max_entries=1000)
 
-    def test_size_guard_trips_before_any_draw(self, monkeypatch):
-        draws = []
-
-        class CountingStream(SplitMix64):
-            def next_u64(self):
-                draws.append(1)
-                return super().next_u64()
-
-        monkeypatch.setattr(nonnash.verify, "SplitMix64", CountingStream)
+    def test_size_guard_trips_before_any_draw(self, draws):
         with pytest.raises(SizeGuardExceeded):
             gen_random_game(2, (100, 100), 0, 9, seed=0, max_entries=1000)
         with pytest.raises(SizeGuardExceeded):
@@ -160,6 +167,51 @@ class TestGenerators:
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
         # the generators skip new_game; its validation still accepts the table
         assert new_game(g.strategy_labels, zip(profiles(g), g.payoffs)) == g
+
+
+SWEEP_INT_FIELDS = (
+    "players", "min_strategies", "max_strategies", "payoff_lo", "payoff_hi",
+    "games", "orders_per_game",
+)
+
+# Entry points that take an integer argument, called with `v` in one place.
+INT_ARGUMENT_CALLS = {
+    "gen_random_game-players": lambda v: gen_random_game(v, 2, 0, 9, seed=0),
+    "gen_random_game-shared-count": lambda v: gen_random_game(2, v, 0, 9, seed=0),
+    "gen_random_game-count-entry": lambda v: gen_random_game(2, (v, 2), 0, 9, seed=0),
+    "gen_random_game-lo": lambda v: gen_random_game(2, 2, v, 9, seed=0),
+    "gen_random_game-hi": lambda v: gen_random_game(2, 2, 0, v, seed=0),
+    "gen_random_symmetric_game-players":
+        lambda v: gen_random_symmetric_game(v, 2, 0, 9, seed=0),
+    "gen_random_symmetric_game-count":
+        lambda v: gen_random_symmetric_game(2, v, 0, 9, seed=0),
+    # 4 deletions, so the random-order branch runs
+    "check_order_independence-n_orders":
+        lambda v: check_order_independence(elimination_ladder(), v),
+    **{
+        f"sweep-{field}":
+            lambda v, field=field: sweep(SweepConfig(**{"games": 2, field: v}))
+        for field in SWEEP_INT_FIELDS
+    },
+}
+
+
+class TestIntegerArguments:
+    """An integer argument is an int, not a bool: every entry point that
+    takes one refuses other values before it draws."""
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, True, None, "2"], ids=repr)
+    @pytest.mark.parametrize("call", INT_ARGUMENT_CALLS)
+    def test_bad_value_rejected_before_any_draw(self, draws, call, bad):
+        with pytest.raises(BadRange):
+            INT_ARGUMENT_CALLS[call](bad)
+        assert draws == []
+
+    @pytest.mark.parametrize("call", INT_ARGUMENT_CALLS)
+    def test_valid_value_draws(self, draws, call):
+        # the counting stream sees these calls, so no draw above means none
+        INT_ARGUMENT_CALLS[call](2)
+        assert draws
 
 
 class TestCheckers:
