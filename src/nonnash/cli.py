@@ -18,6 +18,7 @@ from .game_io import (
     format_survivors,
     matrix_lines,
     parse_game,
+    parse_int,
     render_report,
     render_sweep_report,
     serialize_game,
@@ -42,17 +43,20 @@ def _load(path: str) -> GameDocument:
     )
 
 
+def _int(text: str) -> int:
+    """argparse type of the integer flags: an integer as a .gnf file
+    writes it, so neither "1_0" nor non-ASCII digits."""
+    value = parse_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 def _parse_range(text: str, what: str) -> tuple[int, int]:
-    parts = text.split("..")
-    try:
-        if len(parts) == 1:
-            value = int(parts[0])
-            return value, value
-        if len(parts) == 2:
-            return int(parts[0]), int(parts[1])
-    except ValueError:
-        pass
-    raise GameError(f"bad {what} {text!r}: expected N or LO..HI")
+    bounds = [parse_int(part) for part in text.split("..")]
+    if len(bounds) > 2 or None in bounds:
+        raise GameError(f"bad {what} {text!r}: expected N or LO..HI")
+    return bounds[0], bounds[-1]
 
 
 def cmd_analyze(args) -> int:
@@ -176,18 +180,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run all property checks on a game file")
     p.add_argument("path", help="game file (.gnf)")
     p.add_argument(
-        "--orders", type=int, default=20, help="random deletion orders to try"
+        "--orders", type=_int, default=20, help="random deletion orders to try"
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for the deletion orders")
+    p.add_argument("--seed", type=_int, default=0, help="seed for the deletion orders")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("search", help="sweep random symmetric games for violations")
-    p.add_argument("--players", type=int, default=2)
+    p.add_argument("--players", type=_int, default=2)
     p.add_argument(
         "--strategies", default="2..6", help="strategy count: N or LO..HI (default 2..6)"
     )
-    p.add_argument("--games", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--games", type=_int, default=1000)
+    p.add_argument("--seed", type=_int, default=2024)
     p.add_argument("--payoff-range", default="0..99", help=_PAYOFF_RANGE_HELP)
     p.add_argument(
         "--properties",
@@ -195,16 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated property names (default: all but order-independence)",
     )
     p.add_argument(
-        "--orders", type=int, default=20, help="deletion orders per game (order-independence)"
+        "--orders", type=_int, default=20, help="deletion orders per game (order-independence)"
     )
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--workers", type=_int, default=1, help="parallel worker processes")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gen", help="emit a random game in canonical text form")
-    p.add_argument("--players", type=int, default=2)
-    p.add_argument("--strategies", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--players", type=_int, default=2)
+    p.add_argument("--strategies", type=_int, default=2)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--payoff-range", default="0..99", help=_PAYOFF_RANGE_HELP)
     p.set_defaults(func=cmd_gen)

@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import contains, itemgetter, mul
 
 from .errors import (
     BadRange,
@@ -71,6 +71,12 @@ class Game:
     opponent profile.  The solvers read rows instead of indexing cells.
     In a symmetric game every player has the same rows (see
     :func:`is_symmetric`).
+
+    The rules a game obeys (labels, size guard, indices and payoffs in
+    range, each cell exactly once) live in :func:`build_game`, which both
+    :func:`new_game` and :func:`nonnash.game_io.parse_game` go through.
+    The generators in ``verify`` and :func:`restrict` build tables that
+    obey them by construction.
 
     Games are immutable; all operations on them are pure functions, so
     values can be shared freely across threads or worker processes.
@@ -211,23 +217,24 @@ def _profile_from_index(counts: tuple[int, ...], idx: int) -> Profile:
     return tuple(reversed(out))
 
 
-def new_game(strategy_labels, cells, *, max_entries: int = MAX_ENTRIES) -> Game:
-    """Build and validate an immutable game.
+def build_game(strategy_labels, cells, max_entries: int = MAX_ENTRIES) -> Game:
+    """Build a game from cells whose types are already known to be right.
 
-    Parameters
-    ----------
-    strategy_labels:
-        Per-player sequences of strategy labels.
-    cells:
-        Iterable of ``(profile, payoff_vector)`` pairs covering every
-        profile exactly once, in any order.
-    max_entries:
-        Size guard; construction fails if cells x players exceeds it.
+    This is the one home of the rules on labels, size and cells; both
+    :func:`new_game` and :func:`nonnash.game_io.parse_game` build their
+    games here.  `cells` yields ``(profile, payoffs)`` pairs of int tuples,
+    one entry per player, and is consumed only after the labels and the
+    size guard pass.  The first broken rule raises, in this order:
 
-    Raises
-    ------
-    InvalidGame, InvalidLabel, DuplicateLabel, IndexOutOfRange,
-    PayoffOutOfRange, DuplicateCell, MissingCell, SizeGuardExceeded
+    1. labels: at least one player (InvalidGame), at least one strategy per
+       player (InvalidGame), labels matching ``[A-Za-z0-9_-]+``
+       (InvalidLabel), distinct within a player (DuplicateLabel);
+    2. the size guard (SizeGuardExceeded), before any cell is stored;
+    3. per cell, in the order `cells` yields them: every index in range
+       (IndexOutOfRange, named by :func:`check_profile`), every payoff in
+       ``[PAYOFF_MIN, PAYOFF_MAX]`` (PayoffOutOfRange), a profile not seen
+       before (DuplicateCell);
+    4. after the last cell, no profile left without payoffs (MissingCell).
     """
     labels = tuple(tuple(player_labels) for player_labels in strategy_labels)
     if not labels:
@@ -245,41 +252,81 @@ def new_game(strategy_labels, cells, *, max_entries: int = MAX_ENTRIES) -> Game:
                 raise DuplicateLabel(f"player {i}: duplicate strategy label {label!r}")
             seen.add(label)
 
-    n = len(labels)
-    counts = tuple(len(player_labels) for player_labels in labels)
+    counts = tuple(map(len, labels))
     check_size_guard(counts, max_entries)
     strides = _strides(counts)
-
+    ranges = tuple(map(range, counts))
     slots: list = [None] * math.prod(counts)
-    for profile, values in cells:
-        profile = check_profile(profile, counts)
-        vec = tuple(values)
-        if len(vec) != n:
-            raise InvalidGame(
-                f"cell {profile}: expected {n} payoff values, got {len(vec)}"
-            )
-        # As in check_profile: one predicate call per cell on this hot path
-        # of parse_game, one per entry only when the cell holds a non-int.
-        ints = are_ints(*vec)
-        for u in vec:
-            if not (ints or are_ints(u)):
-                raise PayoffOutOfRange(f"cell {profile}: payoff {u!r} is not an integer")
-            if not PAYOFF_MIN <= u <= PAYOFF_MAX:
-                raise PayoffOutOfRange(
-                    f"cell {profile}: payoff {u} outside [-2**62, 2**62]"
-                )
-        idx = sum(v * s for v, s in zip(profile, strides))
+    for profile, vec in cells:
+        if not all(map(contains, ranges, profile)):
+            check_profile(profile, counts)
+        if min(vec) < PAYOFF_MIN or max(vec) > PAYOFF_MAX:
+            _check_payoffs(profile, vec)
+        idx = sum(map(mul, profile, strides))
         if slots[idx] is not None:
             raise DuplicateCell(f"profile {profile} listed more than once")
         slots[idx] = vec
-
-    for idx, slot in enumerate(slots):
-        if slot is None:
-            raise MissingCell(
-                f"no payoffs for profile {_profile_from_index(counts, idx)}"
-            )
-
+    if None in slots:
+        missing = _profile_from_index(counts, slots.index(None))
+        raise MissingCell(f"no payoffs for profile {missing}")
     return Game(strategy_labels=labels, payoffs=tuple(slots))
+
+
+def _check_payoffs(profile: Profile, payoffs) -> None:
+    """Raise PayoffOutOfRange naming the first payoff, an int, outside
+    ``[PAYOFF_MIN, PAYOFF_MAX]``."""
+    for u in payoffs:
+        if not PAYOFF_MIN <= u <= PAYOFF_MAX:
+            raise PayoffOutOfRange(f"cell {profile}: payoff {u} outside [-2**62, 2**62]")
+
+
+def _typed_cells(cells, counts: tuple[int, ...]):
+    """`cells` as int tuples, after the type and length checks that
+    :func:`build_game` leaves to its callers."""
+    n = len(counts)
+    for profile, values in cells:
+        profile, vec = tuple(profile), tuple(values)
+        # One predicate call per cell; a cell that fails it is checked again
+        # entry by entry, indices first, so the first broken rule is named.
+        if len(profile) != n or len(vec) != n or not are_ints(*profile, *vec):
+            profile = check_profile(profile, counts)
+            if len(vec) != n:
+                raise InvalidGame(
+                    f"cell {profile}: expected {n} payoff values, got {len(vec)}"
+                )
+            first = next(j for j, u in enumerate(vec) if not are_ints(u))
+            _check_payoffs(profile, vec[:first])
+            raise PayoffOutOfRange(
+                f"cell {profile}: payoff {vec[first]!r} is not an integer"
+            )
+        yield profile, vec
+
+
+def new_game(strategy_labels, cells, *, max_entries: int = MAX_ENTRIES) -> Game:
+    """Build and validate an immutable game.
+
+    Parameters
+    ----------
+    strategy_labels:
+        Per-player sequences of strategy labels.
+    cells:
+        Iterable of ``(profile, payoff_vector)`` pairs covering every
+        profile exactly once, in any order.
+    max_entries:
+        Size guard; construction fails if cells x players exceeds it.
+
+    Each cell's indices and payoffs must be ints (not bools), one per
+    player: that is checked here.  Every other rule is checked, and
+    described, in :func:`build_game`.
+
+    Raises
+    ------
+    InvalidGame, InvalidLabel, DuplicateLabel, IndexOutOfRange,
+    PayoffOutOfRange, DuplicateCell, MissingCell, SizeGuardExceeded
+    """
+    labels = tuple(tuple(player_labels) for player_labels in strategy_labels)
+    counts = tuple(map(len, labels))
+    return build_game(labels, _typed_cells(cells, counts), max_entries)
 
 
 def payoff(g: Game, profile: Profile, player: int) -> int:

@@ -14,20 +14,22 @@ Game file format, version 1 (conventional extension ``.gnf``)::
     <i_0> ... <i_{n-1}> <u_0> ... <u_{n-1}>   (one line per cell, any order)
     end
 
-Tokens are whitespace separated; ``#`` starts a comment to end of line;
-outside comments the text is ASCII; blank lines are ignored; LF and CRLF
-both accepted.  Serialization is canonical: LF endings, cells in profile
-enumeration order, single spaces, no comments, no trailing whitespace, so
-two runs (or two implementations) given the same game emit identical bytes.
+Tokens are separated by spaces and tabs; ``#`` starts a comment to end of
+line; outside comments the text is ASCII with no control character other
+than tab; blank lines are ignored; LF and CRLF both accepted.
+Serialization is canonical: LF endings, cells in profile enumeration
+order, single spaces, no comments, no trailing whitespace, so two runs (or
+two implementations) given the same game emit identical bytes.
 """
 
+import itertools
 import json
 import math
 import re
 from dataclasses import dataclass
 
-from .errors import GnfSyntaxError, UnknownFormat, VersionUnsupported
-from .game_core import Game, format_profile, new_game, profiles
+from .errors import GameError, GnfSyntaxError, UnknownFormat, VersionUnsupported
+from .game_core import Game, build_game, profiles
 
 FORMAT_VERSION = 1
 
@@ -36,7 +38,19 @@ FORMAT_VERSION = 1
 # which int() rejects, and "٠", which int() reads as 0.  At most 640
 # digits, the lowest limit sys.set_int_max_str_digits allows, so int()
 # never raises; no valid payoff, player count or index needs as many.
-_INT_RE = re.compile(r"-?[0-9]{1,640}\Z")
+_INT = "-?[0-9]{1,640}"
+_INT_RE = re.compile(_INT + r"\Z")
+
+# ASCII control characters other than tab and line feed.  str.split()
+# takes several of them (and U+001C..U+001F) for whitespace; the format
+# separates tokens with spaces and tabs only.
+_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
+
+
+def parse_int(text: str) -> int | None:
+    """`text` as an int if it is an integer of the format (an optional
+    minus sign and 1 to 640 ASCII digits), else None."""
+    return int(text) if _INT_RE.match(text) else None
 
 
 @dataclass(frozen=True)
@@ -54,39 +68,66 @@ class GameDocument:
     version: int = FORMAT_VERSION
 
 
+def _check_characters(text: str, lines: list[str]) -> None:
+    """Raise GnfSyntaxError for the first line that holds, outside its
+    comment, a non-ASCII character or a control character other than tab
+    (a carriage return may only end the line)."""
+    if text.isascii() and _CONTROL_RE.search(text.replace("\r\n", "\n")) is None:
+        return
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r").partition("#")[0]
+        # str.split() also splits on non-ASCII spaces such as U+00A0.
+        if not line.isascii():
+            raise GnfSyntaxError(lineno, "ASCII text outside comments")
+        if _CONTROL_RE.search(line):
+            raise GnfSyntaxError(
+                lineno, "no control character other than tab outside comments"
+            )
+
+
 def parse_game(text: str) -> GameDocument:
     """Parse a version-1 game document.
 
-    Raises :class:`GnfSyntaxError` with the offending line number and
-    what was expected there; totality errors (missing or duplicated
-    cells) propagate from game construction.
+    The document is read line by line, in order, and each cell goes
+    straight into its slot in profile order.  The cell syntax (one index and one payoff per
+    player, all integer tokens) is checked here; every rule of the game
+    itself (labels, the size guard, indices and payoffs in range, each
+    profile exactly once) is checked by
+    :func:`nonnash.game_core.build_game`, as for
+    :func:`nonnash.game_core.new_game`.
+
+    Raises :class:`GnfSyntaxError` with the offending line number and what
+    was expected there, :class:`VersionUnsupported`, or the error of the
+    first game rule the document breaks.  A line with a non-ASCII or
+    control character outside its comment is reported first; then any
+    other syntax error, in file order; the game rules apply only to a
+    document free of syntax errors.
     """
-    all_lines = text.split("\n")
-    items: list[tuple[int, list[str]]] = []
+    lines = text.split("\n")
+    _check_characters(text, lines)
     comments: list[str] = []
-    for lineno, raw in enumerate(all_lines, start=1):
-        line = raw.rstrip("\r")
+
+    def tokens_at(i: int) -> list[str]:
+        """Tokens of line i (from 0), keeping its comment."""
+        line = lines[i].rstrip("\r")
         if "#" in line:
             line, _, comment = line.partition("#")
             comment = comment.strip()
             if comment:
                 comments.append(comment)
-        # str.split() also splits on non-ASCII spaces such as U+00A0.
-        if not line.isascii():
-            raise GnfSyntaxError(lineno, "ASCII text outside comments")
-        tokens = line.split()
-        if tokens:
-            items.append((lineno, tokens))
+        return line.split()
 
-    cursor = 0
+    pos = 0
 
     def take(expected: str) -> tuple[int, list[str]]:
-        nonlocal cursor
-        if cursor >= len(items):
-            raise GnfSyntaxError(len(all_lines), expected)
-        item = items[cursor]
-        cursor += 1
-        return item
+        """Line number and tokens of the next line that has tokens."""
+        nonlocal pos
+        while pos < len(lines):
+            pos += 1
+            tokens = tokens_at(pos - 1)
+            if tokens:
+                return pos, tokens
+        raise GnfSyntaxError(len(lines), expected)
 
     lineno, tokens = take("header 'gnf 1'")
     if tokens[0] != "gnf" or len(tokens) != 2:
@@ -98,9 +139,9 @@ def parse_game(text: str) -> GameDocument:
         )
 
     lineno, tokens = take("'players <n>'")
-    if tokens[0] != "players" or len(tokens) != 2 or not _INT_RE.match(tokens[1]):
+    n = parse_int(tokens[1]) if tokens[0] == "players" and len(tokens) == 2 else None
+    if n is None:
         raise GnfSyntaxError(lineno, "'players <n>'")
-    n = int(tokens[1])
     if n < 1:
         raise GnfSyntaxError(lineno, "a positive player count")
 
@@ -110,30 +151,53 @@ def parse_game(text: str) -> GameDocument:
         lineno, tokens = take(expected)
         if tokens[0] != "strategies" or len(tokens) < 3 or tokens[1] != str(i):
             raise GnfSyntaxError(lineno, expected)
-        labels.append(tuple(tokens[2:]))
+        labels.append(tokens[2:])
 
     lineno, tokens = take("'payoffs'")
     if tokens != ["payoffs"]:
         raise GnfSyntaxError(lineno, "'payoffs'")
 
-    cells = []
-    while True:
-        lineno, tokens = take("a payoff cell or 'end'")
-        if tokens == ["end"]:
-            break
-        if len(tokens) != 2 * n or not all(map(_INT_RE.match, tokens)):
-            raise GnfSyntaxError(
-                lineno, f"{n} strategy indices and {n} integer payoffs, or 'end'"
-            )
-        profile = tuple(int(t) for t in tokens[:n])
-        values = tuple(int(t) for t in tokens[n:])
-        cells.append((profile, values))
+    # A cell is 2n integers; canonical lines match as they stand, others
+    # (tabs, extra spaces, comments, CRLF) once their tokens are rejoined.
+    cell = re.compile(f"(?:{_INT} ){{{2 * n - 1}}}{_INT}\\Z").match
+    bad_cell = f"{n} strategy indices and {n} integer payoffs, or 'end'"
 
-    if cursor != len(items):
-        lineno, _ = items[cursor]
-        raise GnfSyntaxError(lineno, "end of file after 'end'")
+    def cells(start: int):
+        nonlocal pos
+        for i in range(start, len(lines)):
+            line = lines[i]
+            if cell(line) is None:
+                tokens = tokens_at(i)
+                if not tokens:
+                    continue
+                if tokens == ["end"]:
+                    pos = i + 1
+                    return
+                line = " ".join(tokens)
+                if cell(line) is None:
+                    raise GnfSyntaxError(i + 1, bad_cell)
+            values = tuple(map(int, line.split(" ")))
+            yield values[:n], values[n:]
+        raise GnfSyntaxError(len(lines), "a payoff cell or 'end'")
 
-    game = new_game(labels, cells)
+    def expect_end_of_file() -> None:
+        for i in range(pos, len(lines)):
+            if tokens_at(i):
+                raise GnfSyntaxError(i + 1, "end of file after 'end'")
+
+    table = cells(pos)
+    try:
+        game = build_game(labels, table)
+    except GnfSyntaxError:
+        raise
+    except GameError:
+        # The rest of the document may still hold a syntax error, which
+        # takes precedence over the game rule that failed.
+        for _ in table:
+            pass
+        expect_end_of_file()
+        raise
+    expect_end_of_file()
     return GameDocument(game=game, comments=tuple(comments))
 
 
@@ -174,93 +238,106 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _profile_set_text(g: Game, collection) -> str:
+def _profile_names(g: Game) -> list[str]:
+    """``(label,label,...)`` for every profile, in enumeration order."""
+    template = "(" + ",".join(["%s"] * g.n_players) + ")"
+    return list(map(template.__mod__, itertools.product(*g.strategy_labels)))
+
+
+def _profile_set_text(names: dict, collection) -> str:
     if not collection:
         return "none"
-    return ", ".join(format_profile(g, p) for p in collection)
+    return ", ".join(map(names.__getitem__, collection))
 
 
-def matrix_lines(g: Game, markers: dict | None = None) -> list[str]:
+def matrix_lines(g: Game, marks=None) -> list[str]:
     """Payoff table as aligned text.
 
     Two-player games render as a grid (rows = player 0); other player
-    counts render one line per profile.  `markers` maps profiles to short
-    annotation strings shown next to the payoffs.
+    counts render one line per profile.  `marks` holds one short
+    annotation string per cell, in enumeration order, shown next to the
+    payoffs when it is not empty.
     """
-    markers = markers or {}
-    cells = {}
-    for p, u in zip(profiles(g), g.payoffs):
-        text = ",".join(map(str, u))
-        mark = markers.get(p, "")
-        cells[p] = f"{text} [{mark}]" if mark else text
+    template = ",".join(["%d"] * g.n_players)
+    cells = [template % u for u in g.payoffs]
+    if marks is not None:
+        cells = [f"{text} [{mark}]" if mark else text for text, mark in zip(cells, marks)]
 
     if g.n_players != 2:
-        return [f"{format_profile(g, p)} -> {text}" for p, text in cells.items()]
+        return [f"{name} -> {text}" for name, text in zip(_profile_names(g), cells)]
 
     row_labels, col_labels = g.strategy_labels
-    left = max(len(label) for label in row_labels)
-    widths = [
-        max(len(col_labels[c]), max(len(cells[(r, c)]) for r in range(len(row_labels))))
-        for c in range(len(col_labels))
+    k = len(col_labels)
+    rows = [cells[h : h + k] for h in range(0, len(cells), k)]
+    left = max(map(len, row_labels))
+    widths = [max(map(len, column)) for column in zip(col_labels, *rows)]
+    lines = [" " * left + "  " + "  ".join(map(str.ljust, col_labels, widths))]
+    lines += [
+        label.ljust(left) + "  " + "  ".join(map(str.ljust, row, widths))
+        for label, row in zip(row_labels, rows)
     ]
-    lines = [
-        " " * left
-        + "  "
-        + "  ".join(label.ljust(w) for label, w in zip(col_labels, widths))
-    ]
-    for r, row_label in enumerate(row_labels):
-        lines.append(
-            row_label.ljust(left)
-            + "  "
-            + "  ".join(cells[(r, c)].ljust(w) for c, w in enumerate(widths))
-        )
     return [line.rstrip() for line in lines]
 
 
-def _profile_flags(r):
-    """Yield (profile, nash, hofstadter, individually rational,
-    minimax-rationalizable) for every profile of the report's game, in
-    enumeration order; the Hofstadter flag is None for asymmetric games."""
+# Every (nash, hofstadter, individually rational, minimax-rationalizable)
+# combination of _profile_flags, with its text marker and its CSV columns.
+_FLAG_SETS = list(
+    itertools.product((False, True), (None, False, True), (False, True), (False, True))
+)
+_MARKERS = {
+    flags: "".join(letter for letter, flag in zip("NHIM", flags) if flag)
+    for flags in _FLAG_SETS
+}
+_CSV_FLAGS = {
+    flags: ",".join("" if flag is None else _bool(flag) for flag in flags)
+    for flags in _FLAG_SETS
+}
+
+
+def _profile_flags(r) -> list:
+    """(nash, hofstadter, individually rational, minimax-rationalizable)
+    for every profile of the report's game, in enumeration order; the
+    Hofstadter flag is None for asymmetric games."""
+    g = r.game
     nash = set(r.nash)
-    hof = None if r.hofstadter is None else set(r.hofstadter)
+    symmetric = r.hofstadter is not None
+    hof = set(r.hofstadter or ())
     ir = set(r.individually_rational)
-    alive = [set(x) for x in r.trace.final_survivors]
-    for p in profiles(r.game):
-        yield (
-            p,
-            p in nash,
-            None if hof is None else p in hof,
-            p in ir,
-            all(v in alive[i] for i, v in enumerate(p)),
-        )
+    # mask[i][v]: strategy v of player i survives elimination.
+    masks = [[False] * k for k in g.strategy_counts]
+    for mask, alive in zip(masks, r.trace.final_survivors):
+        for v in alive:
+            mask[v] = True
+    return [
+        (p in nash, p in hof if symmetric else None, p in ir, rationalizable)
+        for p, rationalizable in zip(profiles(g), map(all, itertools.product(*masks)))
+    ]
 
 
 def _render_text(r) -> str:
     g = r.game
-    markers = {
-        p: "".join(letter for letter, flag in zip("NHIM", flags) if flag)
-        for p, *flags in _profile_flags(r)
-    }
+    marks = [_MARKERS[flags] for flags in _profile_flags(r)]
+    names = dict(zip(profiles(g), _profile_names(g)))
 
     lines = [f"game: {r.name}" if r.name else "game: (unnamed)"]
     lines.append(f"players: {g.n_players}")
     lines.append("strategies: " + format_survivors(g, [range(k) for k in g.strategy_counts]))
     lines.append("symmetric: " + ("yes" if r.symmetric else "no"))
     lines.append("")
-    lines.extend(matrix_lines(g, markers))
+    lines.extend(matrix_lines(g, marks))
     lines.append("")
     lines.append(
         "markers: N = pure Nash, H = Hofstadter, I = individually rational, "
         "M = minimax-rationalizable"
     )
     lines.append("")
-    lines.append("pure nash: " + _profile_set_text(g, r.nash))
+    lines.append("pure nash: " + _profile_set_text(names, r.nash))
     if r.hofstadter is None:
         lines.append("hofstadter: n/a (asymmetric)")
     else:
-        lines.append("hofstadter: " + _profile_set_text(g, r.hofstadter))
+        lines.append("hofstadter: " + _profile_set_text(names, r.hofstadter))
     lines.append("maximin: (" + ",".join(str(v) for v in r.maximin) + ")")
-    lines.append("individually rational: " + _profile_set_text(g, r.individually_rational))
+    lines.append("individually rational: " + _profile_set_text(names, r.individually_rational))
     if not r.trace.rounds:
         lines.append("elimination: no strategies eliminated")
     else:
@@ -285,23 +362,16 @@ def _render_text(r) -> str:
 def _render_csv(r) -> str:
     g = r.game
     n = g.n_players
-    rows = [
-        ",".join([f"i{i}" for i in range(n)] + ["labels", "nash", "hofstadter", "ir", "rationalizable"])
-    ]
-    for p, nash, hof, ir, rationalizable in _profile_flags(r):
-        labels = "(" + ";".join(g.strategy_labels[i][v] for i, v in enumerate(p)) + ")"
-        rows.append(
-            ",".join(
-                [str(v) for v in p]
-                + [
-                    labels,
-                    _bool(nash),
-                    "" if hof is None else _bool(hof),
-                    _bool(ir),
-                    _bool(rationalizable),
-                ]
-            )
+    header = [f"i{i}" for i in range(n)] + ["labels", "nash", "hofstadter", "ir", "rationalizable"]
+    template = ",".join(["%s"] * n) + ",(" + ";".join(["%s"] * n) + "),"
+    indices = itertools.product(*(list(map(str, range(k))) for k in g.strategy_counts))
+    rows = [",".join(header)]
+    rows += [
+        template % (index + labels) + _CSV_FLAGS[flags]
+        for index, labels, flags in zip(
+            indices, itertools.product(*g.strategy_labels), _profile_flags(r)
         )
+    ]
     return "\n".join(rows) + "\n"
 
 

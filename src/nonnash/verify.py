@@ -446,10 +446,13 @@ def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     a config under which no game could be checked (no games, or a guard
     tripped by the smallest strategy count) raises before any draw.
     Work may be spread over up to `workers` processes, never more than
-    there are CPUs or games; per-game seeding makes the report
-    independent of the worker count.
+    there are CPUs or games, and runs in this process when `workers` is
+    below 2 (a `workers` that is not an int raises BadRange); per-game
+    seeding makes the report independent of the worker count.
     """
     _validate_config(config)
+    if not are_ints(workers):
+        raise BadRange(f"worker count {workers!r} is not an integer")
     started = time.perf_counter()
     workers = min(workers, config.games, os.cpu_count() or 1)
     if workers <= 1:

@@ -2,8 +2,9 @@ import subprocess
 import sys
 
 import pytest
+from pinned_games import PINNED_GAMES, sha256
 
-from nonnash import Verdict, parse_game
+from nonnash import GameDocument, Verdict, parse_game, serialize_game
 from nonnash.cli import main
 from nonnash.verify import CHECKERS, HOFSTADTER_RATIONALIZABLE
 
@@ -92,7 +93,7 @@ class TestAnalyze:
             # str.split() takes these for whitespace; the format does not
             *(
                 f"gnf 1\nplayers 1\nstrategies 0 a{space}b\npayoffs\n0 1\n1 2\nend\n"
-                for space in ("\u00a0", "\u2003", "\u3000", "\u0085")
+                for space in ("\u00a0", "\u2003", "\u3000", "\u0085", "\x1f", "\x0b")
             ),
         ],
         ids=[
@@ -106,6 +107,8 @@ class TestAnalyze:
             "em-space-separator",
             "ideographic-space-separator",
             "next-line-separator",
+            "unit-separator-separator",
+            "vertical-tab-separator",
         ],
     )
     def test_non_ascii_digits_exit_2(self, capsys, tmp_path, text):
@@ -142,6 +145,30 @@ class TestEliminate:
         )
         assert code == 0
         assert "9,9" in out
+
+
+# sha256 of the stdout of `eliminate <game> --trace`.
+PINNED_ELIMINATE_TRACES = [
+    ("pd", "96967d6d18c3589825a868c5573fff2e9a075d43649a8c861213028edfa391f3"),
+    ("chicken", "bd0b601c376a97a14ccb5238822b8ec15c5d64b25510898485c566c9f7e624f7"),
+    ("coordination", "a2cc02e9ec4c8b39a5f2a7b20c04d40685fb24da4c2d6629aeb2bffa14e9d8c8"),
+    ("g3x3", "af8759489a19d4b02fc4dcb43cdbc439e691a0199160f1313c60de4d54d6746a"),
+    ("sym3-random", "76259489df09e09b41f6ddb7a1c256cecf279c07fc69e0ecfc42b6bcd029226e"),
+    ("sym3-ladder", "9608957e05c87dcecaed2c2053005ca3f1a6bfa1c7f5e2006b64f9df1f334a8e"),
+    ("asym-2-3-2", "64d8fc7550a25fe406a2f46cfa9509b4da87d293afb1c585ca315c3c5a60c896"),
+    ("asym-5x5", "5080b392e3297f1891617cb1801041e39d2d6326ad2f88eead015aff581ea7c7"),
+    ("one-player", "020b620c5e1d865a02de3caf60674a6bd38401e3193137933ad81ec2b0f0d8f5"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, digest", PINNED_ELIMINATE_TRACES, ids=[n for n, _ in PINNED_ELIMINATE_TRACES]
+)
+def test_pinned_eliminate_trace(capsys, tmp_path, name, digest):
+    path = tmp_path / f"{name}.gnf"
+    path.write_text(serialize_game(GameDocument(game=PINNED_GAMES[name]())))
+    code, out, _ = run_cli(capsys, "eliminate", str(path), "--trace")
+    assert (code, sha256(out)) == (0, digest)
 
 
 class TestCheck:
@@ -358,6 +385,37 @@ def test_integer_input_error_lines(capsys, games_dir, command, message):
     argv = command.format(g3x3=games_dir / "g3x3.gnf").split()
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# Integer flags and ranges take what a .gnf file takes: an optional minus
+# sign and ASCII digits, so no "_" separator, "+" sign, space or other
+# script's digits.  argparse reports a bad flag value, main a bad range.
+NON_GNF_INTEGERS = [
+    ("gen --payoff-range=٠..٩", "error: bad payoff range '٠..٩': expected N or LO..HI"),
+    ("gen --payoff-range=1_0..20", "error: bad payoff range '1_0..20': expected N or LO..HI"),
+    ("search --strategies ٢..٣", "error: bad strategy count '٢..٣': expected N or LO..HI"),
+    ("search --strategies +2", "error: bad strategy count '+2': expected N or LO..HI"),
+    ("gen --strategies 1_0", "nonnash gen: error: argument --strategies: invalid int value: '1_0'"),
+    ("gen --players ٣", "nonnash gen: error: argument --players: invalid int value: '٣'"),
+    ("gen --seed ¹", "nonnash gen: error: argument --seed: invalid int value: '¹'"),
+    ("search --games +5", "nonnash search: error: argument --games: invalid int value: '+5'"),
+    ("search --workers 2_0", "nonnash search: error: argument --workers: invalid int value: '2_0'"),
+    ("check {g3x3} --orders ٥", "nonnash check: error: argument --orders: invalid int value: '٥'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, line", NON_GNF_INTEGERS, ids=[c for c, _ in NON_GNF_INTEGERS]
+)
+def test_integer_flags_take_gnf_integers_only(capsys, games_dir, command, line):
+    argv = command.format(g3x3=games_dir / "g3x3.gnf").split()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert [text for text in err.splitlines() if "error:" in text] == [line]
 
 
 class TestPipeline:

@@ -22,12 +22,15 @@ from nonnash.cli import main
 
 from test_parse_fuzz import mutated_documents
 
-COUNTS = (("1", "2", "3"), ("0", "-1", "x", "1.5"))
+COUNTS = (("1", "2", "3"), ("0", "-1", "x", "1.5", "1_0", "٣"))
 SEEDS = (("0", "-1", "7", "99999999999999999999"), ("x", "1.5"))
 ORDERS = (("1", "3"), ("0", "-1", "x"))
 # A value that starts with "=" is glued to its flag, the only way argparse
 # takes a negative range.
-PAYOFF_RANGES = (("0..9", "5", "=-5..5"), ("3..2", "x", "..", "0..99999999999999999999"))
+PAYOFF_RANGES = (
+    ("0..9", "5", "=-5..5"),
+    ("3..2", "x", "..", "0..99999999999999999999", "٠..٩", "1_0"),
+)
 
 # Flag -> (valid values, invalid values); None marks a flag without a value.
 FLAGS = {

@@ -8,7 +8,8 @@ valid by construction and never go through ``new_game``, and whole-table
 readers walk ``payoffs`` in profile order, so ``cell_index`` (random
 access) is called only inside ``game_core``.  The integer rules live in
 ``game_core`` too: only that module raises ``IndexOutOfRange`` or names
-the payoff bounds, and one function tells an int from a bool.  Every
+the payoff bounds, and one function tells an int from a bool.  So do the
+cell rules: ``parse_game`` raises none of the four cell errors itself.  Every
 module parses as Python 3.10, the floor ``pyproject.toml`` declares.
 """
 
@@ -66,6 +67,12 @@ def test_cell_index_called_only_in_game_core():
 
 def test_index_out_of_range_raised_only_in_game_core():
     assert _modules_calling("IndexOutOfRange") == {"game_core.py"}
+
+
+def test_cell_rules_raised_only_in_game_core():
+    # parse_game reaches them through game_core.build_game, as new_game does
+    for error in ("IndexOutOfRange", "PayoffOutOfRange", "DuplicateCell", "MissingCell"):
+        assert _modules_calling(error) == {"game_core.py"}, error
 
 
 def test_no_function_local_imports():

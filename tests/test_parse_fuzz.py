@@ -3,7 +3,8 @@
 Two generators feed the same properties: free text over an alphabet of
 format characters, and canonical documents of small random games with a
 few tokens replaced.  Both include non-ASCII digits such as "²" and "٠",
-which are not integers in the format.
+which are not integers in the format, and ASCII control characters, which
+are not separators.
 """
 
 from hypothesis import given, settings
@@ -14,10 +15,11 @@ from nonnash import GameDocument, GameError, gen_random_game, parse_game, serial
 TOKENS = (
     "gnf", "1", "2", "players", "strategies", "payoffs", "end", "0", "-1",
     "01", "7", "99999999999999999999", "-0", "s0", "s1", "x", "#", "²", "٠",
-    "١٢", "３", "-", "+1", "1.0", "", "0" * 5000 + "1",
+    "١٢", "３", "-", "+1", "1.0", "", "0" * 5000 + "1", "\x1f", "s0\x0bs1",
 )
 ALPHABET = st.sampled_from(
     list("gnfplayerstuodx0123456789-+# \t\r\n") + ["²", "٠", "３", " ", "\x85"]
+    + ["\x00", "\x0b", "\x0c", "\x1c", "\x1f", "\x7f"]
 )
 
 
@@ -26,11 +28,13 @@ def _check_total(text: str) -> None:
         doc = parse_game(text)
     except GameError:
         return
-    # Outside comments the grammar is ASCII: keywords, ASCII labels,
-    # integers written with the digits 0-9, and ASCII whitespace between
-    # them.
+    # Outside comments the grammar is printable ASCII: keywords, ASCII
+    # labels, integers written with the digits 0-9, and spaces or tabs
+    # between them; a carriage return may only end a line.
     for line in text.split("\n"):
-        assert line.partition("#")[0].isascii(), line
+        before_comment = line.rstrip("\r").partition("#")[0]
+        assert before_comment.isascii(), line
+        assert before_comment.replace("\t", " ").isprintable(), line
     canonical = serialize_game(doc)
     assert serialize_game(parse_game(canonical)) == canonical
 

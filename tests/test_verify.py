@@ -193,6 +193,7 @@ INT_ARGUMENT_CALLS = {
             lambda v, field=field: sweep(SweepConfig(**{"games": 2, field: v}))
         for field in SWEEP_INT_FIELDS
     },
+    "sweep-workers": lambda v: sweep(SweepConfig(games=2), workers=v),
 }
 
 
@@ -202,16 +203,21 @@ class TestIntegerArguments:
 
     @pytest.mark.parametrize("bad", [0.5, 2.0, True, None, "2"], ids=repr)
     @pytest.mark.parametrize("call", INT_ARGUMENT_CALLS)
-    def test_bad_value_rejected_before_any_draw(self, draws, call, bad):
+    def test_bad_value_rejected_before_any_draw(self, draws, inline_pool, call, bad):
         with pytest.raises(BadRange):
             INT_ARGUMENT_CALLS[call](bad)
         assert draws == []
 
     @pytest.mark.parametrize("call", INT_ARGUMENT_CALLS)
-    def test_valid_value_draws(self, draws, call):
+    def test_valid_value_draws(self, draws, inline_pool, call):
         # the counting stream sees these calls, so no draw above means none
         INT_ARGUMENT_CALLS[call](2)
         assert draws
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_run_in_process(self, inline_pool, workers):
+        report = sweep(SweepConfig(games=2, seed=41), workers=workers)
+        assert (report.games_checked, inline_pool) == (2, [])
 
 
 class TestCheckers:
