@@ -22,14 +22,17 @@ the player's payoffs over every joint opponent profile, in one shared
 opponent order.  Maximin is the best row minimum, and pure Nash compares
 each cell with the per-opponent-profile maximum over the player's rows.
 
-Elimination keeps one state per run (:class:`_Elimination`): each row's
-entries sorted once by payoff, a dead flag per opponent profile, and a
-pointer to the least and to the greatest alive entry of each row.  A
-deletion only sets the dead flags of the opponent profiles that use the
-deleted strategy.  Since flags are never cleared, both pointers only move
-inward, so a run scans each row at most once in total instead of once per
-round.  :func:`iterate_elimination`, :func:`eliminate_round`,
-:func:`is_minimax_dominated` and :func:`sequential_elimination` all use it.
+Elimination keeps one state per run (:class:`_Elimination`).  Until the
+first deletion nothing is sorted: round 1 of a game that deletes nothing
+is decided from each row's minimum and maximum.  The first deletion sorts
+each row's entries once by payoff and adds a dead flag per opponent
+profile and a pointer to the least and to the greatest alive entry of
+each row.  A deletion only sets the dead flags of the opponent profiles
+that use the deleted strategy.  Since flags are never cleared, both
+pointers only move inward, so a run scans each row at most once in total
+instead of once per round.  :func:`iterate_elimination`,
+:func:`eliminate_round`, :func:`is_minimax_dominated` and
+:func:`sequential_elimination` all use it.
 """
 
 import itertools
@@ -151,21 +154,19 @@ def _rational_profiles(g: Game, thresholds: MaximinVector) -> list[Profile]:
 class _Elimination:
     """Alive strategies and per-row min/max pointers of one elimination run.
 
-    For player i, `_orders[i][a]` lists the opponent-profile indices of row
-    ``own_rows[i][a]`` in ascending payoff order, `_dead[i]` flags the
-    opponent profiles that use a deleted strategy, and `_lo[i][a]` and
-    `_hi[i][a]` point into the order at the least and greatest alive entry.
+    Until the first deletion every opponent profile is alive, so
+    :meth:`bounds` takes each row's minimum and maximum directly: round 1
+    of a game that deletes nothing never sorts.  The first :meth:`delete`
+    sorts the rows.  From then on, for player i, `_orders[i][a]` lists the
+    opponent-profile indices of row ``own_rows[i][a]`` in ascending payoff
+    order, `_dead[i]` flags the opponent profiles that use a deleted
+    strategy, and `_lo[i][a]` and `_hi[i][a]` point into the order at the
+    least and greatest alive entry.
     """
 
     def __init__(self, g: Game, survivors: Survivors):
         self._rows = g.own_rows
-        self._orders = [
-            [array("I", sorted(range(len(row)), key=row.__getitem__)) for row in rows]
-            for rows in self._rows
-        ]
-        self._lo = [[0] * len(rows) for rows in self._rows]
-        self._hi = [[len(rows[0]) - 1] * len(rows) for rows in self._rows]
-        self._dead = [bytearray(len(rows[0])) for rows in self._rows]
+        self._orders: list[list[array]] | None = None
         self._strides = g.strides
         counts = g.strategy_counts
         self.alive = [list(range(k)) for k in counts]
@@ -173,8 +174,19 @@ class _Elimination:
             for v in set(range(counts[i])) - set(keep):
                 self.delete(i, v)
 
+    def _sort(self) -> None:
+        self._orders = [
+            [array("I", sorted(range(len(row)), key=row.__getitem__)) for row in rows]
+            for rows in self._rows
+        ]
+        self._lo = [[0] * len(rows) for rows in self._rows]
+        self._hi = [[len(rows[0]) - 1] * len(rows) for rows in self._rows]
+        self._dead = [bytearray(len(rows[0])) for rows in self._rows]
+
     def delete(self, player: int, strategy: int) -> None:
         """Remove one alive strategy and kill the opponent profiles using it."""
+        if self._orders is None:
+            self._sort()
         self.alive[player].remove(strategy)
         k = len(self._rows[player])
         for i, dead in enumerate(self._dead):
@@ -187,13 +199,16 @@ class _Elimination:
             for h in range(strategy * stride, len(dead), k * stride):
                 dead[h : h + stride] = b"\x01" * stride
 
-    def bounds(self, player: int) -> tuple[dict[int, int], dict[int, int]]:
+    def bounds(self, player: int) -> tuple[list[int], list[int]]:
         """Min and max payoff of each alive strategy of `player` over the
-        alive opponent profiles."""
-        rows, orders = self._rows[player], self._orders[player]
+        alive opponent profiles, aligned with ``alive[player]``."""
+        rows = self._rows[player]
+        if self._orders is None:
+            return list(map(min, rows)), list(map(max, rows))
+        orders = self._orders[player]
         lo, hi, dead = self._lo[player], self._hi[player], self._dead[player]
-        mins: dict[int, int] = {}
-        maxs: dict[int, int] = {}
+        mins = []
+        maxs = []
         for a in self.alive[player]:
             order = orders[a]
             x, y = lo[a], hi[a]
@@ -202,18 +217,18 @@ class _Elimination:
             while dead[order[y]]:
                 y -= 1
             lo[a], hi[a] = x, y
-            mins[a] = rows[a][order[x]]
-            maxs[a] = rows[a][order[y]]
+            mins.append(rows[a][order[x]])
+            maxs.append(rows[a][order[y]])
         return mins, maxs
 
     def dominated(self) -> list[tuple[int, int]]:
         """Every minimax-dominated (player, strategy) pair, sorted; a
         strategy attaining its player's best guarantee is never among them."""
         batch = []
-        for i in range(len(self.alive)):
+        for i, alive in enumerate(self.alive):
             mins, maxs = self.bounds(i)
-            best_guarantee = max(mins.values())
-            batch.extend((i, a) for a in self.alive[i] if maxs[a] < best_guarantee)
+            best_guarantee = max(mins)
+            batch.extend((i, a) for a, top in zip(alive, maxs) if top < best_guarantee)
         return batch
 
     def survivors(self) -> Survivors:
@@ -238,9 +253,9 @@ def is_minimax_dominated(
             f"player {player} strategy {strategy} is not in the surviving set"
         )
     mins, maxs = _Elimination(g, s).bounds(player)
-    cap = maxs[strategy]
-    for candidate in s[player]:
-        if mins[candidate] > cap:
+    cap = maxs[s[player].index(strategy)]
+    for candidate, low in zip(s[player], mins):
+        if low > cap:
             return True, candidate
     return False, None
 

@@ -14,17 +14,22 @@ Determinism contract
 in profile enumeration order, player index fastest within a cell, and
 ``gen_random_symmetric_game`` one value per payoff class (an own strategy
 plus the multiset of opponent strategies, enumerated own-strategy-major,
-multisets in lexicographic order).  Both check their arguments through
-``game_core`` before any draw and write the table in cell order with no
-``new_game`` pass: it is valid by construction.  Sweep game ``j`` draws
-from the substream ``derive_seed(seed, j)``, in order: the strategy count,
-the game seed, the deletion-order seed.  Identical configurations
-therefore give identical reports on any machine and under any worker count.
+multisets in lexicographic order).  A symmetric game is a layout of its
+shape (the labels and the class of every payoff entry, in cell order)
+filled from the class draws.  Both generators check their arguments
+through ``game_core`` before any draw and write the table in cell order
+with no ``new_game`` pass: it is valid by construction.  Sweep game ``j``
+draws from the substream ``derive_seed(seed, j)``, in order: the strategy
+count, the game seed, the deletion-order seed.  A sweep builds one layout
+per strategy count and fills it for every game of that count, so its games
+equal the generator's.  Identical configurations therefore give identical
+reports on any machine and under any worker count.
 """
 
 import itertools
 import os
 import time
+from array import array
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +39,7 @@ from .game_core import (
     MAX_ENTRIES,
     Game,
     Profile,
+    _payoffs_at,
     are_ints,
     check_count,
     check_payoff_range,
@@ -41,7 +47,6 @@ from .game_core import (
     check_size_guard,
     format_profile,
     full_sets,
-    profiles,
 )
 from .game_io import GameDocument, serialize_game
 from .rng import SplitMix64, derive_seed
@@ -131,19 +136,39 @@ def gen_random_symmetric_game(
     k = check_count(strategy_count, "symmetric games need one shared strategy count")
     check_payoff_range(lo, hi)
     check_size_guard(counts, max_entries)
-    rng = SplitMix64(seed)
+    return _fill_symmetric(_symmetric_layout(n_players, k), lo, hi, seed)
+
+
+# Labels, the class draw index of every (cell, player) in cell order, and
+# the number of classes: everything of a symmetric game but its draws.
+_SymmetricLayout = tuple[tuple[tuple[str, ...], ...], array, int]
+
+
+def _symmetric_layout(n_players: int, k: int) -> _SymmetricLayout:
+    """The layout shared by every symmetric game of one shape."""
     # Class (own, others) is stored under the sorted whole profile, then
     # under own, so a cell needs one sort to reach every player's class.
-    class_value: dict[tuple[int, ...], dict[int, int]] = {}
+    class_index: dict[tuple[int, ...], dict[int, int]] = {}
+    n_classes = 0
     for own in range(k):
         for others in itertools.combinations_with_replacement(range(k), n_players - 1):
             key = tuple(sorted(others + (own,)))
-            class_value.setdefault(key, {})[own] = rng.next_in_range(lo, hi)
+            class_index.setdefault(key, {})[own] = n_classes
+            n_classes += 1
+    cells = array("I")
+    for p in itertools.product(range(k), repeat=n_players):
+        cells.extend(map(class_index[tuple(sorted(p))].__getitem__, p))
     labels = (tuple(f"s{v}" for v in range(k)),) * n_players
-    payoffs = tuple(
-        tuple(map(class_value[tuple(sorted(p))].__getitem__, p))
-        for p in itertools.product(range(k), repeat=n_players)
-    )
+    return labels, cells, n_classes
+
+
+def _fill_symmetric(layout: _SymmetricLayout, lo: int, hi: int, seed: int) -> Game:
+    """The game of `layout` with one value per class drawn in class order."""
+    labels, cells, n_classes = layout
+    rng = SplitMix64(seed)
+    values = [rng.next_in_range(lo, hi) for _ in range(n_classes)]
+    entries = map(values.__getitem__, cells)
+    payoffs = tuple(zip(*[entries] * len(labels)))
     return Game(strategy_labels=labels, payoffs=payoffs)
 
 
@@ -174,11 +199,9 @@ def _hofstadter_rationalizable(r: AnalysisReport, *_) -> Verdict:
 def _hofstadter_individually_rational(r: AnalysisReport, *_) -> Verdict:
     _require_symmetric(r, "the Hofstadter check")
     g = r.game
-    hofstadter = set(r.hofstadter)
-    for p, vector in zip(profiles(g), g.payoffs):
-        if p not in hofstadter:
-            continue
-        for i, (u, floor) in enumerate(zip(vector, r.maximin)):
+    # The Hofstadter profiles are in enumeration order: read only their cells.
+    for p in r.hofstadter:
+        for i, (u, floor) in enumerate(zip(_payoffs_at(g, p), r.maximin)):
             if u < floor:
                 return Verdict(
                     HOFSTADTER_INDIVIDUALLY_RATIONAL,
@@ -411,23 +434,27 @@ def _sweep_chunk(config: SweepConfig, start: int, stop: int):
     violations: list[tuple[int, str, str]] = []
     rationalizable_witnesses = 0
     ir_witnesses = 0
+    # One layout per strategy count, None for a count over the size guard.
+    # _validate_config has checked the payoff range and the player count;
+    # each new count gets the generator's shape and size checks here.
+    layouts: dict[int, _SymmetricLayout | None] = {}
     for j in range(start, stop):
         stream = SplitMix64(derive_seed(config.seed, j))
         k = stream.next_in_range(config.min_strategies, config.max_strategies)
         game_seed = stream.next_u64()
         order_seed = stream.next_u64()
-        try:
-            g = gen_random_symmetric_game(
-                config.players,
-                k,
-                config.payoff_lo,
-                config.payoff_hi,
-                game_seed,
-                max_entries=config.max_entries,
-            )
-        except SizeGuardExceeded:
+        if k not in layouts:
+            try:
+                check_size_guard(check_shape(config.players, k), config.max_entries)
+            except SizeGuardExceeded:
+                layouts[k] = None
+            else:
+                layouts[k] = _symmetric_layout(config.players, k)
+        layout = layouts[k]
+        if layout is None:
             skipped += 1
             continue
+        g = _fill_symmetric(layout, config.payoff_lo, config.payoff_hi, game_seed)
         checked += 1
         report = build_report(g)
         for prop in config.properties:

@@ -77,6 +77,14 @@ def test_sample_exercises_deep_and_multiplayer_eliminations():
     traces = [iterate_elimination(g) for g in GAMES]
     assert max(len(t.rounds) for t in traces) == 11
     assert any(t.rounds and g.n_players >= 3 for g, t in zip(GAMES, traces))
+    # Both elimination paths stay under the oracle: a round 1 that deletes
+    # nothing is decided from row minima and maxima, one that deletes
+    # something sorts the rows.  (nothing deleted, something deleted):
+    by_players = {n: [0, 0] for n in (2, 3, 4)}
+    for g, t in zip(GAMES, traces):
+        if g.n_players in by_players:
+            by_players[g.n_players][bool(t.rounds)] += 1
+    assert by_players == {2: [31, 21], 3: [39, 9], 4: [41, 7]}
 
 
 def test_iterate_elimination_matches_oracle():

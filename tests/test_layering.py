@@ -9,7 +9,8 @@ readers walk ``payoffs`` in profile order, so ``cell_index`` (random
 access) is called only inside ``game_core``.  The integer rules live in
 ``game_core`` too: only that module raises ``IndexOutOfRange`` or names
 the payoff bounds, and one function tells an int from a bool.  So do the
-cell rules: ``parse_game`` raises none of the four cell errors itself.  Every
+cell rules: ``parse_game`` raises none of the four cell errors itself.  No
+module memoizes with ``functools.lru_cache`` or ``functools.cache``.  Every
 module parses as Python 3.10, the floor ``pyproject.toml`` declares.
 """
 
@@ -118,6 +119,25 @@ def test_one_function_tells_int_from_bool():
             ):
                 deciding.append(f"{path.name}:{func.name}")
     assert len(deciding) == 1, deciding
+
+
+def test_no_module_level_memo():
+    # A memo would keep state across calls and sweeps; a sweep holds its
+    # symmetric layouts itself, for its own life only.  cached_property
+    # on an immutable value is not a memo of this kind.
+    memoizing = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+            elif getattr(getattr(node, "value", None), "id", None) == "functools":
+                names = {getattr(node, "attr", None)}
+            else:
+                continue
+            if names & {"lru_cache", "cache"}:
+                memoizing.append(f"{path.name}:{node.lineno}")
+    assert memoizing == []
 
 
 def test_sources_parse_as_python_3_10():

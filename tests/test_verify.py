@@ -24,6 +24,7 @@ from nonnash import (
     check_ir_survives_round1,
     check_order_independence,
     classify_regions,
+    derive_seed,
     elimination_ladder,
     gen_random_game,
     gen_random_symmetric_game,
@@ -418,6 +419,57 @@ class TestSweep:
         assert report.games_checked == 5
         assert report.passed
 
+    @staticmethod
+    def replay(config):
+        """The sweep's counts, rebuilt game by game through the public
+        generator with the sweep's derived seeds."""
+        checked = skipped = rationalizable = rational = 0
+        violations = []
+        for j in range(config.games):
+            stream = SplitMix64(derive_seed(config.seed, j))
+            k = stream.next_in_range(config.min_strategies, config.max_strategies)
+            game_seed = stream.next_u64()
+            order_seed = stream.next_u64()
+            try:
+                g = gen_random_symmetric_game(
+                    config.players, k, config.payoff_lo, config.payoff_hi, game_seed,
+                    max_entries=config.max_entries,
+                )
+            except SizeGuardExceeded:
+                skipped += 1
+                continue
+            checked += 1
+            r = build_report(g)
+            for prop in config.properties:
+                if not CHECKERS[prop](r, config.orders_per_game, order_seed).passed:
+                    violations.append((serialize_game(GameDocument(game=g)), prop))
+            w_rationalizable, w_rational = strict_inclusion_witnesses(r.regions)
+            rationalizable += w_rationalizable
+            rational += w_rational
+        return checked, skipped, tuple(violations), rationalizable, rational
+
+    @pytest.mark.parametrize("config", [
+        SweepConfig(min_strategies=2, max_strategies=60, games=20, seed=2, max_entries=200),
+        SweepConfig(
+            players=3, min_strategies=1, max_strategies=4, games=60, seed=6,
+            properties=ALL_PROPERTIES, orders_per_game=3,
+        ),
+    ], ids=["2p-size-guard", "3p"])
+    def test_sweep_equals_its_replay(self, config, monkeypatch, inline_pool):
+        expected = self.replay(config)
+        assert expected[0] and expected[3] and expected[4]
+        monkeypatch.setattr(nonnash.verify.os, "cpu_count", lambda: 2)
+        for workers in (1, 2):
+            report = sweep(config, workers=workers)
+            assert (
+                report.games_checked,
+                report.games_skipped,
+                report.violations,
+                report.rationalizable_not_hofstadter,
+                report.ir_not_hofstadter,
+            ) == expected, workers
+        assert inline_pool == [2]
+
     def test_bad_config(self):
         with pytest.raises(BadRange):
             sweep(SweepConfig(min_strategies=0))
@@ -514,3 +566,23 @@ class TestOneAnalysisPerGame:
         assert report.games_checked == 40
         assert calls == self.per_game(40)
         assert built == []
+
+    def test_sweep_builds_one_layout_per_strategy_count(self, monkeypatch):
+        config = SweepConfig(games=40, seed=3)
+        built = []
+        original = nonnash.verify._symmetric_layout
+
+        def counted(n_players, k):
+            built.append(k)
+            return original(n_players, k)
+
+        monkeypatch.setattr(nonnash.verify, "_symmetric_layout", counted)
+        sweep(config)
+        drawn = {
+            SplitMix64(derive_seed(config.seed, j)).next_in_range(
+                config.min_strategies, config.max_strategies
+            )
+            for j in range(config.games)
+        }
+        assert sorted(built) == sorted(drawn)
+        assert len(built) == len(drawn) < config.games
