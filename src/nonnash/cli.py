@@ -7,6 +7,7 @@ found, 2 = usage, parse or I/O error.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -37,10 +38,7 @@ from .verify import (
 def _load(path: str) -> GameDocument:
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    doc = parse_game(text)
-    return GameDocument(
-        game=doc.game, name=Path(path).stem, comments=doc.comments
-    )
+    return dataclasses.replace(parse_game(text), name=Path(path).stem)
 
 
 def _int(text: str) -> int:

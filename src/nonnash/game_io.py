@@ -28,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import GameError, GnfSyntaxError, UnknownFormat, VersionUnsupported
+from .errors import GnfSyntaxError, UnknownFormat, VersionUnsupported
 from .game_core import Game, build_game, profiles
 
 FORMAT_VERSION = 1
@@ -88,20 +88,21 @@ def _check_characters(text: str, lines: list[str]) -> None:
 def parse_game(text: str) -> GameDocument:
     """Parse a version-1 game document.
 
-    The document is read line by line, in order, and each cell goes
-    straight into its slot in profile order.  The cell syntax (one index and one payoff per
-    player, all integer tokens) is checked here; every rule of the game
-    itself (labels, the size guard, indices and payoffs in range, each
-    profile exactly once) is checked by
-    :func:`nonnash.game_core.build_game`, as for
-    :func:`nonnash.game_core.new_game`.
+    The document is read in three passes.  The first refuses a line with a
+    non-ASCII or control character outside its comment.  The second checks
+    the syntax, line by line in file order: the header, every payoff cell
+    (one index and one payoff per player, all integer tokens), ``end``, and
+    nothing but blank or comment lines after it.  The third hands the cells
+    to :func:`nonnash.game_core.build_game`, which checks every rule of the
+    game itself (labels, the size guard, indices and payoffs in range, each
+    profile exactly once), as for :func:`nonnash.game_core.new_game`.
 
     Raises :class:`GnfSyntaxError` with the offending line number and what
     was expected there, :class:`VersionUnsupported`, or the error of the
-    first game rule the document breaks.  A line with a non-ASCII or
-    control character outside its comment is reported first; then any
-    other syntax error, in file order; the game rules apply only to a
-    document free of syntax errors.
+    first game rule the document breaks.  The order of the passes is the
+    order of the errors: a character error first, then any other syntax
+    error in file order, then the game rules, on a document free of syntax
+    errors.
     """
     lines = text.split("\n")
     _check_characters(text, lines)
@@ -161,43 +162,27 @@ def parse_game(text: str) -> GameDocument:
     # (tabs, extra spaces, comments, CRLF) once their tokens are rejoined.
     cell = re.compile(f"(?:{_INT} ){{{2 * n - 1}}}{_INT}\\Z").match
     bad_cell = f"{n} strategy indices and {n} integer payoffs, or 'end'"
-
-    def cells(start: int):
-        nonlocal pos
-        for i in range(start, len(lines)):
-            line = lines[i]
+    cells = []
+    for i in range(pos, len(lines)):
+        line = lines[i]
+        if cell(line) is None:
+            tokens = tokens_at(i)
+            if not tokens:
+                continue
+            if tokens == ["end"]:
+                break
+            line = " ".join(tokens)
             if cell(line) is None:
-                tokens = tokens_at(i)
-                if not tokens:
-                    continue
-                if tokens == ["end"]:
-                    pos = i + 1
-                    return
-                line = " ".join(tokens)
-                if cell(line) is None:
-                    raise GnfSyntaxError(i + 1, bad_cell)
-            values = tuple(map(int, line.split(" ")))
-            yield values[:n], values[n:]
+                raise GnfSyntaxError(i + 1, bad_cell)
+        cells.append(line)
+    else:
         raise GnfSyntaxError(len(lines), "a payoff cell or 'end'")
+    for j in range(i + 1, len(lines)):
+        if tokens_at(j):
+            raise GnfSyntaxError(j + 1, "end of file after 'end'")
 
-    def expect_end_of_file() -> None:
-        for i in range(pos, len(lines)):
-            if tokens_at(i):
-                raise GnfSyntaxError(i + 1, "end of file after 'end'")
-
-    table = cells(pos)
-    try:
-        game = build_game(labels, table)
-    except GnfSyntaxError:
-        raise
-    except GameError:
-        # The rest of the document may still hold a syntax error, which
-        # takes precedence over the game rule that failed.
-        for _ in table:
-            pass
-        expect_end_of_file()
-        raise
-    expect_end_of_file()
+    values = (tuple(map(int, line.split(" "))) for line in cells)
+    game = build_game(labels, ((v[:n], v[n:]) for v in values))
     return GameDocument(game=game, comments=tuple(comments))
 
 

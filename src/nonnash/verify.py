@@ -18,11 +18,12 @@ multisets in lexicographic order).  A symmetric game is a layout of its
 shape (the labels and the class of every payoff entry, in cell order)
 filled from the class draws.  Both generators check their arguments
 through ``game_core`` before any draw and write the table in cell order
-with no ``new_game`` pass: it is valid by construction.  Sweep game ``j``
-draws from the substream ``derive_seed(seed, j)``, in order: the strategy
-count, the game seed, the deletion-order seed.  A sweep builds one layout
-per strategy count and fills it for every game of that count, so its games
-equal the generator's.  Identical configurations therefore give identical
+with no ``new_game`` pass: it is valid by construction.  A seed is any
+int, not a bool, read mod 2**64.  Sweep game ``j`` draws from the
+substream ``derive_seed(seed, j)``, in order: the strategy count, the game
+seed, the deletion-order seed.  A sweep builds one layout per strategy
+count and fills it for every game of that count, so its games equal the
+generator's.  Identical configurations therefore give identical
 reports on any machine and under any worker count.
 """
 
@@ -90,6 +91,12 @@ class Verdict:
     profile: Profile | None = None
 
 
+def _check_seed(seed) -> None:
+    """BadRange unless `seed` is an int, not a bool."""
+    if not are_ints(seed):
+        raise BadRange(f"seed {seed!r} is not an integer")
+
+
 def gen_random_game(
     n_players: int,
     strategy_counts,
@@ -107,6 +114,7 @@ def gen_random_game(
     counts = check_shape(n_players, strategy_counts)
     check_payoff_range(lo, hi)
     check_size_guard(counts, max_entries)
+    _check_seed(seed)
     labels = tuple(tuple(f"s{v}" for v in range(k)) for k in counts)
     rng = SplitMix64(seed)
     payoffs = tuple(
@@ -136,6 +144,7 @@ def gen_random_symmetric_game(
     k = check_count(strategy_count, "symmetric games need one shared strategy count")
     check_payoff_range(lo, hi)
     check_size_guard(counts, max_entries)
+    _check_seed(seed)
     return _fill_symmetric(_symmetric_layout(n_players, k), lo, hi, seed)
 
 
@@ -223,6 +232,7 @@ def _delete_pair(survivors, player: int, strategy: int):
 
 def _order_independence(r: AnalysisReport, n_orders: int, seed: int) -> Verdict:
     check_count(n_orders, "need at least one deletion order")
+    _check_seed(seed)
     g = r.game
     target = r.trace.final_survivors
     if r.trace.total_deletions == 0:
@@ -326,7 +336,8 @@ def check_order_independence(g: Game, n_orders: int = 20, seed: int = 0) -> Verd
     re-scans.  When the batch trace deletes at most :data:`EXHAUSTIVE_LIMIT`
     pairs in total, every deletion order is enumerated (with memoization
     over reached survivor states); otherwise `n_orders` random orders are
-    sampled from the substreams of `seed`.  `n_orders` must be positive.
+    sampled from the substreams of `seed`.  `n_orders` must be positive and
+    `seed` an int.
     """
     return _order_independence(build_report(g), n_orders, seed)
 
@@ -418,6 +429,7 @@ def _validate_config(config: SweepConfig) -> None:
     check_size_guard(check_shape(config.players, k_min), config.max_entries)
     check_payoff_range(config.payoff_lo, config.payoff_hi)
     check_count(config.orders_per_game, "need at least one deletion order")
+    _check_seed(config.seed)
     choices = f"(choose from: {', '.join(ALL_PROPERTIES)})"
     if not config.properties:
         raise BadRange(f"no property to check {choices}")

@@ -135,6 +135,13 @@ def elimination_oracle(g: Game, survivors):
         )
 
 
+def deleted_sets(n_players: int, batch) -> set[frozenset[int]]:
+    """The distinct sets of strategies the players lose in one elimination
+    round.  On a symmetric game the paper's symmetry lemma says every
+    player loses the same set, so there is exactly one."""
+    return {frozenset(v for i, v in batch if i == player) for player in range(n_players)}
+
+
 def every_symmetric_game(n: int, k: int, levels: int):
     """Every symmetric game of `n` players with `k` strategies each whose
     payoffs lie in range(`levels`), one per assignment of a level to each

@@ -14,7 +14,7 @@ from nonnash import build_report, strict_inclusion_witnesses
 from nonnash.game_core import full_sets
 from nonnash.verify import CHECKERS
 
-from oracles import elimination_oracle, every_symmetric_game, nash_oracle
+from oracles import deleted_sets, elimination_oracle, every_symmetric_game, nash_oracle
 
 
 # (players, strategies, levels, games, games where elimination deletes
@@ -44,6 +44,8 @@ def test_every_property_on_every_game(n, k, levels, games, bites, oracles):
             if not verdict.passed:
                 failures.append((name, verdict.detail, g))
         eliminated += bool(report.trace.rounds)
+        for batch in report.trace.rounds:
+            assert len(deleted_sets(n, batch)) == 1, (g, batch)
         w_rationalizable, w_ir = strict_inclusion_witnesses(report.regions)
         rationalizable_witnesses += w_rationalizable
         ir_witnesses += w_ir

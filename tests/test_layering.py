@@ -9,7 +9,9 @@ readers walk ``payoffs`` in profile order, so ``cell_index`` (random
 access) is called only inside ``game_core``.  The integer rules live in
 ``game_core`` too: only that module raises ``IndexOutOfRange`` or names
 the payoff bounds, and one function tells an int from a bool.  So do the
-cell rules: ``parse_game`` raises none of the four cell errors itself.  No
+cell rules: ``parse_game`` raises none of the four cell errors itself.
+``game_io`` catches no error, so the order of ``parse_game``'s passes
+alone orders its errors.  No
 module memoizes with ``functools.lru_cache`` or ``functools.cache``.  Every
 module parses as Python 3.10, the floor ``pyproject.toml`` declares.
 """
@@ -37,6 +39,20 @@ def test_game_io_imports_no_solver():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported |= _imports(node)
     assert not imported & {"solvers", "verify"}
+
+
+def test_game_io_catches_no_error():
+    # parse_game orders its errors by the order of its passes, not by
+    # catching a game rule's error to look for a syntax error after it
+    tree = ast.parse((SRC / "game_io.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "GameError" not in imported
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(tree))
 
 
 def test_verify_does_not_import_new_game():

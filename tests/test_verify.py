@@ -46,7 +46,7 @@ from nonnash.verify import (
     Verdict,
 )
 
-from oracles import symmetric_oracle
+from oracles import deleted_sets, symmetric_oracle
 
 
 @pytest.fixture
@@ -172,7 +172,7 @@ class TestGenerators:
 
 SWEEP_INT_FIELDS = (
     "players", "min_strategies", "max_strategies", "payoff_lo", "payoff_hi",
-    "games", "orders_per_game",
+    "games", "orders_per_game", "seed",
 )
 
 # Entry points that take an integer argument, called with `v` in one place.
@@ -186,9 +186,14 @@ INT_ARGUMENT_CALLS = {
         lambda v: gen_random_symmetric_game(v, 2, 0, 9, seed=0),
     "gen_random_symmetric_game-count":
         lambda v: gen_random_symmetric_game(2, v, 0, 9, seed=0),
+    "gen_random_game-seed": lambda v: gen_random_game(2, 2, 0, 9, seed=v),
+    "gen_random_symmetric_game-seed":
+        lambda v: gen_random_symmetric_game(2, 2, 0, 9, seed=v),
     # 4 deletions, so the random-order branch runs
     "check_order_independence-n_orders":
         lambda v: check_order_independence(elimination_ladder(), v),
+    "check_order_independence-seed":
+        lambda v: check_order_independence(elimination_ladder(), 3, seed=v),
     **{
         f"sweep-{field}":
             lambda v, field=field: sweep(SweepConfig(**{"games": 2, field: v}))
@@ -214,6 +219,19 @@ class TestIntegerArguments:
         # the counting stream sees these calls, so no draw above means none
         INT_ARGUMENT_CALLS[call](2)
         assert draws
+
+    def test_seed_read_mod_2_64(self):
+        # negative and wider-than-64-bit seeds stay valid
+        for seed in (-1, 2**64 + 5):
+            reduced = seed % 2**64
+            assert gen_random_game(2, 3, 0, 9, seed) == gen_random_game(2, 3, 0, 9, reduced)
+            assert gen_random_symmetric_game(3, 2, 0, 9, seed) == (
+                gen_random_symmetric_game(3, 2, 0, 9, reduced)
+            )
+            a, b = (sweep(SweepConfig(games=5, seed=s)) for s in (seed, reduced))
+            assert dataclasses.replace(a, config=b.config, elapsed=0) == (
+                dataclasses.replace(b, elapsed=0)
+            )
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_run_in_process(self, inline_pool, workers):
@@ -440,6 +458,8 @@ class TestSweep:
                 continue
             checked += 1
             r = build_report(g)
+            for batch in r.trace.rounds:
+                assert len(deleted_sets(config.players, batch)) == 1, (g, batch)
             for prop in config.properties:
                 if not CHECKERS[prop](r, config.orders_per_game, order_seed).passed:
                     violations.append((serialize_game(GameDocument(game=g)), prop))
