@@ -192,11 +192,8 @@ def check_profile(profile, counts: tuple[int, ...]) -> Profile:
         raise IndexOutOfRange(
             f"profile {profile} has {len(profile)} entries for {len(counts)} players"
         )
-    # One predicate call per profile; entries are tested one by one only
-    # when the profile holds a non-int.
-    ints = are_ints(*profile)
     for i, v in enumerate(profile):
-        if not (ints or are_ints(v)) or not 0 <= v < counts[i]:
+        if not are_ints(v) or not 0 <= v < counts[i]:
             raise IndexOutOfRange(
                 f"profile {profile}: strategy {v!r} out of range for player {i}"
             )

@@ -282,7 +282,8 @@ _CSV_FLAGS = {
 def _profile_flags(r) -> list:
     """(nash, hofstadter, individually rational, minimax-rationalizable)
     for every profile of the report's game, in enumeration order; the
-    Hofstadter flag is None for asymmetric games."""
+    Hofstadter flag is None for asymmetric games.  This is the one
+    per-profile pass behind all three report formats."""
     g = r.game
     nash = set(r.nash)
     symmetric = r.hofstadter is not None
@@ -376,15 +377,17 @@ def _render_json(r) -> str:
         ],
         "survivors": [list(x) for x in r.trace.final_survivors],
         "regions": None
-        if r.regions is None
+        if r.hofstadter is None
         else [
             {
                 "profile": list(p),
-                "rationalizable": tag.rationalizable,
-                "individually_rational": tag.individually_rational,
-                "hofstadter": tag.hofstadter,
+                "rationalizable": rationalizable,
+                "individually_rational": ir,
+                "hofstadter": hofstadter,
             }
-            for p, tag in r.regions.items()
+            for p, (_, hofstadter, ir, rationalizable) in zip(
+                profiles(g), _profile_flags(r)
+            )
         ],
     }
     return json.dumps(obj, indent=2) + "\n"

@@ -28,6 +28,7 @@ reports on any machine and under any worker count.
 """
 
 import itertools
+import math
 import os
 import time
 from array import array
@@ -117,11 +118,8 @@ def gen_random_game(
     _check_seed(seed)
     labels = tuple(tuple(f"s{v}" for v in range(k)) for k in counts)
     rng = SplitMix64(seed)
-    payoffs = tuple(
-        tuple(rng.next_in_range(lo, hi) for _ in range(n_players))
-        for _ in itertools.product(*(range(k) for k in counts))
-    )
-    return Game(strategy_labels=labels, payoffs=payoffs)
+    draws = (rng.next_in_range(lo, hi) for _ in range(math.prod(counts) * n_players))
+    return Game(strategy_labels=labels, payoffs=tuple(zip(*[draws] * n_players)))
 
 
 def gen_random_symmetric_game(
@@ -483,7 +481,9 @@ def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
 
     Games that trip the size guard are skipped and counted, not fatal;
     a config under which no game could be checked (no games, or a guard
-    tripped by the smallest strategy count) raises before any draw.
+    tripped by the smallest strategy count) raises before any draw, and a
+    sweep whose draws all trip the guard raises SizeGuardExceeded after
+    them, so a sweep that checks no game never passes.
     Work may be spread over up to `workers` processes, never more than
     there are CPUs or games, and runs in this process when `workers` is
     below 2 (a `workers` that is not an int raises BadRange); per-game
@@ -506,6 +506,11 @@ def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
             parts = [f.result() for f in futures]
     checked = sum(p[0] for p in parts)
     skipped = sum(p[1] for p in parts)
+    if not checked:
+        raise SizeGuardExceeded(
+            f"no game was checked: {skipped} skipped, each needing more than "
+            f"{config.max_entries} payoff entries (cells x players)"
+        )
     indexed = sorted(
         (item for p in parts for item in p[2]), key=lambda item: (item[0], item[2])
     )

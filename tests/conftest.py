@@ -5,9 +5,23 @@ from pathlib import Path
 import pytest
 
 import nonnash.verify
-from nonnash import chicken, coordination, elimination_ladder, prisoners_dilemma
+from nonnash import (
+    SweepConfig,
+    chicken,
+    coordination,
+    elimination_ladder,
+    prisoners_dilemma,
+)
+from nonnash.verify import (
+    CHECKERS,
+    HOFSTADTER_INDIVIDUALLY_RATIONAL,
+    HOFSTADTER_RATIONALIZABLE,
+    Verdict,
+)
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+from oracles import sweep_game  # found through the path above
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GAMES_DIR = REPO_ROOT / "games"
@@ -63,3 +77,31 @@ def inline_pool(monkeypatch):
 
     monkeypatch.setattr(nonnash.verify, "ProcessPoolExecutor", InlinePool)
     return pool_sizes
+
+
+# Games of INJECTED_SWEEP that the injected_violations fixture makes fail,
+# by property; game 7 fails two properties.
+INJECTED_SWEEP = SweepConfig(games=10, seed=11)
+INJECTED_FAILURES = {
+    HOFSTADTER_RATIONALIZABLE: (3, 7),
+    HOFSTADTER_INDIVIDUALLY_RATIONAL: (1, 7),
+}
+
+
+@pytest.fixture
+def injected_violations(monkeypatch):
+    """Make two checkers fail on chosen games of INJECTED_SWEEP (a sweep
+    game is known to a checker by its deletion-order seed); returns that
+    config and the expected violations as (game index, property) pairs in
+    report order."""
+    for prop, indices in INJECTED_FAILURES.items():
+        seeds = {sweep_game(INJECTED_SWEEP, j)[1] for j in indices}
+
+        def checker(r, n_orders, seed, _prop=prop, _seeds=seeds, _real=CHECKERS[prop]):
+            if seed in _seeds:
+                return Verdict(_prop, False, "injected failure", game=r.game)
+            return _real(r, n_orders, seed)
+
+        monkeypatch.setitem(CHECKERS, prop, checker)
+    expected = [(j, prop) for prop, indices in INJECTED_FAILURES.items() for j in indices]
+    return INJECTED_SWEEP, sorted(expected)

@@ -7,7 +7,14 @@ no stride arithmetic, no shared helpers), so agreement is meaningful.
 
 import itertools
 
-from nonnash import Game, new_game, payoff
+from nonnash import (
+    Game,
+    SplitMix64,
+    derive_seed,
+    gen_random_symmetric_game,
+    new_game,
+    payoff,
+)
 
 
 def all_profiles(g: Game) -> list[tuple[int, ...]]:
@@ -140,6 +147,22 @@ def deleted_sets(n_players: int, batch) -> set[frozenset[int]]:
     round.  On a symmetric game the paper's symmetry lemma says every
     player loses the same set, so there is exactly one."""
     return {frozenset(v for i, v in batch if i == player) for player in range(n_players)}
+
+
+def sweep_game(config, j: int):
+    """Game `j` of a sweep and its deletion-order seed, rebuilt through the
+    public generator from the substream ``derive_seed(config.seed, j)`` as
+    the verify module's determinism contract says; the generator raises
+    SizeGuardExceeded for a game the sweep skips."""
+    stream = SplitMix64(derive_seed(config.seed, j))
+    k = stream.next_in_range(config.min_strategies, config.max_strategies)
+    game_seed = stream.next_u64()
+    order_seed = stream.next_u64()
+    g = gen_random_symmetric_game(
+        config.players, k, config.payoff_lo, config.payoff_hi, game_seed,
+        max_entries=config.max_entries,
+    )
+    return g, order_seed
 
 
 def every_symmetric_game(n: int, k: int, levels: int):

@@ -40,6 +40,19 @@ def three_player_ladder():
     return new_game([["top", "mid", "low", "z"]] * 3, cells)
 
 
+def rock_paper_scissors():
+    """Symmetric zero-sum game with no pure Nash equilibrium: each strategy
+    beats the one before it (Paper beats Rock, Rock beats Scissors); a win
+    pays 1, a tie 0 and a loss -1."""
+    outcome = (0, 1, -1)  # by (own - other) % 3
+    cells = [
+        ((a, b), (outcome[(a - b) % 3], outcome[(b - a) % 3]))
+        for a in range(3)
+        for b in range(3)
+    ]
+    return new_game([["Rock", "Paper", "Scissors"]] * 2, cells)
+
+
 def _fixture(name):
     return lambda: parse_game((GAMES_DIR / f"{name}.gnf").read_text()).game
 
@@ -51,4 +64,5 @@ PINNED_GAMES = {
     "asym-2-3-2": lambda: gen_random_game(3, (2, 3, 2), -5, 5, seed=0),
     "asym-5x5": lambda: gen_random_game(2, 5, -9, 9, seed=3),
     "one-player": lambda: gen_random_game(1, 4, -9, 9, seed=0),
+    "rps": rock_paper_scissors,
 }

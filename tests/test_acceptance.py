@@ -113,6 +113,13 @@ def test_criterion_3_symmetric_game_sweep():
     assert three_player.violations == ()
     assert two_player.games_checked == 10_000
     assert three_player.games_checked == 1_000
+    # the witness lines of `nonnash search` for these two configurations
+    assert (
+        two_player.rationalizable_not_hofstadter, two_player.ir_not_hofstadter
+    ) == (161_891, 82_235)
+    assert (
+        three_player.rationalizable_not_hofstadter, three_player.ir_not_hofstadter
+    ) == (31_638, 20_400)
     elapsed = two_player.elapsed + three_player.elapsed
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
     _ok(3, f"11,000 symmetric games, zero violations, {elapsed:.1f}s")

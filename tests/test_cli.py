@@ -1,7 +1,9 @@
+import json
 import subprocess
 import sys
 
 import pytest
+from oracles import sweep_game
 from pinned_games import PINNED_GAMES, sha256
 
 from nonnash import GameDocument, Verdict, parse_game, serialize_game
@@ -158,6 +160,7 @@ PINNED_ELIMINATE_TRACES = [
     ("asym-2-3-2", "64d8fc7550a25fe406a2f46cfa9509b4da87d293afb1c585ca315c3c5a60c896"),
     ("asym-5x5", "5080b392e3297f1891617cb1801041e39d2d6326ad2f88eead015aff581ea7c7"),
     ("one-player", "020b620c5e1d865a02de3caf60674a6bd38401e3193137933ad81ec2b0f0d8f5"),
+    ("rps", "c4140c8644d525b96dcb2d354c9f857d86768145f401ebc21a30755b0e3c9e26"),
 ]
 
 
@@ -240,6 +243,48 @@ class TestSearch:
         assert code == 2
         assert out == ""
         assert "payoff entries" in err
+
+    @pytest.mark.parametrize("argv, skipped", [
+        ("--players 23 --strategies 1..2 --games 1 --seed 3", 1),
+        ("--players 2 --strategies 2..100000 --games 3 --seed 1", 3),
+    ])
+    def test_every_drawn_game_over_the_guard_exits_2(self, capsys, argv, skipped):
+        # the smallest count passes the guard, but no draw takes it: a
+        # sweep that checks no game must not print PASS
+        code, out, err = run_cli(capsys, "search", *argv.split())
+        assert (code, out, err) == (
+            2,
+            "",
+            f"error: no game was checked: {skipped} skipped, each needing more "
+            "than 10000000 payoff entries (cells x players)\n",
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_violations_exit_1(self, capsys, injected_violations, fmt):
+        config, expected = injected_violations
+        code, out, _ = run_cli(
+            capsys, "search", "--games", str(config.games), "--seed", str(config.seed),
+            "--format", fmt,
+        )
+        assert code == 1
+        if fmt == "json":
+            obj = json.loads(out)
+            assert obj["verdict"] == "FAIL"
+            found = [(v["property"], v["game"]) for v in obj["violations"]]
+        else:
+            head, *blocks = out.split("\nviolation ")
+            assert head.splitlines()[4] == f"violations: {len(expected)}"
+            assert out.endswith("\nverdict: FAIL\n")
+            found = []
+            for number, block in enumerate(blocks, start=1):
+                title, _, text = block.partition("\n")
+                index, prop = title.split(": ")
+                assert index == str(number)
+                found.append((prop, text.partition("\nend")[0] + "\nend\n"))
+        # each printed game replays as the game the sweep drew for its index
+        assert [(prop, parse_game(text).game) for prop, text in found] == [
+            (prop, sweep_game(config, j)[0]) for j, prop in expected
+        ]
 
     def test_small_sweep(self, capsys):
         code, out, _ = run_cli(

@@ -150,6 +150,10 @@ class TestIndexRule:
             new_game(pd.strategy_labels, [(profile, (0, 0))])
         with pytest.raises(IndexOutOfRange, match="entries for 2 players"):
             payoff(pd, profile, 0)
+        # one survivor set per entry of the profile
+        sets = [(0,)] * len(profile)
+        with pytest.raises(IndexOutOfRange, match=f"{len(sets)} survivor sets given for 2"):
+            restrict(pd, sets)
 
     def test_new_game_message_names_player(self, pd):
         with pytest.raises(IndexOutOfRange) as raised:

@@ -17,6 +17,7 @@ from nonnash import (
     MissingCell,
     PayoffOutOfRange,
     SizeGuardExceeded,
+    SweepConfig,
     UnknownFormat,
     VersionUnsupported,
     build_report,
@@ -25,7 +26,9 @@ from nonnash import (
     parse_game,
     profiles,
     render_report,
+    render_sweep_report,
     serialize_game,
+    sweep,
 )
 
 CANONICAL_PD = """gnf 1
@@ -213,6 +216,8 @@ class TestRenderReport:
     def test_unknown_format(self, pd):
         with pytest.raises(UnknownFormat):
             render_report(build_report(pd), "yaml")
+        with pytest.raises(UnknownFormat):
+            render_sweep_report(sweep(SweepConfig(games=1)), "csv")
 
 
 # sha256 of render_report(build_report(game, name=<key>), fmt).
@@ -244,6 +249,9 @@ PINNED_RENDERS = [
     ("one-player", "text", "35ef1cccc76ba383542ed7b98ec484e2e5261b4e8841bafc419be9552cbdce1e"),
     ("one-player", "csv", "55681a678162583c1bb1a4d5d14f77cab0f7b6f0e7fce1218a1725c89685d81a"),
     ("one-player", "json", "822283e1b4380f45d9639d76d46835ad326ebfb31f59f3ba0b0530f4ab0693ec"),
+    ("rps", "text", "412d80452bec88bb0dc9a60ce339c18ed5b5edce508204cf0c4729e225fa83c9"),
+    ("rps", "csv", "1d350f206821177c9c2482d896e5f076ed8389529865c96e4a674987d7c7466f"),
+    ("rps", "json", "fecfc2f640842e8937c635c03894ec60c4977169f8200316f7c56969c45a602d"),
 ]
 
 

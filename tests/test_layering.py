@@ -1,19 +1,20 @@
 """Source-structure rules of the package.
 
 ``game_io`` parses, serializes and renders; it must never reach the
-solvers, so it imports neither ``solvers`` nor ``verify``.  No module may
-hide an import inside a function, which is how an import cycle would
-otherwise slip back in.  The generators in ``verify`` build their tables
-valid by construction and never go through ``new_game``, and whole-table
-readers walk ``payoffs`` in profile order, so ``cell_index`` (random
-access) is called only inside ``game_core``.  The integer rules live in
-``game_core`` too: only that module raises ``IndexOutOfRange`` or names
-the payoff bounds, and one function tells an int from a bool.  So do the
-cell rules: ``parse_game`` raises none of the four cell errors itself.
-``game_io`` catches no error, so the order of ``parse_game``'s passes
-alone orders its errors.  No
-module memoizes with ``functools.lru_cache`` or ``functools.cache``.  Every
-module parses as Python 3.10, the floor ``pyproject.toml`` declares.
+solvers, so it imports neither ``solvers`` nor ``verify``, and it renders
+every report format from one per-profile pass of its own, never from the
+report's region tags.  No module may hide an import inside a function,
+which is how an import cycle would otherwise slip back in.  The
+generators in ``verify`` build their tables valid by construction and
+never go through ``new_game``, and whole-table readers walk ``payoffs`` in
+profile order, so ``cell_index`` (random access) is called only inside
+``game_core``.  The integer rules live in ``game_core`` too: only that
+module raises ``IndexOutOfRange`` or names the payoff bounds, and one
+function tells an int from a bool.  So do the cell rules: ``parse_game``
+raises none of the four cell errors itself.  ``game_io`` catches no
+error, so the order of ``parse_game``'s passes alone orders its errors.
+No module memoizes with ``functools.lru_cache`` or ``functools.cache``.
+Every module parses as Python 3.10, the floor ``pyproject.toml`` declares.
 """
 
 import ast
@@ -39,6 +40,19 @@ def test_game_io_imports_no_solver():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported |= _imports(node)
     assert not imported & {"solvers", "verify"}
+
+
+def test_game_io_renders_regions_from_its_own_pass():
+    # text, CSV and JSON all read the per-profile flags of _profile_flags,
+    # so no format reads the report's region tags
+    tree = ast.parse((SRC / "game_io.py").read_text(encoding="utf-8"))
+    reading = [
+        node.lineno
+        for node in ast.walk(tree)
+        if getattr(node, "attr", None) == "regions"
+        or "RegionTag" in {getattr(node, "id", None), getattr(node, "name", None)}
+    ]
+    assert reading == []
 
 
 def test_game_io_catches_no_error():

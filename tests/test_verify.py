@@ -46,7 +46,7 @@ from nonnash.verify import (
     Verdict,
 )
 
-from oracles import deleted_sets, symmetric_oracle
+from oracles import deleted_sets, sweep_game, symmetric_oracle
 
 
 @pytest.fixture
@@ -99,6 +99,8 @@ class TestGenerators:
             gen_random_game(0, (), 0, 9, seed=0)
         with pytest.raises(BadRange):
             gen_random_game(2, (2, 0), 0, 9, seed=0)
+        with pytest.raises(BadRange, match="3 strategy counts for 2 players"):
+            gen_random_game(2, (2, 2, 2), 0, 9, seed=0)
 
     def test_values_within_range(self):
         g = gen_random_game(2, (4, 4), -3, 3, seed=77)
@@ -292,6 +294,20 @@ class TestCheckers:
             profile=(1, 1),
         )
 
+    def test_ir_profile_deleted_in_round_1_verdict(self, g3x3):
+        # C is deleted in round 1 and B in round 2; (C,A) is not truly IR
+        r = dataclasses.replace(
+            build_report(g3x3), individually_rational=((0, 1), (2, 0))
+        )
+        verdict = CHECKERS[IR_SURVIVES_ROUND_1](r, 20, 0)
+        assert verdict == Verdict(
+            IR_SURVIVES_ROUND_1,
+            False,
+            "individually rational profile (C,A) uses a strategy deleted in round 1",
+            game=g3x3,
+            profile=(2, 0),
+        )
+
 
 class TestOrderIndependence:
     def test_pd_nothing_to_delete(self, pd):
@@ -312,6 +328,27 @@ class TestOrderIndependence:
     def test_3x3_random_orders(self, g3x3):
         verdict = check_order_independence(g3x3, n_orders=30, seed=5)
         assert verdict.passed
+
+    @pytest.mark.parametrize("rounds, detail", [
+        # 2 deletions in the altered trace: every order is enumerated
+        (
+            (((0, 2), (1, 2)),),
+            "a sequential order ended at ((0,), (0,)), batch ended at ((0, 1), (0, 1))",
+        ),
+        # the true 4 deletions: random orders are sampled
+        (
+            (((0, 2), (1, 2)), ((0, 1), (1, 1))),
+            "random order 0 ended at ((0,), (0,)), batch ended at ((0, 1), (0, 1))",
+        ),
+    ], ids=["exhaustive", "random"])
+    def test_disagreement_verdict(self, g3x3, rounds, detail):
+        # the batch trace is altered to stop at {A,B}, which no order reaches
+        r = build_report(g3x3)
+        trace = dataclasses.replace(r.trace, rounds=rounds, final_survivors=((0, 1),) * 2)
+        verdict = CHECKERS[ORDER_INDEPENDENCE](
+            dataclasses.replace(r, trace=trace), 3, 0
+        )
+        assert verdict == Verdict(ORDER_INDEPENDENCE, False, detail, game=g3x3)
 
     def test_rejects_fewer_than_one_order(self, pd, g3x3):
         for g in (pd, g3x3):
@@ -390,6 +427,38 @@ class TestSweep:
         assert report.rationalizable_not_hofstadter > 0
         assert report.ir_not_hofstadter > 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_game_over_the_guard_raises(self, inline_pool, monkeypatch, workers):
+        # counts 2..10 pass the guard, but this seed draws 57, 18, 49, 34
+        monkeypatch.setattr(nonnash.verify.os, "cpu_count", lambda: 2)
+        config = SweepConfig(
+            min_strategies=2, max_strategies=60, games=4, seed=4, max_entries=200
+        )
+        with pytest.raises(SizeGuardExceeded, match="no game was checked: 4 skipped"):
+            sweep(config, workers=workers)
+        assert inline_pool == [2] * (workers - 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_violations_in_game_then_property_order(
+        self, injected_violations, inline_pool, monkeypatch, workers
+    ):
+        monkeypatch.setattr(nonnash.verify.os, "cpu_count", lambda: 2)
+        config, expected = injected_violations
+        report = sweep(config, workers=workers)
+        assert not report.passed
+        assert expected == [
+            (1, HOFSTADTER_INDIVIDUALLY_RATIONAL),
+            (3, HOFSTADTER_RATIONALIZABLE),
+            (7, HOFSTADTER_INDIVIDUALLY_RATIONAL),
+            (7, HOFSTADTER_RATIONALIZABLE),
+        ]
+        assert report.violations == tuple(
+            (serialize_game(GameDocument(game=sweep_game(config, j)[0])), prop)
+            for j, prop in expected
+        )
+        assert report.games_checked == config.games
+        assert inline_pool == [2] * (workers - 1)
+
     def test_three_player_sweep(self):
         config = SweepConfig(players=3, min_strategies=2, max_strategies=4, games=100, seed=5)
         assert sweep(config).passed
@@ -444,15 +513,8 @@ class TestSweep:
         checked = skipped = rationalizable = rational = 0
         violations = []
         for j in range(config.games):
-            stream = SplitMix64(derive_seed(config.seed, j))
-            k = stream.next_in_range(config.min_strategies, config.max_strategies)
-            game_seed = stream.next_u64()
-            order_seed = stream.next_u64()
             try:
-                g = gen_random_symmetric_game(
-                    config.players, k, config.payoff_lo, config.payoff_hi, game_seed,
-                    max_entries=config.max_entries,
-                )
+                g, order_seed = sweep_game(config, j)
             except SizeGuardExceeded:
                 skipped += 1
                 continue
