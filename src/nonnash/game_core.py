@@ -136,9 +136,11 @@ def _strides(counts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def check_size_guard(counts: tuple[int, ...], max_entries: int = MAX_ENTRIES) -> None:
-    """Raise SizeGuardExceeded if cells x players exceeds `max_entries`;
+    """Raise SizeGuardExceeded if cells x players exceeds `max_entries`,
+    itself a count (BadRange unless an int, not a bool, of at least 1);
     callers run it before materializing any cell.  The message never holds
     the cell count, which may have more digits than ``str()`` allows."""
+    check_count(max_entries, "max_entries must be a positive integer")
     n = len(counts)
     if math.prod(counts) * n > max_entries:
         raise SizeGuardExceeded(

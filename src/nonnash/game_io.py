@@ -60,12 +60,12 @@ class GameDocument:
     The grammar carries no name; callers (the CLI uses the file stem) may
     attach one for reports.  Comments found while parsing are kept for
     reference but never re-serialized: the canonical form is comment-free.
+    The format version is not kept: only ``FORMAT_VERSION`` is read or written.
     """
 
     game: Game
     name: str = ""
     comments: tuple[str, ...] = ()
-    version: int = FORMAT_VERSION
 
 
 def _check_characters(text: str, lines: list[str]) -> None:

@@ -65,13 +65,6 @@ HOFSTADTER_INDIVIDUALLY_RATIONAL = "hofstadter-individually-rational"
 ORDER_INDEPENDENCE = "order-independence"
 IR_SURVIVES_ROUND_1 = "ir-survives-round-1"
 
-ALL_PROPERTIES = (
-    HOFSTADTER_RATIONALIZABLE,
-    HOFSTADTER_INDIVIDUALLY_RATIONAL,
-    IR_SURVIVES_ROUND_1,
-    ORDER_INDEPENDENCE,
-)
-
 # Order-independence enumerates every deletion order when the batch trace
 # deletes at most this many pairs, and samples random orders above it.
 EXHAUSTIVE_LIMIT = 3
@@ -308,13 +301,15 @@ def _ir_survives_round1(r: AnalysisReport, *_) -> Verdict:
     return Verdict(IR_SURVIVES_ROUND_1, True, "; ".join(notes))
 
 
-# Property name -> predicate, in the order `nonnash check` prints them.
+# Property name -> predicate: the one list of properties, in the order
+# `nonnash check` prints them.
 CHECKERS: dict[str, Callable[[AnalysisReport, int, int], Verdict]] = {
     HOFSTADTER_RATIONALIZABLE: _hofstadter_rationalizable,
     HOFSTADTER_INDIVIDUALLY_RATIONAL: _hofstadter_individually_rational,
     ORDER_INDEPENDENCE: _order_independence,
     IR_SURVIVES_ROUND_1: _ir_survives_round1,
 }
+ALL_PROPERTIES = tuple(CHECKERS)
 
 
 def check_hofstadter_rationalizable(g: Game) -> Verdict:
@@ -384,11 +379,7 @@ class SweepConfig:
     payoff_hi: int = 99
     games: int = 1000
     seed: int = 2024
-    properties: tuple[str, ...] = (
-        HOFSTADTER_RATIONALIZABLE,
-        HOFSTADTER_INDIVIDUALLY_RATIONAL,
-        IR_SURVIVES_ROUND_1,
-    )
+    properties: tuple[str, ...] = tuple(p for p in CHECKERS if p != ORDER_INDEPENDENCE)
     orders_per_game: int = 20
     max_entries: int = MAX_ENTRIES
 
@@ -397,10 +388,11 @@ class SweepConfig:
 class SweepReport:
     """Aggregated result of a sweep campaign.
 
-    `violations` holds (canonical game text, property name) pairs so any
-    finding can be replayed through the CLI; it is empty exactly when the
-    verdict is PASS.  Witness counts tally profiles over all checked
-    games.  Everything except `elapsed` is a pure function of the config.
+    `violations` holds (canonical game text, property name) pairs, by
+    game, then in ``config.properties`` order, so any finding can be
+    replayed through the CLI; it is empty exactly when the verdict is
+    PASS.  Witness counts tally profiles over all checked games.
+    Everything except `elapsed` is a pure function of the config.
     """
 
     config: SweepConfig
@@ -429,6 +421,8 @@ def _validate_config(config: SweepConfig) -> None:
     check_count(config.orders_per_game, "need at least one deletion order")
     _check_seed(config.seed)
     choices = f"(choose from: {', '.join(ALL_PROPERTIES)})"
+    if isinstance(config.properties, str):
+        raise BadRange(f"properties must be a tuple of names, got {config.properties!r}")
     if not config.properties:
         raise BadRange(f"no property to check {choices}")
     for n, prop in enumerate(config.properties):
@@ -441,7 +435,7 @@ def _validate_config(config: SweepConfig) -> None:
 def _sweep_chunk(config: SweepConfig, start: int, stop: int):
     checked = 0
     skipped = 0
-    violations: list[tuple[int, str, str]] = []
+    violations: list[tuple[str, str]] = []
     rationalizable_witnesses = 0
     ir_witnesses = 0
     # One layout per strategy count, None for a count over the size guard.
@@ -469,7 +463,7 @@ def _sweep_chunk(config: SweepConfig, start: int, stop: int):
         report = build_report(g)
         for prop in config.properties:
             if not CHECKERS[prop](report, config.orders_per_game, order_seed).passed:
-                violations.append((j, serialize_game(GameDocument(game=g)), prop))
+                violations.append((serialize_game(GameDocument(game=g)), prop))
         w_rationalizable, w_ir = strict_inclusion_witnesses(report.regions)
         rationalizable_witnesses += w_rationalizable
         ir_witnesses += w_ir
@@ -487,7 +481,9 @@ def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     Work may be spread over up to `workers` processes, never more than
     there are CPUs or games, and runs in this process when `workers` is
     below 2 (a `workers` that is not an int raises BadRange); per-game
-    seeding makes the report independent of the worker count.
+    seeding makes the report independent of the worker count.  Workers
+    take contiguous ranges of games, joined in order, so violations come
+    out by game, then in ``config.properties`` order, unsorted.
     """
     _validate_config(config)
     if not are_ints(workers):
@@ -511,14 +507,11 @@ def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
             f"no game was checked: {skipped} skipped, each needing more than "
             f"{config.max_entries} payoff entries (cells x players)"
         )
-    indexed = sorted(
-        (item for p in parts for item in p[2]), key=lambda item: (item[0], item[2])
-    )
     return SweepReport(
         config=config,
         games_checked=checked,
         games_skipped=skipped,
-        violations=tuple((text, prop) for _, text, prop in indexed),
+        violations=tuple(v for p in parts for v in p[2]),
         rationalizable_not_hofstadter=sum(p[3] for p in parts),
         ir_not_hofstadter=sum(p[4] for p in parts),
         elapsed=time.perf_counter() - started,

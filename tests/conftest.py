@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from concurrent.futures import Future
 from pathlib import Path
@@ -16,6 +17,7 @@ from nonnash.verify import (
     CHECKERS,
     HOFSTADTER_INDIVIDUALLY_RATIONAL,
     HOFSTADTER_RATIONALIZABLE,
+    IR_SURVIVES_ROUND_1,
     Verdict,
 )
 
@@ -86,14 +88,24 @@ INJECTED_FAILURES = {
     HOFSTADTER_RATIONALIZABLE: (3, 7),
     HOFSTADTER_INDIVIDUALLY_RATIONAL: (1, 7),
 }
+# The property orders the injected sweep runs in: the default one, and one
+# that lists the failing properties the other way round.
+INJECTED_ORDERS = {
+    "default-order": INJECTED_SWEEP.properties,
+    "swapped-order": (
+        HOFSTADTER_INDIVIDUALLY_RATIONAL, HOFSTADTER_RATIONALIZABLE, IR_SURVIVES_ROUND_1,
+    ),
+}
 
 
-@pytest.fixture
-def injected_violations(monkeypatch):
+@pytest.fixture(params=INJECTED_ORDERS.values(), ids=INJECTED_ORDERS)
+def injected_violations(monkeypatch, request):
     """Make two checkers fail on chosen games of INJECTED_SWEEP (a sweep
     game is known to a checker by its deletion-order seed); returns that
-    config and the expected violations as (game index, property) pairs in
-    report order."""
+    config, with its properties in one of INJECTED_ORDERS, and the
+    expected violations as (game index, property) pairs in report order:
+    by game, then in the order the config lists its properties."""
+    config = dataclasses.replace(INJECTED_SWEEP, properties=request.param)
     for prop, indices in INJECTED_FAILURES.items():
         seeds = {sweep_game(INJECTED_SWEEP, j)[1] for j in indices}
 
@@ -104,4 +116,5 @@ def injected_violations(monkeypatch):
 
         monkeypatch.setitem(CHECKERS, prop, checker)
     expected = [(j, prop) for prop, indices in INJECTED_FAILURES.items() for j in indices]
-    return INJECTED_SWEEP, sorted(expected)
+    expected.sort(key=lambda item: (item[0], config.properties.index(item[1])))
+    return config, expected

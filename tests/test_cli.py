@@ -264,7 +264,7 @@ class TestSearch:
         config, expected = injected_violations
         code, out, _ = run_cli(
             capsys, "search", "--games", str(config.games), "--seed", str(config.seed),
-            "--format", fmt,
+            "--properties", ",".join(config.properties), "--format", fmt,
         )
         assert code == 1
         if fmt == "json":

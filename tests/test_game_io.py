@@ -48,7 +48,6 @@ class TestParse:
     def test_canonical_pd(self, pd):
         doc = parse_game(CANONICAL_PD)
         assert doc.game == pd
-        assert doc.version == 1
         assert doc.name == ""
 
     def test_comments_blank_lines_crlf(self, pd):

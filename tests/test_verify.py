@@ -204,6 +204,20 @@ INT_ARGUMENT_CALLS = {
     "sweep-workers": lambda v: sweep(SweepConfig(games=2), workers=v),
 }
 
+# Entry points that take max_entries, each with the size (cells x players)
+# of the game it builds: the smallest valid max_entries.
+MAX_ENTRIES_CALLS = {
+    "new_game": (lambda v: new_game([["a"], ["b", "c"]], [
+        ((0, 0), (1, 2)), ((0, 1), (3, 4)),
+    ], max_entries=v), 4),
+    "gen_random_game": (lambda v: gen_random_game(2, (2, 3), 0, 9, seed=0, max_entries=v), 12),
+    "gen_random_symmetric_game":
+        (lambda v: gen_random_symmetric_game(3, 2, 0, 9, seed=0, max_entries=v), 24),
+    "sweep": (lambda v: sweep(SweepConfig(
+        min_strategies=3, max_strategies=3, games=2, max_entries=v,
+    )), 18),
+}
+
 
 class TestIntegerArguments:
     """An integer argument is an int, not a bool: every entry point that
@@ -221,6 +235,20 @@ class TestIntegerArguments:
         # the counting stream sees these calls, so no draw above means none
         INT_ARGUMENT_CALLS[call](2)
         assert draws
+
+    @pytest.mark.parametrize("bad", [0.5, 1.5, True, None, "big", 0, -1], ids=repr)
+    @pytest.mark.parametrize("call", MAX_ENTRIES_CALLS)
+    def test_bad_max_entries_rejected_before_any_draw(self, draws, inline_pool, call, bad):
+        with pytest.raises(BadRange, match="max_entries"):
+            MAX_ENTRIES_CALLS[call][0](bad)
+        assert draws == []
+
+    @pytest.mark.parametrize("call", MAX_ENTRIES_CALLS)
+    def test_max_entries_at_the_game_size(self, inline_pool, call):
+        build, size = MAX_ENTRIES_CALLS[call]
+        build(size)
+        with pytest.raises(SizeGuardExceeded):
+            build(size - 1)
 
     def test_seed_read_mod_2_64(self):
         # negative and wider-than-64-bit seeds stay valid
@@ -242,6 +270,9 @@ class TestIntegerArguments:
 
 
 class TestCheckers:
+    def test_all_properties_is_the_registry(self):
+        assert ALL_PROPERTIES == tuple(CHECKERS)
+
     def test_canonical_games_pass(self, pd, chicken_game, coordination_game, g3x3):
         for g in (pd, chicken_game, coordination_game, g3x3):
             assert check_hofstadter_rationalizable(g).passed
@@ -446,11 +477,16 @@ class TestSweep:
         config, expected = injected_violations
         report = sweep(config, workers=workers)
         assert not report.passed
+        # game 7 fails both properties: in the order config.properties lists them
+        first, second = (
+            p for p in config.properties
+            if p in (HOFSTADTER_RATIONALIZABLE, HOFSTADTER_INDIVIDUALLY_RATIONAL)
+        )
         assert expected == [
             (1, HOFSTADTER_INDIVIDUALLY_RATIONAL),
             (3, HOFSTADTER_RATIONALIZABLE),
-            (7, HOFSTADTER_INDIVIDUALLY_RATIONAL),
-            (7, HOFSTADTER_RATIONALIZABLE),
+            (7, first),
+            (7, second),
         ]
         assert report.violations == tuple(
             (serialize_game(GameDocument(game=sweep_game(config, j)[0])), prop)
@@ -563,6 +599,9 @@ class TestSweep:
             sweep(SweepConfig(properties=()))
         with pytest.raises(BadRange):
             sweep(SweepConfig(properties=(ORDER_INDEPENDENCE, ORDER_INDEPENDENCE)))
+        # one bare name is not a tuple of one name
+        with pytest.raises(BadRange, match=repr(HOFSTADTER_RATIONALIZABLE)):
+            sweep(SweepConfig(properties=HOFSTADTER_RATIONALIZABLE))
 
     def test_linear_in_players(self):
         # one cell holding 20,000 payoff entries: the work of generating,
