@@ -33,6 +33,13 @@ pointers only move inward, so a run scans each row at most once in total
 instead of once per round.  :func:`iterate_elimination`,
 :func:`eliminate_round`, :func:`is_minimax_dominated` and
 :func:`sequential_elimination` all use it.
+
+When every player's rows equal player 0's (every symmetric game, and
+some others), :func:`iterate_elimination` mirrors player 0.  Its sets
+start full, hence equal; equal sets give every player the same alive
+opponent profile indices, so each round deletes the same strategies for
+every player and the sets stay equal.  So the state sorts, flags and
+scans player 0's rows alone and repeats player 0's batch for every player.
 """
 
 import itertools
@@ -157,22 +164,30 @@ class _Elimination:
     Until the first deletion every opponent profile is alive, so
     :meth:`bounds` takes each row's minimum and maximum directly: round 1
     of a game that deletes nothing never sorts.  The first :meth:`delete`
-    sorts the rows.  From then on, for player i, `_orders[i][a]` lists the
-    opponent-profile indices of row ``own_rows[i][a]`` in ascending payoff
-    order, `_dead[i]` flags the opponent profiles that use a deleted
-    strategy, and `_lo[i][a]` and `_hi[i][a]` point into the order at the
-    least and greatest alive entry.
+    sorts the rows.  From then on, for each tracked player i,
+    `_orders[i][a]` lists the opponent-profile indices of row
+    ``own_rows[i][a]`` in ascending payoff order, `_dead[i]` flags the
+    opponent profiles that use a deleted strategy, and `_lo[i][a]` and
+    `_hi[i][a]` point into the order at the least and greatest alive entry.
+    Every player is tracked unless :meth:`mirror` narrows the run to
+    player 0.
     """
 
     def __init__(self, g: Game, survivors: Survivors):
         self._rows = g.own_rows
         self._orders: list[list[array]] | None = None
         self._strides = g.strides
-        counts = g.strategy_counts
+        self._counts = counts = g.strategy_counts
         self.alive = [list(range(k)) for k in counts]
         for i, keep in enumerate(survivors):
             for v in set(range(counts[i])) - set(keep):
                 self.delete(i, v)
+
+    def mirror(self) -> None:
+        """Track player 0 alone, whose bounds then decide every player's
+        batch; sound only while every player has player 0's rows and alive
+        set.  Any player's deletion still sets player 0's dead flags."""
+        self._rows = self._rows[:1]
 
     def _sort(self) -> None:
         self._orders = [
@@ -188,20 +203,20 @@ class _Elimination:
         if self._orders is None:
             self._sort()
         self.alive[player].remove(strategy)
-        k = len(self._rows[player])
+        k = self._counts[player]
         for i, dead in enumerate(self._dead):
             if i == player:
                 continue
             # `player`'s place value among i's opponents
             stride = self._strides[player]
             if player < i:
-                stride //= len(self._rows[i])
+                stride //= self._counts[i]
             for h in range(strategy * stride, len(dead), k * stride):
                 dead[h : h + stride] = b"\x01" * stride
 
     def bounds(self, player: int) -> tuple[list[int], list[int]]:
-        """Min and max payoff of each alive strategy of `player` over the
-        alive opponent profiles, aligned with ``alive[player]``."""
+        """Min and max payoff of each alive strategy of tracked `player`
+        over the alive opponent profiles, aligned with ``alive[player]``."""
         rows = self._rows[player]
         if self._orders is None:
             return list(map(min, rows)), list(map(max, rows))
@@ -223,12 +238,15 @@ class _Elimination:
 
     def dominated(self) -> list[tuple[int, int]]:
         """Every minimax-dominated (player, strategy) pair, sorted; a
-        strategy attaining its player's best guarantee is never among them."""
+        strategy attaining its player's best guarantee is never among them.
+        A mirrored run repeats player 0's pairs for every player."""
         batch = []
-        for i, alive in enumerate(self.alive):
+        for i, alive in enumerate(self.alive[: len(self._rows)]):
             mins, maxs = self.bounds(i)
             best_guarantee = max(mins)
             batch.extend((i, a) for a, top in zip(alive, maxs) if top < best_guarantee)
+        if len(self._rows) < len(self.alive):
+            batch = [(i, a) for i in range(len(self.alive)) for _, a in batch]
         return batch
 
     def survivors(self) -> Survivors:
@@ -265,8 +283,11 @@ def eliminate_round(g: Game, survivors) -> tuple[Survivors, list[tuple[int, int]
 
     Every domination test in the round is evaluated against the incoming
     sets, never against partial deletions of the same round, so the batch
-    is deterministic and keeps symmetric games symmetric.  An empty batch
-    is a legal result.
+    is deterministic and keeps symmetric games symmetric (on equal sets,
+    players with equal rows delete the same strategies, which lets
+    :func:`iterate_elimination` mirror player 0).  This round tracks every
+    player, as its incoming sets may differ.  An empty batch is a legal
+    result.
     """
     state = _Elimination(g, normalize_survivors(g, survivors))
     batch = state.dominated()
@@ -276,8 +297,12 @@ def eliminate_round(g: Game, survivors) -> tuple[Survivors, list[tuple[int, int]
 
 
 def iterate_elimination(g: Game) -> EliminationTrace:
-    """Run batch elimination from the full sets to a fixed point."""
+    """Run batch elimination from the full sets to a fixed point, on
+    player 0's rows alone when every player has them (module docstring)."""
     state = _Elimination(g, full_sets(g))
+    rows = g.own_rows
+    if all(other == rows[0] for other in rows[1:]):
+        state.mirror()
     rounds: list[tuple[tuple[int, int], ...]] = []
     while batch := state.dominated():
         rounds.append(tuple(batch))

@@ -391,7 +391,10 @@ class SweepReport:
     `violations` holds (canonical game text, property name) pairs, by
     game, then in ``config.properties`` order, so any finding can be
     replayed through the CLI; it is empty exactly when the verdict is
-    PASS.  Witness counts tally profiles over all checked games.
+    PASS.  Witness counts tally profiles over all checked games: the
+    rationalizable ones and the individually rational ones that are not
+    Hofstadter, as :func:`strict_inclusion_witnesses` counts them from
+    region tags; :func:`sweep` counts them from each report's sets.
     Everything except `elapsed` is a pure function of the config.
     """
 
@@ -421,7 +424,7 @@ def _validate_config(config: SweepConfig) -> None:
     check_count(config.orders_per_game, "need at least one deletion order")
     _check_seed(config.seed)
     choices = f"(choose from: {', '.join(ALL_PROPERTIES)})"
-    if isinstance(config.properties, str):
+    if not isinstance(config.properties, (tuple, list)):
         raise BadRange(f"properties must be a tuple of names, got {config.properties!r}")
     if not config.properties:
         raise BadRange(f"no property to check {choices}")
@@ -464,9 +467,12 @@ def _sweep_chunk(config: SweepConfig, start: int, stop: int):
         for prop in config.properties:
             if not CHECKERS[prop](report, config.orders_per_game, order_seed).passed:
                 violations.append((serialize_game(GameDocument(game=g)), prop))
-        w_rationalizable, w_ir = strict_inclusion_witnesses(report.regions)
-        rationalizable_witnesses += w_rationalizable
-        ir_witnesses += w_ir
+        survivors = report.trace.final_survivors
+        rational = report.individually_rational
+        rationalizable_witnesses += math.prod(map(len, survivors)) - sum(
+            all(v in alive for v, alive in zip(p, survivors)) for p in report.hofstadter
+        )
+        ir_witnesses += len(rational) - sum(p in rational for p in report.hofstadter)
     return checked, skipped, violations, rationalizable_witnesses, ir_witnesses
 
 
@@ -483,7 +489,10 @@ def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     below 2 (a `workers` that is not an int raises BadRange); per-game
     seeding makes the report independent of the worker count.  Workers
     take contiguous ranges of games, joined in order, so violations come
-    out by game, then in ``config.properties`` order, unsorted.
+    out by game, then in ``config.properties`` order, unsorted.  A game's
+    witness counts come from its report's sets, with no region tags: the
+    product of the final survivor set sizes and the number of individually
+    rational profiles, each less the Hofstadter profiles among them.
     """
     _validate_config(config)
     if not are_ints(workers):

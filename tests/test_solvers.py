@@ -1,11 +1,16 @@
+import itertools
+import random
+
 import pytest
 
+import nonnash.solvers
 from nonnash import (
     DeadStrategy,
     IndexOutOfRange,
     NotSymmetric,
     SplitMix64,
     diagonal_profiles,
+    elimination_ladder,
     eliminate_round,
     gen_random_game,
     gen_random_symmetric_game,
@@ -227,6 +232,125 @@ class TestIterateElimination:
                     tuple(s[i][v] for i, v in enumerate(p)) for p in reduced
                 ]
                 assert translated == original
+
+
+def shared_rows_game(kind: str, n: int, k: int, rng: random.Random):
+    """A game of `n` players with `k` strategies and payoffs 0..3, built
+    cell by cell with `new_game`.  Its kind is one of:
+
+    * "symmetric": a payoff depends on the own strategy and the multiset of
+      the opponents' strategies;
+    * "ordered": a payoff depends on the own strategy and the opponents'
+      strategies in player order, so every player has the same rows but
+      reordering the opponents may change a payoff;
+    * "relabelled": a symmetric game whose last player names its strategies
+      differently;
+    * "asymmetric": every payoff drawn on its own.
+
+    Each own strategy draws from its own window of 0..3, so that some
+    strategies are dominated and elimination runs for several rounds.
+    """
+    spread = rng.randint(1, 3)
+    lows = [[rng.randint(0, 3) for _ in range(k)] for _ in range(n)]
+    if kind != "asymmetric":
+        lows = [lows[0]] * n
+    values = {}
+    cells = []
+    for p in itertools.product(range(k), repeat=n):
+        payoffs = []
+        for i in range(n):
+            others = p[:i] + p[i + 1 :]
+            if kind == "asymmetric":
+                key = (i, p)
+            elif kind == "ordered":
+                key = (p[i], others)
+            else:
+                key = (p[i], tuple(sorted(others)))
+            if key not in values:
+                lo = lows[i][p[i]]
+                values[key] = rng.randint(lo, min(3, lo + spread))
+            payoffs.append(values[key])
+        cells.append((p, tuple(payoffs)))
+    labels = [[f"s{v}" for v in range(k)] for _ in range(n)]
+    if kind == "relabelled":
+        labels[-1] = [f"t{v}" for v in range(k)]
+    return new_game(labels, cells)
+
+
+def eliminate_round_loop(g):
+    """Batch elimination as a loop of `eliminate_round` from the full sets,
+    which tracks every player in every round."""
+    s = full_sets(g)
+    rounds = []
+    while True:
+        s, batch = eliminate_round(g, s)
+        if not batch:
+            return tuple(rounds), s
+        rounds.append(tuple(batch))
+
+
+class TestMirroredElimination:
+    """`iterate_elimination` mirrors player 0 on games whose players all
+    have player 0's rows; the general path of `eliminate_round` referees."""
+
+    SHAPES = ((2, 4), (3, 3), (4, 3))
+
+    @pytest.fixture
+    def mirrored(self, monkeypatch):
+        """One entry per `_Elimination.mirror` call."""
+        calls = []
+        original = nonnash.solvers._Elimination.mirror
+
+        def counted(state):
+            calls.append(1)
+            return original(state)
+
+        monkeypatch.setattr(nonnash.solvers._Elimination, "mirror", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["symmetric", "ordered", "relabelled", "asymmetric"])
+    def test_equals_the_eliminate_round_loop(self, kind, mirrored):
+        rng = random.Random(f"mirror-{kind}")
+        shared_rows = kind != "asymmetric"
+        checked = bitten = deep = 0
+        for n, k_max in self.SHAPES:
+            if kind == "ordered" and n == 2:
+                continue  # one opponent has no order to depend on
+            for _ in range(200):
+                g = shared_rows_game(kind, n, rng.randint(2, k_max), rng)
+                if not shared_rows and len(set(g.own_rows)) == 1:
+                    continue  # an asymmetric draw whose rows happen to agree
+                if kind == "ordered" and is_symmetric(g):
+                    continue  # an ordered draw that ignores the order
+                assert is_symmetric(g) == (kind == "symmetric"), g
+                mirrored.clear()
+                trace = iterate_elimination(g)
+                assert mirrored == [1] * shared_rows, g
+                assert (trace.rounds, trace.final_survivors) == eliminate_round_loop(g), g
+                checked += 1
+                bitten += bool(trace.rounds)
+                deep += len(trace.rounds) > 1
+        # Several rounds are rare on games with shared rows: 2 of the 359
+        # "ordered" games run more than one, about 15 of 600 of the others.
+        assert checked >= 300
+        assert bitten >= 80 and deep >= 2, (bitten, deep)
+
+    def test_bounds_once_per_round(self, monkeypatch):
+        scans = []
+        original = nonnash.solvers._Elimination.bounds
+
+        def counted(state, player):
+            scans.append(player)
+            return original(state, player)
+
+        monkeypatch.setattr(nonnash.solvers._Elimination, "bounds", counted)
+        trace = iterate_elimination(elimination_ladder())
+        # two rounds that delete and the empty round that ends the run
+        assert len(trace.rounds) == 2
+        assert scans == [0, 0, 0]
+        scans.clear()
+        eliminate_round_loop(elimination_ladder())
+        assert scans == [0, 1] * 3
 
 
 class TestRationalizableProfiles:

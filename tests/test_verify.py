@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -599,9 +600,12 @@ class TestSweep:
             sweep(SweepConfig(properties=()))
         with pytest.raises(BadRange):
             sweep(SweepConfig(properties=(ORDER_INDEPENDENCE, ORDER_INDEPENDENCE)))
-        # one bare name is not a tuple of one name
-        with pytest.raises(BadRange, match=repr(HOFSTADTER_RATIONALIZABLE)):
-            sweep(SweepConfig(properties=HOFSTADTER_RATIONALIZABLE))
+        # one bare name is not a tuple of one name, and only a tuple or a
+        # list of names is
+        for bad in (HOFSTADTER_RATIONALIZABLE, 5, None, frozenset(ALL_PROPERTIES)):
+            with pytest.raises(BadRange, match=re.escape(f"got {bad!r}")):
+                sweep(SweepConfig(properties=bad))
+        assert sweep(SweepConfig(games=2, properties=list(ALL_PROPERTIES))).passed
 
     def test_linear_in_players(self):
         # one cell holding 20,000 payoff entries: the work of generating,
@@ -687,6 +691,25 @@ class TestOneAnalysisPerGame:
         assert report.games_checked == 40
         assert calls == self.per_game(40)
         assert built == []
+
+    @pytest.mark.parametrize("config", [
+        SweepConfig(games=200, seed=3),
+        SweepConfig(
+            players=3, min_strategies=1, max_strategies=4, games=60, seed=6,
+            properties=ALL_PROPERTIES,
+        ),
+    ], ids=["2p", "3p"])
+    def test_sweep_never_reads_regions(self, config, monkeypatch):
+        """The witness counts come from the report's sets, not its tags."""
+        expected = TestSweep.replay(config)
+
+        def refuse(report):
+            raise AssertionError("the sweep read AnalysisReport.regions")
+
+        monkeypatch.setattr(nonnash.solvers.AnalysisReport, "regions", property(refuse))
+        report = sweep(config)
+        assert report.rationalizable_not_hofstadter == expected[3] > 0
+        assert report.ir_not_hofstadter == expected[4] > 0
 
     def test_sweep_builds_one_layout_per_strategy_count(self, monkeypatch):
         config = SweepConfig(games=40, seed=3)
