@@ -7,12 +7,11 @@ found, 2 = usage, parse or I/O error.
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from .errors import GameError, NotSymmetric
-from .game_core import format_profile, full_sets, restrict
+from .game_core import Game, format_profile, full_sets, restrict
 from .game_io import (
     GameDocument,
     format_round,
@@ -35,10 +34,9 @@ from .verify import (
 )
 
 
-def _load(path: str) -> GameDocument:
+def _load(path: str) -> Game:
     with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    return dataclasses.replace(parse_game(text), name=Path(path).stem)
+        return parse_game(handle.read()).game
 
 
 def _int(text: str) -> int:
@@ -58,14 +56,13 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
 
 
 def cmd_analyze(args) -> int:
-    doc = _load(args.path)
-    report = build_report(doc.game, name=doc.name)
+    report = build_report(_load(args.path), name=Path(args.path).stem)
     sys.stdout.write(render_report(report, args.format))
     return 0
 
 
 def cmd_eliminate(args) -> int:
-    g = _load(args.path).game
+    g = _load(args.path)
     trace = iterate_elimination(g)
     survivors = full_sets(g)
     for round_no, batch in enumerate(trace.rounds, start=1):
@@ -102,7 +99,7 @@ def _print_verdict(verdict) -> bool:
 
 
 def cmd_check(args) -> int:
-    report = build_report(_load(args.path).game)
+    report = build_report(_load(args.path))
     # Every verdict is computed before any is printed, so an input error
     # (such as --orders 0) leaves stdout empty.
     verdicts = {}

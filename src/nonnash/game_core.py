@@ -283,8 +283,16 @@ def _typed_cells(cells, counts: tuple[int, ...]):
     """`cells` as int tuples, after the type and length checks that
     :func:`build_game` leaves to its callers."""
     n = len(counts)
-    for profile, values in cells:
-        profile, vec = tuple(profile), tuple(values)
+    try:
+        cells = iter(cells)
+    except TypeError:
+        raise InvalidGame(f"cells {cells!r}: expected (profile, payoffs) pairs") from None
+    for cell in cells:
+        try:
+            profile, values = cell
+            profile, vec = tuple(profile), tuple(values)
+        except (TypeError, ValueError):
+            raise InvalidGame(f"cell {cell!r}: expected a (profile, payoffs) pair") from None
         # One predicate call per cell; a cell that fails it is checked again
         # entry by entry, indices first, so the first broken rule is named.
         if len(profile) != n or len(vec) != n or not are_ints(*profile, *vec):
@@ -314,16 +322,20 @@ def new_game(strategy_labels, cells, *, max_entries: int = MAX_ENTRIES) -> Game:
     max_entries:
         Size guard; construction fails if cells x players exceeds it.
 
-    Each cell's indices and payoffs must be ints (not bools), one per
-    player: that is checked here.  Every other rule is checked, and
-    described, in :func:`build_game`.
+    The argument shapes (InvalidGame) and each cell's indices and payoffs,
+    ints (not bools), one per player, are checked here.  Every other rule
+    is checked, and described, in :func:`build_game`.
 
     Raises
     ------
     InvalidGame, InvalidLabel, DuplicateLabel, IndexOutOfRange,
     PayoffOutOfRange, DuplicateCell, MissingCell, SizeGuardExceeded
     """
-    labels = tuple(tuple(player_labels) for player_labels in strategy_labels)
+    try:
+        labels = tuple(map(tuple, strategy_labels))
+    except TypeError:
+        what = f"strategy labels {strategy_labels!r}"
+        raise InvalidGame(f"{what}: expected one sequence per player") from None
     counts = tuple(map(len, labels))
     return build_game(labels, _typed_cells(cells, counts), max_entries)
 

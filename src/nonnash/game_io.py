@@ -55,17 +55,13 @@ def parse_int(text: str) -> int | None:
 
 @dataclass(frozen=True)
 class GameDocument:
-    """A game plus file-level metadata.
+    """A game as a document holds it.
 
-    The grammar carries no name; callers (the CLI uses the file stem) may
-    attach one for reports.  Comments found while parsing are kept for
-    reference but never re-serialized: the canonical form is comment-free.
-    The format version is not kept: only ``FORMAT_VERSION`` is read or written.
+    The grammar carries no name and the canonical form no comments, and
+    only ``FORMAT_VERSION`` is read or written, so only the game is kept.
     """
 
     game: Game
-    name: str = ""
-    comments: tuple[str, ...] = ()
 
 
 def _check_characters(text: str, lines: list[str]) -> None:
@@ -106,17 +102,10 @@ def parse_game(text: str) -> GameDocument:
     """
     lines = text.split("\n")
     _check_characters(text, lines)
-    comments: list[str] = []
 
     def tokens_at(i: int) -> list[str]:
-        """Tokens of line i (from 0), keeping its comment."""
-        line = lines[i].rstrip("\r")
-        if "#" in line:
-            line, _, comment = line.partition("#")
-            comment = comment.strip()
-            if comment:
-                comments.append(comment)
-        return line.split()
+        """Tokens of line i (from 0), outside its comment."""
+        return lines[i].partition("#")[0].split()
 
     pos = 0
 
@@ -183,7 +172,7 @@ def parse_game(text: str) -> GameDocument:
 
     values = (tuple(map(int, line.split(" "))) for line in cells)
     game = build_game(labels, ((v[:n], v[n:]) for v in values))
-    return GameDocument(game=game, comments=tuple(comments))
+    return GameDocument(game=game)
 
 
 def serialize_game(doc: GameDocument) -> str:
@@ -286,7 +275,7 @@ def _profile_flags(r) -> list:
     per-profile pass behind all three report formats."""
     g = r.game
     nash = set(r.nash)
-    symmetric = r.hofstadter is not None
+    symmetric = r.symmetric
     hof = set(r.hofstadter or ())
     ir = set(r.individually_rational)
     # mask[i][v]: strategy v of player i survives elimination.

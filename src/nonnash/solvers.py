@@ -13,9 +13,9 @@ Five families are implemented:
   their maximin value.
 
 Everything is exact integer comparison; no payoff arithmetic anywhere.
-:func:`build_report` runs each solver once per game and stores symmetry,
-maximin, the individually rational profiles, the elimination trace and the
-Hofstadter profiles; pure Nash and the region tags are derived on first read.
+:func:`build_report` runs each solver once per game and stores maximin,
+the individually rational profiles, the elimination trace and the Hofstadter
+profiles (symmetry is read off them); Nash and region tags are derived on read.
 
 The solvers read :attr:`Game.own_rows`: for each player and own strategy,
 the player's payoffs over every joint opponent profile, in one shared
@@ -350,19 +350,23 @@ _REGION_TAGS = {
 class AnalysisReport:
     """Every solution concept of one game, ready for rendering.
 
-    Fields hold solver outputs; `nash` and `regions` are derived from them
-    on first read.  Profile collections are in enumeration order, and
-    `hofstadter` and `regions` (one :class:`RegionTag` per profile) are
-    None for asymmetric games, where those concepts are undefined.
+    Fields hold solver outputs; `nash`, `regions` and `symmetric` are
+    derived from them on read.  Profile collections are in enumeration order;
+    `hofstadter` and `regions` (one :class:`RegionTag` per profile) are None
+    exactly for asymmetric games, where those concepts are undefined.
     """
 
     name: str
     game: Game
-    symmetric: bool
     hofstadter: tuple[Profile, ...] | None
     maximin: MaximinVector
     individually_rational: tuple[Profile, ...]
     trace: EliminationTrace
+
+    @property
+    def symmetric(self) -> bool:
+        """Read off the Hofstadter set, which only symmetric games have."""
+        return self.hofstadter is not None
 
     @cached_property
     def nash(self) -> tuple[Profile, ...]:
@@ -383,13 +387,11 @@ class AnalysisReport:
 
 def build_report(game: Game, name: str = "") -> AnalysisReport:
     """Run every solver on `game` once and collect the results."""
-    symmetric = is_symmetric(game)
     maximin = maximin_values(game)
     return AnalysisReport(
         name=name,
         game=game,
-        symmetric=symmetric,
-        hofstadter=tuple(_best_diagonal(game)) if symmetric else None,
+        hofstadter=tuple(_best_diagonal(game)) if is_symmetric(game) else None,
         maximin=maximin,
         individually_rational=tuple(_rational_profiles(game, maximin)),
         trace=iterate_elimination(game),

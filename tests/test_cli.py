@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from oracles import sweep_game
@@ -9,6 +10,9 @@ from pinned_games import PINNED_GAMES, sha256
 from nonnash import GameDocument, Verdict, parse_game, serialize_game
 from nonnash.cli import main
 from nonnash.verify import CHECKERS, HOFSTADTER_RATIONALIZABLE
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -486,3 +490,39 @@ class TestPipeline:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+
+class TestReadmeExamples:
+    """The README's CLI examples, read from README.md at test time and run
+    from the repository root as written."""
+
+    @staticmethod
+    def example(command):
+        """The output lines README.md shows after ``$ nonnash <command>``."""
+        text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        prompt = f"$ nonnash {command}\n"
+        assert prompt in text, f"README.md has no example {prompt!r}"
+        return text.split(prompt, 1)[1].split("```", 1)[0].splitlines()
+
+    def run(self, capsys, monkeypatch, command):
+        monkeypatch.chdir(REPO_ROOT)
+        code, out, err = run_cli(capsys, *command.split())
+        assert (code, err) == (0, "")
+        return out.splitlines()
+
+    def test_analyze_prefix(self, capsys, monkeypatch):
+        command = "analyze games/pd.gnf"
+        shown = self.example(command)
+        assert shown[-1] == "..."
+        out = self.run(capsys, monkeypatch, command)
+        assert out[: len(shown) - 1] == shown[:-1]
+
+    def test_search(self, capsys, monkeypatch):
+        command = "search --players 2 --strategies 2..6 --games 2000 --seed 2024"
+        shown = self.example(command)
+        out = self.run(capsys, monkeypatch, command)
+
+        def timeless(lines):
+            return [line for line in lines if not line.startswith("elapsed:")]
+
+        assert timeless(out) == timeless(shown)

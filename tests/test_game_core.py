@@ -86,6 +86,25 @@ class TestNewGame:
         with pytest.raises(InvalidGame):
             new_game([["a"]], [((0,), (1, 2))])
 
+    @pytest.mark.parametrize(
+        "labels, cells, what",
+        [
+            ([["a"]], [((0,),)], r"cell \(\(0,\),\): expected a \(profile, payoffs\) pair"),
+            ([["a"]], [((0,), (1,), (2,))], r"cell .*: expected a \(profile, payoffs\) pair"),
+            ([["a"]], [(0, (1,))], r"cell \(0, \(1,\)\): expected a \(profile, payoffs\)"),
+            ([["a"]], [((0,), 1)], r"cell \(\(0,\), 1\): expected a \(profile, payoffs\)"),
+            ([["a"]], [5], r"cell 5: expected a \(profile, payoffs\) pair"),
+            ([["a"]], 5, r"cells 5: expected \(profile, payoffs\) pairs"),
+            (None, [], r"strategy labels None: expected one sequence per player"),
+            ([3], [], r"strategy labels \[3\]: expected one sequence per player"),
+        ],
+        ids=["short-cell", "long-cell", "int-profile", "int-payoffs", "int-cell",
+             "int-cells", "no-labels", "int-labels"],
+    )
+    def test_malformed_arguments_raise_invalid_game(self, labels, cells, what):
+        with pytest.raises(InvalidGame, match=what):
+            new_game(labels, cells)
+
     def test_payoff_bounds(self):
         new_game([["a"]], [((0,), (2**62,))])  # boundary is legal
         with pytest.raises(PayoffOutOfRange):

@@ -32,6 +32,7 @@ from nonnash import (
     is_symmetric,
     new_game,
     profiles,
+    render_report,
     serialize_game,
     strict_inclusion_witnesses,
     sweep,
@@ -444,6 +445,16 @@ class TestClassifyRegions:
         assert [p for p, t in moved.regions.items() if t.hofstadter] == [(0, 0)]
         assert r.regions[(1, 1)] == RegionTag(True, True, True)
 
+    def test_symmetry_follows_replaced_hofstadter(self, pd):
+        r2 = dataclasses.replace(build_report(pd), hofstadter=None)
+        assert r2.symmetric is False
+        assert r2.regions is None
+        for prop in (HOFSTADTER_RATIONALIZABLE, HOFSTADTER_INDIVIDUALLY_RATIONAL):
+            with pytest.raises(NotSymmetric):
+                CHECKERS[prop](r2, 20, 0)
+        assert "symmetric: no\n" in render_report(r2, "text")
+        assert '"symmetric": false' in render_report(r2, "json")
+
 
 class TestSweep:
     def test_empty_sweep(self):
@@ -666,9 +677,10 @@ class TestOneAnalysisPerGame:
         assert calls == self.per_game(1)
         # the report stores solver outputs only
         assert [f.name for f in dataclasses.fields(report)] == [
-            "name", "game", "symmetric", "hofstadter", "maximin",
-            "individually_rational", "trace",
+            "name", "game", "hofstadter", "maximin", "individually_rational",
+            "trace",
         ]
+        assert report.symmetric is True
         assert report.nash == report.nash == ((0, 0),)
         assert calls == dict.fromkeys(self.COUNTED, 1)
 
