@@ -70,7 +70,8 @@ class Game:
     left out, so entry x of every row of player i refers to the same
     opponent profile.  The solvers read rows instead of indexing cells.
     In a symmetric game every player has the same rows (see
-    :func:`is_symmetric`).
+    :func:`is_symmetric`).  :func:`_symmetric_game` is the one other place
+    that sets the cache, with rows its caller already holds.
 
     The rules a game obeys (labels, size guard, indices and payoffs in
     range, each cell exactly once) live in :func:`build_game`, which both
@@ -221,9 +222,13 @@ def build_game(strategy_labels, cells, max_entries: int = MAX_ENTRIES) -> Game:
 
     This is the one home of the rules on labels, size and cells; both
     :func:`new_game` and :func:`nonnash.game_io.parse_game` build their
-    games here.  `cells` yields ``(profile, payoffs)`` pairs of int tuples,
-    one entry per player, and is consumed only after the labels and the
-    size guard pass.  The first broken rule raises, in this order:
+    games here.  `strategy_labels` is a tuple of per-player label tuples,
+    kept as given.  `cells` yields ``(profile, payoffs)`` pairs of int
+    tuples, one entry per player, consumed only after the labels and the
+    size guard pass.  While the profiles come in enumeration order, each
+    fills the next slot with only its payoffs checked; from the first one
+    out of order on, every cell is checked and placed by index.  The order
+    test needs int tuples: ``True == 1``.  The first broken rule raises:
 
     1. labels: at least one player (InvalidGame), at least one strategy per
        player (InvalidGame), labels matching ``[A-Za-z0-9_-]+``
@@ -235,10 +240,9 @@ def build_game(strategy_labels, cells, max_entries: int = MAX_ENTRIES) -> Game:
        before (DuplicateCell);
     4. after the last cell, no profile left without payoffs (MissingCell).
     """
-    labels = tuple(tuple(player_labels) for player_labels in strategy_labels)
-    if not labels:
+    if not strategy_labels:
         raise InvalidGame("a game needs at least one player")
-    for i, player_labels in enumerate(labels):
+    for i, player_labels in enumerate(strategy_labels):
         if not player_labels:
             raise InvalidGame(f"player {i} has no strategies")
         seen = set()
@@ -251,11 +255,20 @@ def build_game(strategy_labels, cells, max_entries: int = MAX_ENTRIES) -> Game:
                 raise DuplicateLabel(f"player {i}: duplicate strategy label {label!r}")
             seen.add(label)
 
-    counts = tuple(map(len, labels))
+    counts = tuple(map(len, strategy_labels))
     check_size_guard(counts, max_entries)
     strides = _strides(counts)
     ranges = tuple(map(range, counts))
-    slots: list = [None] * math.prod(counts)
+    cells = iter(cells)
+    slots: list = []
+    for expected, (profile, vec) in zip(itertools.product(*ranges), cells):
+        if profile != expected:
+            cells = itertools.chain([(profile, vec)], cells)
+            break
+        if min(vec) < PAYOFF_MIN or max(vec) > PAYOFF_MAX:
+            _check_payoffs(profile, vec)
+        slots.append(vec)
+    slots += [None] * (math.prod(counts) - len(slots))
     for profile, vec in cells:
         if not all(map(contains, ranges, profile)):
             check_profile(profile, counts)
@@ -268,7 +281,14 @@ def build_game(strategy_labels, cells, max_entries: int = MAX_ENTRIES) -> Game:
     if None in slots:
         missing = _profile_from_index(counts, slots.index(None))
         raise MissingCell(f"no payoffs for profile {missing}")
-    return Game(strategy_labels=labels, payoffs=tuple(slots))
+    return Game(strategy_labels=strategy_labels, payoffs=tuple(slots))
+
+
+def _symmetric_game(strategy_labels, payoffs, rows) -> Game:
+    """The game of a valid symmetric table; `rows` is every player's own_rows."""
+    g = Game(strategy_labels=strategy_labels, payoffs=payoffs)
+    g.__dict__["own_rows"] = (rows,) * len(strategy_labels)
+    return g
 
 
 def _check_payoffs(profile: Profile, payoffs) -> None:

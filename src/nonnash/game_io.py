@@ -141,7 +141,7 @@ def parse_game(text: str) -> GameDocument:
         lineno, tokens = take(expected)
         if tokens[0] != "strategies" or len(tokens) < 3 or tokens[1] != str(i):
             raise GnfSyntaxError(lineno, expected)
-        labels.append(tokens[2:])
+        labels.append(tuple(tokens[2:]))
 
     lineno, tokens = take("'payoffs'")
     if tokens != ["payoffs"]:
@@ -171,7 +171,7 @@ def parse_game(text: str) -> GameDocument:
             raise GnfSyntaxError(j + 1, "end of file after 'end'")
 
     values = (tuple(map(int, line.split(" "))) for line in cells)
-    game = build_game(labels, ((v[:n], v[n:]) for v in values))
+    game = build_game(tuple(labels), ((v[:n], v[n:]) for v in values))
     return GameDocument(game=game)
 
 

@@ -11,14 +11,17 @@ arithmetic mod 2**64.
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+# The two multipliers of the finalizer.
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
     """Finalizer: scrambles a 64-bit value into a well-mixed output."""
     z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return (z ^ (z >> 31)) & MASK64
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
+    return z ^ (z >> 31)
 
 
 class SplitMix64:
@@ -45,6 +48,20 @@ class SplitMix64:
         seeded game and sweep report.
         """
         return lo + self.next_u64() % (hi - lo + 1)
+
+    def next_many_in_range(self, lo: int, hi: int, count: int) -> list[int]:
+        """`count` draws of :meth:`next_in_range` in one loop, same end state."""
+        r = hi - lo + 1
+        s = self.state
+        out = []
+        append = out.append
+        for _ in range(count):
+            s = (s + GOLDEN) & MASK64
+            z = ((s ^ (s >> 30)) * MIX1) & MASK64
+            z = ((z ^ (z >> 27)) * MIX2) & MASK64
+            append(lo + (z ^ (z >> 31)) % r)
+        self.state = s
+        return out
 
 
 def derive_seed(master: int, index: int) -> int:

@@ -10,21 +10,22 @@ any one-at-a-time deletion order.
 
 Determinism contract
 --------------------
-``gen_random_game(args, seed)`` draws one splitmix64 value per payoff entry
-in profile enumeration order, player index fastest within a cell, and
-``gen_random_symmetric_game`` one value per payoff class (an own strategy
-plus the multiset of opponent strategies, enumerated own-strategy-major,
-multisets in lexicographic order).  A symmetric game is a layout of its
-shape (the labels and the class of every payoff entry, in cell order)
-filled from the class draws.  Both generators check their arguments
-through ``game_core`` before any draw and write the table in cell order
-with no ``new_game`` pass: it is valid by construction.  A seed is any
-int, not a bool, read mod 2**64.  Sweep game ``j`` draws from the
-substream ``derive_seed(seed, j)``, in order: the strategy count, the game
-seed, the deletion-order seed.  A sweep builds one layout per strategy
-count and fills it for every game of that count, so its games equal the
-generator's.  Identical configurations therefore give identical
-reports on any machine and under any worker count.
+``gen_random_game(args, seed)`` draws one splitmix64 value per payoff
+entry in profile enumeration order, player index fastest within a cell,
+and ``gen_random_symmetric_game`` one value per payoff class (an own
+strategy plus the multiset of opponent strategies, enumerated
+own-strategy-major, multisets in lexicographic order).  A symmetric game
+is a layout of its shape (the labels, the class of every payoff entry in
+cell order, and player 0's rows of classes, which become every player's
+``own_rows``) filled from the class draws, taken in one batch.  Both
+generators check their arguments through ``game_core`` before any draw and
+write the table in cell order with no ``new_game`` pass: it is valid by
+construction.  A seed is any int, not a bool, read mod 2**64.  Sweep game
+``j`` draws from the substream ``derive_seed(seed, j)``, in order: the
+strategy count, the game seed, the deletion-order seed.  A sweep builds
+one layout per strategy count and fills it for every game of that count,
+so its games equal the generator's.  Identical configurations therefore
+give identical reports on any machine and under any worker count.
 """
 
 import itertools
@@ -42,6 +43,7 @@ from .game_core import (
     Game,
     Profile,
     _payoffs_at,
+    _symmetric_game,
     are_ints,
     check_count,
     check_payoff_range,
@@ -110,8 +112,7 @@ def gen_random_game(
     check_size_guard(counts, max_entries)
     _check_seed(seed)
     labels = tuple(tuple(f"s{v}" for v in range(k)) for k in counts)
-    rng = SplitMix64(seed)
-    draws = (rng.next_in_range(lo, hi) for _ in range(math.prod(counts) * n_players))
+    draws = iter(SplitMix64(seed).next_many_in_range(lo, hi, math.prod(counts) * n_players))
     return Game(strategy_labels=labels, payoffs=tuple(zip(*[draws] * n_players)))
 
 
@@ -139,9 +140,10 @@ def gen_random_symmetric_game(
     return _fill_symmetric(_symmetric_layout(n_players, k), lo, hi, seed)
 
 
-# Labels, the class draw index of every (cell, player) in cell order, and
-# the number of classes: everything of a symmetric game but its draws.
-_SymmetricLayout = tuple[tuple[tuple[str, ...], ...], array, int]
+# Labels, the class draw index of every (cell, player) in cell order, the
+# number of classes and player 0's rows of class indices: everything of a
+# symmetric game but its draws.
+_SymmetricLayout = tuple[tuple[tuple[str, ...], ...], array, int, tuple[array, ...]]
 
 
 def _symmetric_layout(n_players: int, k: int) -> _SymmetricLayout:
@@ -159,17 +161,20 @@ def _symmetric_layout(n_players: int, k: int) -> _SymmetricLayout:
     for p in itertools.product(range(k), repeat=n_players):
         cells.extend(map(class_index[tuple(sorted(p))].__getitem__, p))
     labels = (tuple(f"s{v}" for v in range(k)),) * n_players
-    return labels, cells, n_classes
+    # Row a of player 0 is player 0's entry of every cell whose first index
+    # is a: one block of k**(n-1) cells, n entries each.
+    width = k ** (n_players - 1) * n_players
+    rows = tuple(cells[a * width : (a + 1) * width : n_players] for a in range(k))
+    return labels, cells, n_classes, rows
 
 
 def _fill_symmetric(layout: _SymmetricLayout, lo: int, hi: int, seed: int) -> Game:
     """The game of `layout` with one value per class drawn in class order."""
-    labels, cells, n_classes = layout
-    rng = SplitMix64(seed)
-    values = [rng.next_in_range(lo, hi) for _ in range(n_classes)]
-    entries = map(values.__getitem__, cells)
-    payoffs = tuple(zip(*[entries] * len(labels)))
-    return Game(strategy_labels=labels, payoffs=payoffs)
+    labels, cells, n_classes, class_rows = layout
+    value = SplitMix64(seed).next_many_in_range(lo, hi, n_classes).__getitem__
+    payoffs = tuple(zip(*[map(value, cells)] * len(labels)))
+    rows = tuple(tuple(map(value, row)) for row in class_rows)
+    return _symmetric_game(labels, payoffs, rows)
 
 
 def _require_symmetric(r: AnalysisReport, what: str) -> None:

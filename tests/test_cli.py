@@ -178,6 +178,24 @@ def test_pinned_eliminate_trace(capsys, tmp_path, name, digest):
     assert (code, sha256(out)) == (0, digest)
 
 
+# sha256 of the stdout of `search --players 3 --strategies 2..4 --games 1000
+# --seed 2024` without its elapsed: line; it pins the 3-player sweep path,
+# which no README example covers, under either worker count.
+SEARCH_3P_SHA256 = "fcfee35672aa7b01255d5c7349480a329969985ddc2cd7f4d3d0fda52f467e05"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_pinned_three_player_search(capsys, workers):
+    code, out, err = run_cli(
+        capsys, "search", "--players", "3", "--strategies", "2..4", "--games", "1000",
+        "--seed", "2024", "--workers", workers,
+    )
+    timeless = "".join(
+        line for line in out.splitlines(keepends=True) if not line.startswith("elapsed:")
+    )
+    assert (code, err, sha256(timeless)) == (0, "", SEARCH_3P_SHA256)
+
+
 class TestCheck:
     def test_pd_all_pass(self, capsys, games_dir):
         code, out, _ = run_cli(capsys, "check", str(games_dir / "pd.gnf"))

@@ -27,7 +27,7 @@ from nonnash import (
     profiles,
     restrict,
 )
-from nonnash.game_core import full_sets
+from nonnash.game_core import build_game, full_sets
 
 from oracles import symmetric_oracle
 
@@ -116,6 +116,70 @@ class TestNewGame:
         labels = [[f"s{i}" for i in range(100)]] * 2
         with pytest.raises(SizeGuardExceeded):
             new_game(labels, [], max_entries=1000)
+
+
+BIG = 2**62 + 1
+# An in-order prefix of a 2 x 2 table, then what follows it.
+IN_ORDER = [((0, 0), (1, 1)), ((0, 1), (2, 2))]
+AFTER_IN_ORDER = {
+    "index-out-of-range": (
+        [((0, 2), (3, 3)), ((0, 0), (BIG, 0))],
+        IndexOutOfRange, r"profile \(0, 2\): strategy 2 out of range for player 1",
+    ),
+    "repeat-of-earlier-cell": (
+        [((0, 0), (3, 3))], DuplicateCell, r"profile \(0, 0\) listed more than once",
+    ),
+    # the next cell in order, so the payoff rule alone is checked; the bad
+    # cells after it are never reached
+    "in-order-payoff-out-of-range": (
+        [((1, 0), (0, BIG)), ((1, 0), (0, 0)), ((5, 5), (0, 0))],
+        PayoffOutOfRange, r"cell \(1, 0\): payoff 4611686018427387905 outside",
+    ),
+    # out of order, the index rule still comes before the payoff rule
+    "out-of-order-index-and-payoff": (
+        [((1, 1), (0, 0)), ((2, 0), (BIG, 0))],
+        IndexOutOfRange, r"strategy 2 out of range for player 0",
+    ),
+    "extra-cell-after-full-run": (
+        [((1, 0), (3, 3)), ((1, 1), (4, 4)), ((1, 1), (4, 4))],
+        DuplicateCell, r"profile \(1, 1\) listed more than once",
+    ),
+    "truncated-run": ([((1, 0), (3, 3))], MissingCell, r"no payoffs for profile \(1, 1\)"),
+}
+
+
+class TestBuildGameInOrder:
+    """Cells in enumeration order skip the index and duplicate checks until
+    the first cell out of order; the first broken rule is named as before."""
+
+    LABELS = (("a", "b"), ("a", "b"))
+
+    @pytest.mark.parametrize("build", [build_game, new_game], ids=["build_game", "new_game"])
+    @pytest.mark.parametrize(
+        "rest, error, message", AFTER_IN_ORDER.values(), ids=list(AFTER_IN_ORDER)
+    )
+    def test_first_broken_rule_after_an_in_order_prefix(self, build, rest, error, message):
+        with pytest.raises(error, match=message):
+            build(self.LABELS, IN_ORDER + rest)
+
+    def test_bool_index_refused_before_the_in_order_path(self):
+        # (0, False) == (0, 0): new_game's type check refuses it first
+        with pytest.raises(IndexOutOfRange, match="strategy False"):
+            new_game(self.LABELS, [((0, False), (1, 1))])
+
+    def test_any_order_builds_the_same_game(self, g3x3):
+        cells = list(zip(profiles(g3x3), g3x3.payoffs))
+        rng = random.Random(5)
+        for cut in range(len(cells) + 1):
+            # an in-order prefix, then the rest shuffled
+            rest = cells[cut:]
+            rng.shuffle(rest)
+            assert build_game(g3x3.strategy_labels, cells[:cut] + rest) == g3x3
+
+    def test_labels_kept_as_given(self, g3x3):
+        labels = g3x3.strategy_labels
+        g = build_game(labels, zip(profiles(g3x3), g3x3.payoffs))
+        assert g.strategy_labels is labels
 
 
 class TestPayoff:

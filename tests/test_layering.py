@@ -13,7 +13,9 @@ module raises ``IndexOutOfRange`` or names the payoff bounds, and one
 function tells an int from a bool.  So do the cell rules: ``parse_game``
 raises none of the four cell errors itself.  ``game_io`` catches no
 error, so the order of ``parse_game``'s passes alone orders its errors.
-No module memoizes with ``functools.lru_cache`` or ``functools.cache``.
+No module memoizes with ``functools.lru_cache`` or ``functools.cache``,
+and only ``game_core`` touches an object's ``__dict__`` or sets attributes
+by name, so it stays the one module that sets a game's cached facts.
 Every module parses as Python 3.10, the floor ``pyproject.toml`` declares.
 """
 
@@ -78,6 +80,19 @@ def test_verify_does_not_import_new_game():
         for alias in node.names
     }
     assert "new_game" not in names
+
+
+def test_only_game_core_sets_cached_game_facts():
+    # _symmetric_game hands a sweep game its own_rows; no other module may
+    # write them into a game, whose class is a frozen dataclass
+    touching = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if names & {"__dict__", "__setattr__", "setattr", "vars"}:
+                touching.add(path.name)
+    assert touching <= {"game_core.py"}
 
 
 def _modules_calling(callee: str) -> set[str]:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import re
 
@@ -13,6 +14,7 @@ import nonnash.solvers
 import nonnash.verify
 from nonnash import (
     BadRange,
+    Game,
     GameDocument,
     NotSymmetric,
     RegionTag,
@@ -60,6 +62,10 @@ def draws(monkeypatch):
         def next_u64(self):
             drawn.append(1)
             return super().next_u64()
+
+        def next_many_in_range(self, lo, hi, count):
+            drawn.extend([1] * count)
+            return super().next_many_in_range(lo, hi, count)
 
     monkeypatch.setattr(nonnash.verify, "SplitMix64", CountingStream)
     return drawn
@@ -123,6 +129,15 @@ class TestGenerators:
             k = 2 + j % 3
             g = gen_random_symmetric_game(n, k, 0, 99, seed=derive_seed(19, j))
             assert is_symmetric(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_symmetric_rows_equal_rows_from_the_table(self, n, k):
+        for j in range(20):
+            g = gen_random_symmetric_game(n, k, 0, 99, seed=derive_seed(23, j))
+            assert g.own_rows == Game(g.strategy_labels, g.payoffs).own_rows
+            # every player shares player 0's one tuple of rows
+            assert all(rows is g.own_rows[0] for rows in g.own_rows)
 
     def test_symmetric_three_player_permutations(self):
         g = gen_random_symmetric_game(3, 2, 0, 9, seed=123)
@@ -703,6 +718,30 @@ class TestOneAnalysisPerGame:
         assert report.games_checked == 40
         assert calls == self.per_game(40)
         assert built == []
+
+    @pytest.mark.parametrize("players, k_max", [(2, 6), (3, 4)], ids=["2p", "3p"])
+    def test_sweep_never_builds_rows_from_the_table(self, players, k_max, monkeypatch):
+        """Sweep games come with player 0's rows from the layout."""
+        computed = []
+        original = Game.own_rows.func
+
+        def counted(g):
+            computed.append(1)
+            return original(g)
+
+        rows = functools.cached_property(counted)
+        rows.__set_name__(Game, "own_rows")
+        monkeypatch.setattr(Game, "own_rows", rows)
+        config = SweepConfig(
+            players=players, min_strategies=1, max_strategies=k_max, games=200,
+            seed=8, properties=ALL_PROPERTIES,
+        )
+        assert sweep(config).games_checked == 200
+        assert computed == []
+        # the patched property does count a game that has no rows yet
+        g = gen_random_symmetric_game(players, 2, 0, 9, seed=1)
+        assert Game(g.strategy_labels, g.payoffs).own_rows == g.own_rows
+        assert computed == [1]
 
     @pytest.mark.parametrize("config", [
         SweepConfig(games=200, seed=3),
