@@ -11,9 +11,10 @@ import sys
 from pathlib import Path
 
 from .errors import GameError, NotSymmetric
-from .game_core import Game, format_profile, full_sets, restrict
+from .game_core import Game, full_sets, remove_pairs, restrict
 from .game_io import (
     GameDocument,
+    format_profile,
     format_round,
     format_survivors,
     matrix_lines,
@@ -68,10 +69,7 @@ def cmd_eliminate(args) -> int:
     for round_no, batch in enumerate(trace.rounds, start=1):
         print(format_round(g, round_no, batch))
         if args.trace:
-            survivors = tuple(
-                tuple(v for v in alive if (i, v) not in batch)
-                for i, alive in enumerate(survivors)
-            )
+            survivors = remove_pairs(survivors, batch)
             for line in matrix_lines(restrict(g, survivors)):
                 print("  " + line)
     if not trace.rounds:

@@ -446,6 +446,13 @@ def full_sets(g: Game) -> Survivors:
     return tuple(tuple(range(k)) for k in g.strategy_counts)
 
 
+def remove_pairs(survivors, pairs) -> Survivors:
+    """`survivors` less every (player, strategy) pair in `pairs`."""
+    return tuple(
+        tuple(v for v in alive if (i, v) not in pairs) for i, alive in enumerate(survivors)
+    )
+
+
 def normalize_survivors(g: Game, survivors) -> Survivors:
     """Surviving sets, sorted and deduplicated: one non-empty index set per player."""
     s = tuple(map(tuple, survivors))
@@ -477,8 +484,3 @@ def restrict(g: Game, survivors) -> Game:
     # sorted survivor tuples walks it in the restricted game's cell order.
     payoffs = tuple(g.payoffs[g.cell_index(p)] for p in itertools.product(*s))
     return Game(strategy_labels=labels, payoffs=payoffs)
-
-
-def format_profile(g: Game, profile: Profile) -> str:
-    """Render a profile with labels, e.g. ``(Defect,Cooperate)``."""
-    return "(" + ",".join(g.strategy_labels[i][v] for i, v in enumerate(profile)) + ")"

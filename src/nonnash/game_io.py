@@ -2,7 +2,8 @@
 
 This module only parses, serializes and renders; it never solves.  The
 reports it renders are built by :func:`nonnash.solvers.build_report` and
-:func:`nonnash.verify.sweep`.
+:func:`nonnash.verify.sweep`, and every report format reads its per-profile
+facts from one pass, :attr:`nonnash.solvers.AnalysisReport.flags`.
 
 Game file format, version 1 (conventional extension ``.gnf``)::
 
@@ -29,7 +30,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import GnfSyntaxError, UnknownFormat, VersionUnsupported
-from .game_core import Game, build_game, profiles
+from .game_core import Game, Profile, build_game, profiles
 
 FORMAT_VERSION = 1
 
@@ -187,6 +188,11 @@ def serialize_game(doc: GameDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_profile(g: Game, profile: Profile) -> str:
+    """Render a profile with labels, e.g. ``(Defect,Cooperate)``."""
+    return "(" + ",".join(g.strategy_labels[i][v] for i, v in enumerate(profile)) + ")"
+
+
 def format_round(g: Game, round_no: int, batch) -> str:
     """One elimination round as text, e.g.
     ``round 1: player 0: C; player 1: C``."""
@@ -254,7 +260,7 @@ def matrix_lines(g: Game, marks=None) -> list[str]:
 
 
 # Every (nash, hofstadter, individually rational, minimax-rationalizable)
-# combination of _profile_flags, with its text marker and its CSV columns.
+# combination of AnalysisReport.flags, with its text marker and CSV columns.
 _FLAG_SETS = list(
     itertools.product((False, True), (None, False, True), (False, True), (False, True))
 )
@@ -268,30 +274,9 @@ _CSV_FLAGS = {
 }
 
 
-def _profile_flags(r) -> list:
-    """(nash, hofstadter, individually rational, minimax-rationalizable)
-    for every profile of the report's game, in enumeration order; the
-    Hofstadter flag is None for asymmetric games.  This is the one
-    per-profile pass behind all three report formats."""
-    g = r.game
-    nash = set(r.nash)
-    symmetric = r.symmetric
-    hof = set(r.hofstadter or ())
-    ir = set(r.individually_rational)
-    # mask[i][v]: strategy v of player i survives elimination.
-    masks = [[False] * k for k in g.strategy_counts]
-    for mask, alive in zip(masks, r.trace.final_survivors):
-        for v in alive:
-            mask[v] = True
-    return [
-        (p in nash, p in hof if symmetric else None, p in ir, rationalizable)
-        for p, rationalizable in zip(profiles(g), map(all, itertools.product(*masks)))
-    ]
-
-
 def _render_text(r) -> str:
     g = r.game
-    marks = [_MARKERS[flags] for flags in _profile_flags(r)]
+    marks = [_MARKERS[flags] for flags in r.flags]
     names = dict(zip(profiles(g), _profile_names(g)))
 
     lines = [f"game: {r.name}" if r.name else "game: (unnamed)"]
@@ -344,7 +329,7 @@ def _render_csv(r) -> str:
     rows += [
         template % (index + labels) + _CSV_FLAGS[flags]
         for index, labels, flags in zip(
-            indices, itertools.product(*g.strategy_labels), _profile_flags(r)
+            indices, itertools.product(*g.strategy_labels), r.flags
         )
     ]
     return "\n".join(rows) + "\n"
@@ -374,9 +359,7 @@ def _render_json(r) -> str:
                 "individually_rational": ir,
                 "hofstadter": hofstadter,
             }
-            for p, (_, hofstadter, ir, rationalizable) in zip(
-                profiles(g), _profile_flags(r)
-            )
+            for p, (_, hofstadter, ir, rationalizable) in zip(profiles(g), r.flags)
         ],
     }
     return json.dumps(obj, indent=2) + "\n"

@@ -15,7 +15,8 @@ Five families are implemented:
 Everything is exact integer comparison; no payoff arithmetic anywhere.
 :func:`build_report` runs each solver once per game and stores maximin,
 the individually rational profiles, the elimination trace and the Hofstadter
-profiles (symmetry is read off them); Nash and region tags are derived on read.
+profiles (symmetry is read off them).  Nash and the per-profile flags, which
+the region tags and every report format read, are derived on read.
 
 The solvers read :attr:`Game.own_rows`: for each player and own strategy,
 the player's payoffs over every joint opponent profile, in one shared
@@ -344,16 +345,20 @@ class RegionTag:
 _REGION_TAGS = {
     flags: RegionTag(*flags) for flags in itertools.product((False, True), repeat=3)
 }
+# Flag tuples shared by every report's `flags`, which would otherwise hold a
+# tuple per profile for as long as the report lives.
+_FLAGS = {f: f for f in itertools.product((None, False, True), repeat=4)}
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
     """Every solution concept of one game, ready for rendering.
 
-    Fields hold solver outputs; `nash`, `regions` and `symmetric` are
-    derived from them on read.  Profile collections are in enumeration order;
-    `hofstadter` and `regions` (one :class:`RegionTag` per profile) are None
-    exactly for asymmetric games, where those concepts are undefined.
+    Fields hold solver outputs; `symmetric`, `nash` and `flags` are derived
+    from them on read, and `regions` is read off `flags`.  Profile
+    collections are in enumeration order; `hofstadter` and `regions` (one
+    :class:`RegionTag` per profile) are None exactly for asymmetric games,
+    where those concepts are undefined.
     """
 
     name: str
@@ -373,15 +378,31 @@ class AnalysisReport:
         return tuple(pure_nash(self.game))
 
     @cached_property
+    def flags(self) -> tuple[tuple[bool, bool | None, bool, bool], ...]:
+        """(nash, hofstadter, individually rational, rationalizable) per profile
+        in enumeration order; the Hofstadter flag is None on asymmetric games."""
+        g = self.game
+        nash = set(self.nash)
+        symmetric = self.symmetric
+        hof = set(self.hofstadter or ())
+        ir = set(self.individually_rational)
+        # mask[i][v]: strategy v of player i survives elimination.
+        masks = [[False] * k for k in g.strategy_counts]
+        for mask, alive in zip(masks, self.trace.final_survivors):
+            for v in alive:
+                mask[v] = True
+        return tuple(
+            _FLAGS[p in nash, p in hof if symmetric else None, p in ir, rationalizable]
+            for p, rationalizable in zip(profiles(g), map(all, itertools.product(*masks)))
+        )
+
+    @cached_property
     def regions(self) -> dict[Profile, RegionTag] | None:
         if self.hofstadter is None:
             return None
-        hofstadter = set(self.hofstadter)
-        rational = set(self.individually_rational)
-        rationalizable = set(itertools.product(*self.trace.final_survivors))
         return {
-            p: _REGION_TAGS[p in rationalizable, p in rational, p in hofstadter]
-            for p in profiles(self.game)
+            p: _REGION_TAGS[rationalizable, ir, hof]
+            for p, (_, hof, ir, rationalizable) in zip(profiles(self.game), self.flags)
         }
 
 

@@ -49,10 +49,10 @@ from .game_core import (
     check_payoff_range,
     check_shape,
     check_size_guard,
-    format_profile,
     full_sets,
+    remove_pairs,
 )
-from .game_io import GameDocument, serialize_game
+from .game_io import GameDocument, format_profile, serialize_game
 from .rng import SplitMix64, derive_seed
 from .solvers import (
     AnalysisReport,
@@ -219,13 +219,6 @@ def _hofstadter_individually_rational(r: AnalysisReport, *_) -> Verdict:
     return Verdict(HOFSTADTER_INDIVIDUALLY_RATIONAL, True)
 
 
-def _delete_pair(survivors, player: int, strategy: int):
-    return tuple(
-        tuple(v for v in alive if not (i == player and v == strategy))
-        for i, alive in enumerate(survivors)
-    )
-
-
 def _order_independence(r: AnalysisReport, n_orders: int, seed: int) -> Verdict:
     check_count(n_orders, "need at least one deletion order")
     _check_seed(seed)
@@ -253,7 +246,7 @@ def _order_independence(r: AnalysisReport, n_orders: int, seed: int) -> Verdict:
                     )
                 continue
             for player, strategy in pairs:
-                stack.append(_delete_pair(s, player, strategy))
+                stack.append(remove_pairs(s, {(player, strategy)}))
         return Verdict(
             ORDER_INDEPENDENCE, True, f"all sequential orders agree ({len(seen)} states)"
         )

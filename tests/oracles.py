@@ -165,10 +165,10 @@ def sweep_game(config, j: int):
     return g, order_seed
 
 
-def every_symmetric_game(n: int, k: int, levels: int):
-    """Every symmetric game of `n` players with `k` strategies each whose
-    payoffs lie in range(`levels`), one per assignment of a level to each
-    payoff class (own strategy, sorted opponent strategies)."""
+def _class_games(n: int, k: int, assignments):
+    """One symmetric game of `n` players with `k` strategies each per value
+    tuple of `assignments(m)`, which gives one payoff to each of the `m`
+    payoff classes (own strategy, sorted opponent strategies)."""
     classes = [
         (own, others)
         for own in range(k)
@@ -180,7 +180,7 @@ def every_symmetric_game(n: int, k: int, levels: int):
         for p in cells
     ]
     labels = [[f"s{v}" for v in range(k)]] * n
-    for values in itertools.product(range(levels), repeat=len(classes)):
+    for values in assignments(len(classes)):
         yield new_game(
             labels,
             [
@@ -188,3 +188,26 @@ def every_symmetric_game(n: int, k: int, levels: int):
                 for p, row in zip(cells, cell_classes)
             ],
         )
+
+
+def every_symmetric_game(n: int, k: int, levels: int):
+    """Every symmetric game of `n` players with `k` strategies each whose
+    payoffs lie in range(`levels`), one per assignment of a level to each
+    payoff class (own strategy, sorted opponent strategies)."""
+    return _class_games(n, k, lambda m: itertools.product(range(levels), repeat=m))
+
+
+def every_ordinal_type(n: int, k: int):
+    """One symmetric game of `n` players with `k` strategies each per weak
+    order of the payoff classes: the value tuples whose set of values is
+    exactly range(d), for d distinct payoffs.  Every symmetric game of the
+    shape has the solution sets of exactly one of them."""
+
+    def weak_orders(m):
+        return (
+            values
+            for values in itertools.product(range(m), repeat=m)
+            if len(set(values)) == max(values) + 1
+        )
+
+    return _class_games(n, k, weak_orders)

@@ -5,16 +5,27 @@ invariance), and a symmetric game's payoffs on the classes (own strategy,
 multiset of opponent strategies).  So assigning every level in range(L)
 to every class covers every ordinal type with at most L distinct payoffs.
 Each game is built by the class enumerator in ``oracles``, not by the
-library's symmetric generator.
+library's symmetric generator.  The L-level shapes miss the types with more
+than L distinct payoffs, so the smallest shapes are also run once per weak
+order of their classes, which covers every ordinal type exactly once.
 """
+
+import itertools
 
 import pytest
 
-from nonnash import build_report, strict_inclusion_witnesses
+from nonnash import build_report, payoff, strict_inclusion_witnesses
 from nonnash.game_core import full_sets
 from nonnash.verify import CHECKERS
 
-from oracles import deleted_sets, elimination_oracle, every_symmetric_game, nash_oracle
+from oracles import (
+    deleted_sets,
+    elimination_oracle,
+    every_ordinal_type,
+    every_symmetric_game,
+    maximin_oracle,
+    nash_oracle,
+)
 
 
 # (players, strategies, levels, games, games where elimination deletes
@@ -59,3 +70,44 @@ def test_every_property_on_every_game(n, k, levels, games, bites, oracles):
     assert eliminated == bites
     assert rationalizable_witnesses > 0
     assert ir_witnesses > 0
+
+
+# (players, strategies, weak orders of the classes, games where elimination
+# deletes something)
+ORDINAL_TYPES = [(2, 2, 75, 18), (3, 2, 4_683, 338)]
+
+
+@pytest.mark.parametrize(
+    "n, k, games, bites", ORDINAL_TYPES, ids=[f"{n}p-k{k}" for n, k, *_ in ORDINAL_TYPES]
+)
+def test_every_ordinal_type(n, k, games, bites):
+    failures = []
+    seen = eliminated = 0
+    for g in every_ordinal_type(n, k):
+        seen += 1
+        report = build_report(g)
+        for name, checker in CHECKERS.items():
+            verdict = checker(report, 2, seen)
+            if not verdict.passed:
+                failures.append((name, verdict.detail, g))
+        eliminated += bool(report.trace.rounds)
+        for batch in report.trace.rounds:
+            assert len(deleted_sets(n, batch)) == 1, (g, batch)
+        # every per-profile flag against the oracles
+        nash = set(nash_oracle(g))
+        floors = maximin_oracle(g)
+        _, survivors = elimination_oracle(g, full_sets(g))
+        diagonal = [payoff(g, (a,) * n, 0) for a in range(k)]
+        expected = [
+            (
+                p in nash,
+                len(set(p)) == 1 and diagonal[p[0]] == max(diagonal),
+                all(payoff(g, p, i) >= floors[i] for i in range(n)),
+                all(v in alive for v, alive in zip(p, survivors)),
+            )
+            for p in itertools.product(range(k), repeat=n)
+        ]
+        assert list(report.flags) == expected, g
+    assert failures == []
+    assert seen == games
+    assert eliminated == bites

@@ -1,9 +1,10 @@
 """Source-structure rules of the package.
 
 ``game_io`` parses, serializes and renders; it must never reach the
-solvers, so it imports neither ``solvers`` nor ``verify``, and it renders
-every report format from one per-profile pass of its own, never from the
-report's region tags.  No module may hide an import inside a function,
+solvers, so it imports neither ``solvers`` nor ``verify``.  It renders
+every report format from the report's one per-profile pass,
+``AnalysisReport.flags``: it never reads the region tags derived from it,
+and builds no set of profiles of its own.  No module may hide an import inside a function,
 which is how an import cycle would otherwise slip back in.  The
 generators in ``verify`` build their tables valid by construction and
 never go through ``new_game``, and whole-table readers walk ``payoffs`` in
@@ -45,8 +46,8 @@ def test_game_io_imports_no_solver():
 
 
 def test_game_io_renders_regions_from_its_own_pass():
-    # text, CSV and JSON all read the per-profile flags of _profile_flags,
-    # so no format reads the report's region tags
+    # text, CSV and JSON all read AnalysisReport.flags, so no format reads
+    # the region tags derived from them
     tree = ast.parse((SRC / "game_io.py").read_text(encoding="utf-8"))
     reading = [
         node.lineno
@@ -55,6 +56,11 @@ def test_game_io_renders_regions_from_its_own_pass():
         or "RegionTag" in {getattr(node, "id", None), getattr(node, "name", None)}
     ]
     assert reading == []
+
+
+def test_game_io_builds_no_set():
+    # its per-profile facts come only from AnalysisReport.flags
+    assert "game_io.py" not in _modules_calling("set")
 
 
 def test_game_io_catches_no_error():

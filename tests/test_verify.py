@@ -751,13 +751,16 @@ class TestOneAnalysisPerGame:
         ),
     ], ids=["2p", "3p"])
     def test_sweep_never_reads_regions(self, config, monkeypatch):
-        """The witness counts come from the report's sets, not its tags."""
+        """The witness counts come from the report's sets, not its tags, so
+        a sweep never runs the per-profile pass behind them."""
         expected = TestSweep.replay(config)
 
-        def refuse(report):
-            raise AssertionError("the sweep read AnalysisReport.regions")
+        for name in ("regions", "flags"):
 
-        monkeypatch.setattr(nonnash.solvers.AnalysisReport, "regions", property(refuse))
+            def refuse(report, _name=name):
+                raise AssertionError(f"the sweep read AnalysisReport.{_name}")
+
+            monkeypatch.setattr(nonnash.solvers.AnalysisReport, name, property(refuse))
         report = sweep(config)
         assert report.rationalizable_not_hofstadter == expected[3] > 0
         assert report.ir_not_hofstadter == expected[4] > 0
