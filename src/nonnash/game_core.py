@@ -74,10 +74,13 @@ class Game:
     that sets the cache, with rows its caller already holds.
 
     The rules a game obeys (labels, size guard, indices and payoffs in
-    range, each cell exactly once) live in :func:`build_game`, which both
-    :func:`new_game` and :func:`nonnash.game_io.parse_game` go through.
-    The generators in ``verify`` and :func:`restrict` build tables that
-    obey them by construction.
+    range, each cell exactly once) live in :func:`build_game`, which
+    :func:`new_game` goes through.  :func:`nonnash.game_io.parse_game`
+    goes through :func:`_build_flat_game`, which checks the labels and the
+    size guard as :func:`build_game` does, accepts a complete in-order
+    table in bulk, and hands any other table to :func:`build_game`'s
+    per-cell checks.  The generators in ``verify`` and :func:`restrict`
+    build tables that obey the rules by construction.
 
     Games are immutable; all operations on them are pure functions, so
     values can be shared freely across threads or worker processes.
@@ -220,15 +223,20 @@ def _profile_from_index(counts: tuple[int, ...], idx: int) -> Profile:
 def build_game(strategy_labels, cells, max_entries: int = MAX_ENTRIES) -> Game:
     """Build a game from cells whose types are already known to be right.
 
-    This is the one home of the rules on labels, size and cells; both
-    :func:`new_game` and :func:`nonnash.game_io.parse_game` build their
-    games here.  `strategy_labels` is a tuple of per-player label tuples,
-    kept as given.  `cells` yields ``(profile, payoffs)`` pairs of int
-    tuples, one entry per player, consumed only after the labels and the
-    size guard pass.  While the profiles come in enumeration order, each
-    fills the next slot with only its payoffs checked; from the first one
-    out of order on, every cell is checked and placed by index.  The order
-    test needs int tuples: ``True == 1``.  The first broken rule raises:
+    This is the one home of the rules on labels, size and cells.
+    :func:`new_game` builds its games here.  So does
+    :func:`nonnash.game_io.parse_game`, through :func:`_build_flat_game`:
+    that runs rules 1 and 2 below before a single cell token is converted
+    to an int, accepts in bulk a complete table in enumeration order whose
+    payoffs are all in range (one that breaks no rule), and hands every
+    other table to the per-cell checks here, so its error is the same.
+    `strategy_labels` is a tuple of per-player label tuples, kept as given.
+    `cells` yields ``(profile, payoffs)`` pairs of int tuples, one entry per
+    player, consumed only after the labels and the size guard pass.  While
+    the profiles come in enumeration order, each fills the next slot with
+    only its payoffs checked; from the first one out of order on, every
+    cell is checked and placed by index.  The order test needs int tuples:
+    ``True == 1``.  The first broken rule raises:
 
     1. labels: at least one player (InvalidGame), at least one strategy per
        player (InvalidGame), labels matching ``[A-Za-z0-9_-]+``
@@ -240,6 +248,13 @@ def build_game(strategy_labels, cells, max_entries: int = MAX_ENTRIES) -> Game:
        before (DuplicateCell);
     4. after the last cell, no profile left without payoffs (MissingCell).
     """
+    counts = _checked_counts(strategy_labels, max_entries)
+    return _place_cells(strategy_labels, counts, cells)
+
+
+def _checked_counts(strategy_labels, max_entries: int) -> tuple[int, ...]:
+    """Strategy counts of `strategy_labels`, once they pass rules 1 and 2
+    of :func:`build_game`."""
     if not strategy_labels:
         raise InvalidGame("a game needs at least one player")
     for i, player_labels in enumerate(strategy_labels):
@@ -257,6 +272,11 @@ def build_game(strategy_labels, cells, max_entries: int = MAX_ENTRIES) -> Game:
 
     counts = tuple(map(len, strategy_labels))
     check_size_guard(counts, max_entries)
+    return counts
+
+
+def _place_cells(strategy_labels, counts: tuple[int, ...], cells) -> Game:
+    """The game of `cells` under rules 3 and 4 of :func:`build_game`."""
     strides = _strides(counts)
     ranges = tuple(map(range, counts))
     cells = iter(cells)
@@ -282,6 +302,38 @@ def build_game(strategy_labels, cells, max_entries: int = MAX_ENTRIES) -> Game:
         missing = _profile_from_index(counts, slots.index(None))
         raise MissingCell(f"no payoffs for profile {missing}")
     return Game(strategy_labels=strategy_labels, payoffs=tuple(slots))
+
+
+def _build_flat_game(strategy_labels, values) -> Game:
+    """:func:`build_game` for cells given flat: `values` yields ints, the n
+    indices and then the n payoffs of each cell in turn, and is consumed
+    only after the labels and the size guard pass.
+
+    A complete table in enumeration order is accepted in bulk, with one
+    comparison per index column and one range test per payoff column: its
+    cells are exactly the expected profiles, so rules 3 and 4 can only
+    break on a payoff.  Any other table, and one with a payoff out of
+    range, goes through the per-cell checks of :func:`build_game` as
+    ``(profile, payoffs)`` pairs, so it fails with the same error.
+    """
+    counts = _checked_counts(strategy_labels, MAX_ENTRIES)
+    values = list(values)
+    n = len(counts)
+    width = 2 * n
+    n_cells = math.prod(counts)
+    if len(values) == width * n_cells:
+        for i, (k, stride) in enumerate(zip(counts, _strides(counts))):
+            # player i's index column: each strategy `stride` times, cycled
+            block = itertools.chain.from_iterable(itertools.repeat(a, stride) for a in range(k))
+            block = list(block)
+            if values[i::width] != block * (n_cells // len(block)):
+                break
+        else:
+            columns = [values[j::width] for j in range(n, width)]
+            if min(map(min, columns)) >= PAYOFF_MIN and max(map(max, columns)) <= PAYOFF_MAX:
+                return Game(strategy_labels=strategy_labels, payoffs=tuple(zip(*columns)))
+    cells = zip(*[iter(values)] * width)
+    return _place_cells(strategy_labels, counts, ((v[:n], v[n:]) for v in cells))
 
 
 def _symmetric_game(strategy_labels, payoffs, rows) -> Game:

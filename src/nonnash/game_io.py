@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import GnfSyntaxError, UnknownFormat, VersionUnsupported
-from .game_core import Game, Profile, build_game, profiles
+from .game_core import Game, Profile, _build_flat_game, profiles
 
 FORMAT_VERSION = 1
 
@@ -46,6 +46,10 @@ _INT_RE = re.compile(_INT + r"\Z")
 # takes several of them (and U+001C..U+001F) for whitespace; the format
 # separates tokens with spaces and tabs only.
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
+
+# Cell lines parse_game converts to ints with one join and one split: few
+# enough that a large table never holds all its tokens as strings at once.
+_CELL_SLICE = 2048
 
 
 def parse_int(text: str) -> int | None:
@@ -90,9 +94,15 @@ def parse_game(text: str) -> GameDocument:
     the syntax, line by line in file order: the header, every payoff cell
     (one index and one payoff per player, all integer tokens), ``end``, and
     nothing but blank or comment lines after it.  The third hands the cells
-    to :func:`nonnash.game_core.build_game`, which checks every rule of the
-    game itself (labels, the size guard, indices and payoffs in range, each
-    profile exactly once), as for :func:`nonnash.game_core.new_game`.
+    to ``game_core``, which checks the labels and the size guard before a
+    single cell token becomes an int, then takes the cells' tokens as one
+    flat list of ints, converted a slice of lines at a time.  It accepts a
+    complete table in enumeration order with one check per column, and
+    otherwise checks the cells one by one in file order.  Either way every
+    rule of the game itself (labels, the size guard, indices and payoffs in
+    range, each profile exactly once) is checked, and named, by
+    :func:`nonnash.game_core.build_game`, as for
+    :func:`nonnash.game_core.new_game`.
 
     Raises :class:`GnfSyntaxError` with the offending line number and what
     was expected there, :class:`VersionUnsupported`, or the error of the
@@ -171,9 +181,13 @@ def parse_game(text: str) -> GameDocument:
         if tokens_at(j):
             raise GnfSyntaxError(j + 1, "end of file after 'end'")
 
-    values = (tuple(map(int, line.split(" "))) for line in cells)
-    game = build_game(tuple(labels), ((v[:n], v[n:]) for v in values))
-    return GameDocument(game=game)
+    # Lazy, so that game_core converts no token before the labels and the
+    # size guard pass.
+    values = itertools.chain.from_iterable(
+        map(int, " ".join(cells[c : c + _CELL_SLICE]).split(" "))
+        for c in range(0, len(cells), _CELL_SLICE)
+    )
+    return GameDocument(game=_build_flat_game(tuple(labels), values))
 
 
 def serialize_game(doc: GameDocument) -> str:
@@ -238,13 +252,21 @@ def matrix_lines(g: Game, marks=None) -> list[str]:
     annotation string per cell, in enumeration order, shown next to the
     payoffs when it is not empty.
     """
+    return _matrix_lines(g, marks, None)
+
+
+def _matrix_lines(g: Game, marks, names) -> list[str]:
+    """:func:`matrix_lines`, with `names` the :func:`_profile_names` of `g`
+    when the caller already holds them, else None."""
     template = ",".join(["%d"] * g.n_players)
     cells = [template % u for u in g.payoffs]
     if marks is not None:
         cells = [f"{text} [{mark}]" if mark else text for text, mark in zip(cells, marks)]
 
     if g.n_players != 2:
-        return [f"{name} -> {text}" for name, text in zip(_profile_names(g), cells)]
+        if names is None:
+            names = _profile_names(g)
+        return [f"{name} -> {text}" for name, text in zip(names, cells)]
 
     row_labels, col_labels = g.strategy_labels
     k = len(col_labels)
@@ -277,14 +299,15 @@ _CSV_FLAGS = {
 def _render_text(r) -> str:
     g = r.game
     marks = [_MARKERS[flags] for flags in r.flags]
-    names = dict(zip(profiles(g), _profile_names(g)))
+    profile_names = _profile_names(g)
+    names = dict(zip(profiles(g), profile_names))
 
     lines = [f"game: {r.name}" if r.name else "game: (unnamed)"]
     lines.append(f"players: {g.n_players}")
     lines.append("strategies: " + format_survivors(g, [range(k) for k in g.strategy_counts]))
     lines.append("symmetric: " + ("yes" if r.symmetric else "no"))
     lines.append("")
-    lines.extend(matrix_lines(g, marks))
+    lines.extend(_matrix_lines(g, marks, profile_names))
     lines.append("")
     lines.append(
         "markers: N = pure Nash, H = Hofstadter, I = individually rational, "

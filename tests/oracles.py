@@ -1,4 +1,5 @@
-"""Independent brute-force oracles used to cross-check the solvers.
+"""Independent brute-force oracles used to cross-check the solvers and
+the parser.
 
 Everything here is deliberately written against the raw definitions, via
 different code paths than the library (itertools over full profile lists,
@@ -9,6 +10,7 @@ import itertools
 
 from nonnash import (
     Game,
+    GameError,
     SplitMix64,
     derive_seed,
     gen_random_symmetric_game,
@@ -19,6 +21,25 @@ from nonnash import (
 
 def all_profiles(g: Game) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(k) for k in g.strategy_counts)))
+
+
+def outcome(build):
+    """``build()``, or the (class, message) of the GameError it raises."""
+    try:
+        return build()
+    except GameError as e:
+        return type(e), str(e)
+
+
+def document_referee(text: str):
+    """What ``new_game`` makes of a .gnf document free of syntax errors,
+    tokenized plainly: the game, or the (class, message) of its error."""
+    rows = [tokens for line in text.split("\n") if (tokens := line.partition("#")[0].split())]
+    n = int(rows[1][1])
+    labels = [row[2:] for row in rows[2 : 2 + n]]
+    # rows[2 + n] is "payoffs" and rows[-1] is "end"
+    cells = [(tuple(map(int, row[:n])), tuple(map(int, row[n:]))) for row in rows[3 + n : -1]]
+    return outcome(lambda: new_game(labels, cells))
 
 
 def nash_oracle(g: Game) -> list[tuple[int, ...]]:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import document_referee, outcome
 from pinned_games import PINNED_GAMES, sha256
 
+import nonnash.game_io
 from nonnash import (
     DuplicateCell,
     DuplicateLabel,
@@ -31,6 +33,8 @@ from nonnash import (
     serialize_game,
     sweep,
 )
+from nonnash.game_core import PAYOFF_MAX, PAYOFF_MIN
+from nonnash.game_io import _CELL_SLICE
 
 CANONICAL_PD = """gnf 1
 players 2
@@ -413,3 +417,106 @@ def test_parse_matches_new_game_on_shuffled_cells():
         cells = list(zip(profiles(g), g.payoffs))
         rng.shuffle(cells)
         assert parse_game(text).game == new_game(g.strategy_labels, cells) == g
+
+
+def test_size_guard_before_any_cell_token_is_converted(monkeypatch):
+    calls = []
+
+    def counting_int(*args):
+        calls.append(args)
+        return int(*args)
+
+    monkeypatch.setattr(nonnash.game_io, "int", counting_int, raising=False)
+    cells = "0 0 1 1\n" * 5000
+    with pytest.raises(DuplicateCell):
+        parse_game(_edit(("0 0 1 1\n", cells)))
+    assert len(calls) > 4 * 5000  # every cell token goes through int
+    calls.clear()
+    with pytest.raises(SizeGuardExceeded) as exc:
+        parse_game(_edit(*_WIDE, ("0 0 1 1\n", cells)))
+    assert str(exc.value) == _SIZE_GUARD
+    assert calls == [("2",)]  # only the player count, read by parse_int
+
+
+class TestLargeDocument:
+    """A canonical 3-player, 25-strategy document (15,625 cells, spanning
+    several conversion slices) is taken in bulk; any edit that breaks a
+    rule falls back to the per-cell checks and names the same error as
+    ``new_game``."""
+
+    HEAD = 6  # gnf, players, three strategies lines, payoffs
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        g = gen_random_game(3, 25, 0, 99, seed=11)
+        return g, serialize_game(GameDocument(game=g)).split("\n")
+
+    @staticmethod
+    def parse(lines):
+        """parse_game's outcome on `lines`, after checking that it equals
+        the plain referee's."""
+        text = "\n".join(lines)
+        parsed = outcome(lambda: parse_game(text).game)
+        assert parsed == document_referee(text)
+        return parsed
+
+    def edit(self, lines, j, col, token):
+        """`lines` with token `col` of cell `j` replaced by `token`."""
+        lines = list(lines)
+        tokens = lines[self.HEAD + j].split(" ")
+        tokens[col] = token
+        lines[self.HEAD + j] = " ".join(tokens)
+        return lines
+
+    def test_canonical_document(self, big):
+        g, lines = big
+        assert len(lines) - self.HEAD - 2 == 15_625 > 4 * _CELL_SLICE
+        assert self.parse(lines) == g
+
+    def test_payoff_out_of_range(self, big):
+        g, lines = big
+        lines = self.edit(lines, 10_000, 4, str(2**62 + 1))
+        assert self.parse(lines) == (
+            PayoffOutOfRange,
+            "cell (16, 0, 0): payoff 4611686018427387905 outside [-2**62, 2**62]",
+        )
+
+    def test_extra_cell_after_a_complete_table(self, big):
+        g, lines = big
+        lines = lines[:-2] + ["3 1 4 1 5 9"] + lines[-2:]
+        assert self.parse(lines) == (DuplicateCell, "profile (3, 1, 4) listed more than once")
+
+    def test_missing_last_cell(self, big):
+        g, lines = big
+        assert self.parse(lines[:-3] + lines[-2:]) == (
+            MissingCell, "no payoffs for profile (24, 24, 24)"
+        )
+
+    def test_non_canonical_zeros(self, big):
+        g, lines = big
+        lines = self.edit(lines, 0, 0, "00")
+        lines = self.edit(lines, 0, 1, "-0")
+        lines = self.edit(lines, 1, 3, "-0")
+        lines = self.edit(lines, 1, 4, "00")
+        parsed = self.parse(lines)
+        assert parsed.payoffs[0] == g.payoffs[0]
+        assert parsed.payoffs[1] == (0, 0, g.payoffs[1][2])
+        assert parsed.payoffs[2:] == g.payoffs[2:]
+
+    def test_payoffs_at_the_bounds(self, big):
+        g, lines = big
+        lines = self.edit(lines, 0, 3, str(PAYOFF_MIN))
+        lines = self.edit(lines, 15_624, 5, str(PAYOFF_MAX))
+        parsed = self.parse(lines)
+        assert parsed.payoffs[0][0] == PAYOFF_MIN
+        assert parsed.payoffs[-1][2] == PAYOFF_MAX
+
+    @pytest.mark.parametrize(
+        "j", [_CELL_SLICE - 1, _CELL_SLICE, 2 * _CELL_SLICE - 1, 2 * _CELL_SLICE]
+    )
+    def test_bad_cell_on_a_slice_boundary(self, big, j):
+        g, lines = big
+        profile = (j // 625, j // 25 % 25, 25)
+        assert self.parse(self.edit(lines, j, 2, "25")) == (
+            IndexOutOfRange, f"profile {profile}: strategy 25 out of range for player 2"
+        )

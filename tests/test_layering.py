@@ -12,8 +12,10 @@ profile order, so ``cell_index`` (random access) is called only inside
 ``game_core``.  The integer rules live in ``game_core`` too: only that
 module raises ``IndexOutOfRange`` or names the payoff bounds, and one
 function tells an int from a bool.  So do the cell rules: ``parse_game``
-raises none of the four cell errors itself.  ``game_io`` catches no
-error, so the order of ``parse_game``'s passes alone orders its errors.
+raises none of the four cell errors itself, and ``game_io`` never calls
+``Game(...)``, so every parsed game comes out of ``game_core``.
+``game_io`` catches no error, so the order of ``parse_game``'s passes
+alone orders its errors.
 No module memoizes with ``functools.lru_cache`` or ``functools.cache``,
 and only ``game_core`` touches an object's ``__dict__`` or sets attributes
 by name, so it stays the one module that sets a game's cached facts.
@@ -125,6 +127,11 @@ def test_cell_rules_raised_only_in_game_core():
     # parse_game reaches them through game_core.build_game, as new_game does
     for error in ("IndexOutOfRange", "PayoffOutOfRange", "DuplicateCell", "MissingCell"):
         assert _modules_calling(error) == {"game_core.py"}, error
+
+
+def test_game_io_builds_no_game_itself():
+    # a parsed game, bulk or cell by cell, is built where the cell rules live
+    assert "game_io.py" not in _modules_calling("Game")
 
 
 def test_no_function_local_imports():

@@ -4,13 +4,26 @@ Two generators feed the same properties: free text over an alphabet of
 format characters, and canonical documents of small random games with a
 few tokens replaced.  Both include non-ASCII digits such as "²" and "٠",
 which are not integers in the format, and ASCII control characters, which
-are not separators.
+are not separators.  A document that passes the syntax pass must give
+what ``new_game`` gives on its plainly tokenized cells: the same game or
+the same error, whether ``parse_game`` took its table in bulk or cell by
+cell.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonnash import GameDocument, GameError, gen_random_game, parse_game, serialize_game
+from oracles import document_referee, outcome
+
+from nonnash import (
+    GameDocument,
+    GameError,
+    GnfSyntaxError,
+    VersionUnsupported,
+    gen_random_game,
+    parse_game,
+    serialize_game,
+)
 
 TOKENS = (
     "gnf", "1", "2", "players", "strategies", "payoffs", "end", "0", "-1",
@@ -39,6 +52,13 @@ def _check_total(text: str) -> None:
     assert serialize_game(parse_game(canonical)) == canonical
 
 
+def _check_against_new_game(text: str) -> None:
+    parsed = outcome(lambda: parse_game(text).game)
+    if isinstance(parsed, tuple) and parsed[0] in (GnfSyntaxError, VersionUnsupported):
+        return
+    assert parsed == document_referee(text)
+
+
 @st.composite
 def mutated_documents(draw):
     n = draw(st.integers(1, 3))
@@ -56,14 +76,54 @@ def mutated_documents(draw):
     return "\n".join(" ".join(line) for line in lines)
 
 
+# Integer tokens a cell may hold: in and out of range as indices and
+# payoffs, with the non-canonical spellings "00" and "-0".
+CELL_TOKENS = (
+    "0", "00", "-0", "1", "2", "3", "-1", str(2**62), str(-(2**62)), str(2**62 + 1),
+    str(-(2**62) - 1),
+)
+
+
+@st.composite
+def cell_mutated_documents(draw):
+    """Canonical documents with cells edited, dropped, repeated or moved,
+    so that every edit leaves the syntax valid."""
+    n = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    g = gen_random_game(n, counts, -5, 5, draw(st.integers(0, 2**32)))
+    lines = serialize_game(GameDocument(game=g)).split("\n")
+    head, cells, tail = lines[: n + 3], lines[n + 3 : -2], lines[-2:]
+    cells = [line.split(" ") for line in cells]
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, len(cells) - 1))
+        action = draw(st.sampled_from(("token", "drop", "repeat", "move")))
+        if action == "token":
+            cells[j][draw(st.integers(0, 2 * n - 1))] = draw(st.sampled_from(CELL_TOKENS))
+        elif action == "drop" and len(cells) > 1:
+            del cells[j]
+        elif action == "repeat":
+            cells.insert(draw(st.integers(0, len(cells))), list(cells[j]))
+        elif action == "move":
+            cells.insert(draw(st.integers(0, len(cells) - 1)), cells.pop(j))
+    return "\n".join(head + [" ".join(cell) for cell in cells] + tail)
+
+
 @given(st.text(ALPHABET, max_size=200))
 @settings(max_examples=300, deadline=None)
 def test_free_text_parses_or_raises_game_error(text):
     _check_total(text)
+    _check_against_new_game(text)
 
 
 @given(mutated_documents())
 @settings(max_examples=400, deadline=None)
 def test_mutated_documents_parse_or_raise_game_error(text):
     _check_total(text)
+    _check_against_new_game(text)
 
+
+
+@given(cell_mutated_documents())
+@settings(max_examples=400, deadline=None)
+def test_cell_mutations_match_new_game(text):
+    _check_against_new_game(text)
