@@ -26,6 +26,7 @@ two implementations) given the same game emit identical bytes.
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -197,7 +198,9 @@ def serialize_game(doc: GameDocument) -> str:
     for i, player_labels in enumerate(g.strategy_labels):
         lines.append(f"strategies {i} " + " ".join(player_labels))
     lines.append("payoffs")
-    lines.extend(" ".join(map(str, p + u)) for p, u in zip(profiles(g), g.payoffs))
+    # One %s per index and payoff: %s writes an int as str() does.
+    cell = " ".join(["%s"] * (2 * g.n_players)).__mod__
+    lines.extend(map(cell, map(operator.add, profiles(g), g.payoffs)))
     lines.append("end")
     return "\n".join(lines) + "\n"
 

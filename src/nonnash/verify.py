@@ -17,7 +17,11 @@ strategy plus the multiset of opponent strategies, enumerated
 own-strategy-major, multisets in lexicographic order).  A symmetric game
 is a layout of its shape (the labels, the class of every payoff entry in
 cell order, and player 0's rows of classes, which become every player's
-``own_rows``) filled from the class draws, taken in one batch.  Both
+``own_rows``) filled from the class draws, taken in one batch.  The
+layout ranks the sorted opponents of each opponent profile once, in that
+lexicographic order: class ``a*M + rank`` for own strategy a and M
+multisets.  Those ranks give player 0's rows, and every player's entries
+are the same rows re-blocked, so no cell is sorted.  Both
 generators check their arguments through ``game_core`` before any draw and
 write the table in cell order with no ``new_game`` pass: it is valid by
 construction.  A seed is any int, not a bool, read mod 2**64.  Sweep game
@@ -147,25 +151,38 @@ _SymmetricLayout = tuple[tuple[tuple[str, ...], ...], array, int, tuple[array, .
 
 
 def _symmetric_layout(n_players: int, k: int) -> _SymmetricLayout:
-    """The layout shared by every symmetric game of one shape."""
-    # Class (own, others) is stored under the sorted whole profile, then
-    # under own, so a cell needs one sort to reach every player's class.
-    class_index: dict[tuple[int, ...], dict[int, int]] = {}
-    n_classes = 0
-    for own in range(k):
-        for others in itertools.combinations_with_replacement(range(k), n_players - 1):
-            key = tuple(sorted(others + (own,)))
-            class_index.setdefault(key, {})[own] = n_classes
-            n_classes += 1
-    cells = array("I")
-    for p in itertools.product(range(k), repeat=n_players):
-        cells.extend(map(class_index[tuple(sorted(p))].__getitem__, p))
-    labels = (tuple(f"s{v}" for v in range(k)),) * n_players
-    # Row a of player 0 is player 0's entry of every cell whose first index
-    # is a: one block of k**(n-1) cells, n entries each.
-    width = k ** (n_players - 1) * n_players
-    rows = tuple(cells[a * width : (a + 1) * width : n_players] for a in range(k))
-    return labels, cells, n_classes, rows
+    """The layout shared by every symmetric game of one shape.
+
+    Class ``a*M + r`` is own strategy a against the opponent multiset of
+    rank r, the M multisets ranked in ``combinations_with_replacement``
+    order.  Ranking the sorted opponents of each opponent profile once
+    gives player 0's rows: row a is ``a*M`` plus those ranks.  Every player
+    reads the same rows: with s = k**(n-1-i), player i's entry at the cell
+    of prefix h (the players before i), own strategy a and suffix t is row
+    a at ``h*s + t``, the place of its opponents' profile.  So player i's
+    entries are the rows re-blocked, copied into ``cells[i::n]`` by slice
+    assignment: per row, k**i blocks of s entries or s strided runs of
+    k**i, whichever is fewer copies.
+    """
+    n = n_players
+    multisets = itertools.combinations_with_replacement(range(k), n - 1)
+    rank = {m: r for r, m in enumerate(multisets)}
+    ranks = [rank[tuple(sorted(q))] for q in itertools.product(range(k), repeat=n - 1)]
+    rows = tuple(array("I", map((a * len(rank)).__add__, ranks)) for a in range(k))
+    cells = array("I", [0]) * (n * k**n)
+    for i in range(n):
+        s = k ** (n - 1 - i)
+        blocks = k**i
+        for a, row in enumerate(rows):
+            if blocks <= s:
+                for h in range(blocks):
+                    start = n * (h * k + a) * s + i
+                    cells[start : start + n * s : n] = row[h * s : (h + 1) * s]
+            else:
+                for t in range(s):
+                    cells[n * (a * s + t) + i :: n * k * s] = row[t::s]
+    labels = (tuple(f"s{v}" for v in range(k)),) * n
+    return labels, cells, k * len(rank), rows
 
 
 def _fill_symmetric(layout: _SymmetricLayout, lo: int, hi: int, seed: int) -> Game:

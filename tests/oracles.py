@@ -7,6 +7,7 @@ no stride arithmetic, no shared helpers), so agreement is meaningful.
 """
 
 import itertools
+from array import array
 
 from nonnash import (
     Game,
@@ -40,6 +41,44 @@ def document_referee(text: str):
     # rows[2 + n] is "payoffs" and rows[-1] is "end"
     cells = [(tuple(map(int, row[:n])), tuple(map(int, row[n:]))) for row in rows[3 + n : -1]]
     return outcome(lambda: new_game(labels, cells))
+
+
+def serialize_referee(g: Game) -> str:
+    """Canonical .gnf text of `g`, each cell line a ``" ".join`` of str()
+    of its indices, then its payoffs."""
+    lines = ["gnf 1", f"players {g.n_players}"]
+    for i, player_labels in enumerate(g.strategy_labels):
+        lines.append(f"strategies {i} " + " ".join(player_labels))
+    lines.append("payoffs")
+    lines.extend(" ".join(map(str, p + u)) for p, u in zip(all_profiles(g), g.payoffs))
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def symmetric_layout_referee(n_players: int, k: int):
+    """The symmetric layout of `n_players` players with `k` strategies
+    each, by a sort of every cell: the labels, the class of every payoff
+    entry in cell order (``array("I")``), the number of classes and player
+    0's rows of classes.  Class (own, others) is numbered own-major, the
+    sorted others in ``combinations_with_replacement`` order."""
+    # Class (own, others) is stored under the sorted whole profile, then
+    # under own, so a cell needs one sort to reach every player's class.
+    class_index: dict[tuple[int, ...], dict[int, int]] = {}
+    n_classes = 0
+    for own in range(k):
+        for others in itertools.combinations_with_replacement(range(k), n_players - 1):
+            key = tuple(sorted(others + (own,)))
+            class_index.setdefault(key, {})[own] = n_classes
+            n_classes += 1
+    cells = array("I")
+    for p in itertools.product(range(k), repeat=n_players):
+        cells.extend(map(class_index[tuple(sorted(p))].__getitem__, p))
+    labels = (tuple(f"s{v}" for v in range(k)),) * n_players
+    # Row a of player 0 is player 0's entry of every cell whose first index
+    # is a: one block of k**(n-1) cells, n entries each.
+    width = k ** (n_players - 1) * n_players
+    rows = tuple(cells[a * width : (a + 1) * width : n_players] for a in range(k))
+    return labels, cells, n_classes, rows
 
 
 def nash_oracle(g: Game) -> list[tuple[int, ...]]:

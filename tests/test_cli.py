@@ -196,6 +196,28 @@ def test_pinned_three_player_search(capsys, workers):
     assert (code, err, sha256(timeless)) == (0, "", SEARCH_3P_SHA256)
 
 
+# sha256 of the stdout of `gen` on large shapes: the symmetric layout and
+# the serializer of 15,625, 14,400 and 6,561 cells, payoffs at 19 digits,
+# and an asymmetric table.
+PINNED_GEN = [
+    ("--symmetric --players 3 --strategies 25 --seed 1",
+     "fcf938e3be6d8977149d42478c11a8b7e3aa15f23a9222507ae96438af6155ea"),
+    ("--symmetric --players 2 --strategies 120 --seed 1",
+     "b84ac8e4d055596e59812d3cdb18b998c0b0d42ed92a32575f5c01f84876c143"),
+    ("--symmetric --players 4 --strategies 9 --seed 7 "
+     "--payoff-range=-4611686018427387904..4611686018427387904",
+     "19abc69107e6fbea77ed7b5cc21d7700c48b46860c0f6fea45c80e2fbedf96d7"),
+    ("--players 3 --strategies 20 --seed 5 --payoff-range=-50..50",
+     "726b46b7ed61774a2626e8ca79bb4bc54321aa88875e2d548f9cd5c6a9c69d33"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_GEN, ids=[a for a, _ in PINNED_GEN])
+def test_pinned_large_gen(capsys, args, digest):
+    code, out, err = run_cli(capsys, "gen", *args.split())
+    assert (code, err, sha256(out)) == (0, "", digest)
+
+
 class TestCheck:
     def test_pd_all_pass(self, capsys, games_dir):
         code, out, _ = run_cli(capsys, "check", str(games_dir / "pd.gnf"))

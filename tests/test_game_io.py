@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import document_referee, outcome
+from oracles import document_referee, outcome, serialize_referee
 from pinned_games import PINNED_GAMES, sha256
 
 import nonnash.game_io
@@ -25,6 +25,7 @@ from nonnash import (
     VersionUnsupported,
     build_report,
     gen_random_game,
+    gen_random_symmetric_game,
     new_game,
     parse_game,
     profiles,
@@ -156,6 +157,27 @@ class TestSerialize:
     def test_roundtrip_property(self, seed):
         g = gen_random_game(2, (3, 4), -1000, 1000, seed=seed)
         assert parse_game(serialize_game(GameDocument(game=g))).game == g
+
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.lists(st.integers(min_value=1, max_value=4), min_size=4, max_size=4),
+        st.sampled_from([
+            (PAYOFF_MIN, PAYOFF_MAX),
+            (PAYOFF_MIN, PAYOFF_MIN + 3),
+            (PAYOFF_MAX - 3, PAYOFF_MAX),
+            (-1000, -1),
+            (-5, 5),
+        ]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_the_join_referee(self, n, counts, payoff_range, symmetric, seed):
+        if symmetric:
+            g = gen_random_symmetric_game(n, counts[0], *payoff_range, seed)
+        else:
+            g = gen_random_game(n, counts[:n], *payoff_range, seed)
+        assert serialize_game(GameDocument(game=g)) == serialize_referee(g)
 
     def test_fixture_files_are_canonical(self, games_dir):
         for name in ("pd", "chicken", "coordination", "g3x3"):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import re
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -50,7 +51,12 @@ from nonnash.verify import (
     Verdict,
 )
 
-from oracles import deleted_sets, sweep_game, symmetric_oracle
+from oracles import (
+    deleted_sets,
+    sweep_game,
+    symmetric_layout_referee,
+    symmetric_oracle,
+)
 
 
 @pytest.fixture
@@ -187,6 +193,21 @@ class TestGenerators:
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
         # the generators skip new_game; its validation still accepts the table
         assert new_game(g.strategy_labels, zip(profiles(g), g.payoffs)) == g
+
+
+# Every shape of 1..5 players and 1..6 strategies with at most 4096 cells,
+# then the two large shapes of the benchmark's analyze workloads.
+LAYOUT_SHAPES = [
+    (n, k) for n in range(1, 6) for k in range(1, 7) if k**n <= 4096
+] + [(3, 25), (2, 120)]
+
+
+@pytest.mark.parametrize("n, k", LAYOUT_SHAPES, ids=[f"{n}x{k}" for n, k in LAYOUT_SHAPES])
+def test_symmetric_layout_matches_the_sorting_referee(n, k):
+    layout = nonnash.verify._symmetric_layout(n, k)
+    assert layout == symmetric_layout_referee(n, k)
+    _, cells, _, rows = layout
+    assert all(type(a) is array and a.typecode == "I" for a in (cells, *rows))
 
 
 SWEEP_INT_FIELDS = (
