@@ -73,14 +73,9 @@ class Game:
     :func:`is_symmetric`).  :func:`_symmetric_game` is the one other place
     that sets the cache, with rows its caller already holds.
 
-    The rules a game obeys (labels, size guard, indices and payoffs in
-    range, each cell exactly once) live in :func:`build_game`, which
-    :func:`new_game` goes through.  :func:`nonnash.game_io.parse_game`
-    goes through :func:`_build_flat_game`, which checks the labels and the
-    size guard as :func:`build_game` does, accepts a complete in-order
-    table in bulk, and hands any other table to :func:`build_game`'s
-    per-cell checks.  The generators in ``verify`` and :func:`restrict`
-    build tables that obey the rules by construction.
+    The rules a game obeys are listed, and checked, in :func:`new_game`.
+    The generators in ``verify`` and :func:`restrict` build tables that
+    obey them by construction.
 
     Games are immutable; all operations on them are pure functions, so
     values can be shared freely across threads or worker processes.
@@ -212,49 +207,9 @@ def check_index(v, k: int, what: str) -> None:
         raise IndexOutOfRange(f"{what} {v!r} out of range")
 
 
-def _profile_from_index(counts: tuple[int, ...], idx: int) -> Profile:
-    out = []
-    for k in reversed(counts):
-        idx, v = divmod(idx, k)
-        out.append(v)
-    return tuple(reversed(out))
-
-
-def build_game(strategy_labels, cells, max_entries: int = MAX_ENTRIES) -> Game:
-    """Build a game from cells whose types are already known to be right.
-
-    This is the one home of the rules on labels, size and cells.
-    :func:`new_game` builds its games here.  So does
-    :func:`nonnash.game_io.parse_game`, through :func:`_build_flat_game`:
-    that runs rules 1 and 2 below before a single cell token is converted
-    to an int, accepts in bulk a complete table in enumeration order whose
-    payoffs are all in range (one that breaks no rule), and hands every
-    other table to the per-cell checks here, so its error is the same.
-    `strategy_labels` is a tuple of per-player label tuples, kept as given.
-    `cells` yields ``(profile, payoffs)`` pairs of int tuples, one entry per
-    player, consumed only after the labels and the size guard pass.  While
-    the profiles come in enumeration order, each fills the next slot with
-    only its payoffs checked; from the first one out of order on, every
-    cell is checked and placed by index.  The order test needs int tuples:
-    ``True == 1``.  The first broken rule raises:
-
-    1. labels: at least one player (InvalidGame), at least one strategy per
-       player (InvalidGame), labels matching ``[A-Za-z0-9_-]+``
-       (InvalidLabel), distinct within a player (DuplicateLabel);
-    2. the size guard (SizeGuardExceeded), before any cell is stored;
-    3. per cell, in the order `cells` yields them: every index in range
-       (IndexOutOfRange, named by :func:`check_profile`), every payoff in
-       ``[PAYOFF_MIN, PAYOFF_MAX]`` (PayoffOutOfRange), a profile not seen
-       before (DuplicateCell);
-    4. after the last cell, no profile left without payoffs (MissingCell).
-    """
-    counts = _checked_counts(strategy_labels, max_entries)
-    return _place_cells(strategy_labels, counts, cells)
-
-
 def _checked_counts(strategy_labels, max_entries: int) -> tuple[int, ...]:
-    """Strategy counts of `strategy_labels`, once they pass rules 1 and 2
-    of :func:`build_game`."""
+    """Strategy counts of `strategy_labels`, once they pass rules 2 and 3
+    of :func:`new_game`."""
     if not strategy_labels:
         raise InvalidGame("a game needs at least one player")
     for i, player_labels in enumerate(strategy_labels):
@@ -276,45 +231,59 @@ def _checked_counts(strategy_labels, max_entries: int) -> tuple[int, ...]:
 
 
 def _place_cells(strategy_labels, counts: tuple[int, ...], cells) -> Game:
-    """The game of `cells` under rules 3 and 4 of :func:`build_game`."""
+    """The game of `cells` under rules 4 and 5 of :func:`new_game`;
+    `strategy_labels` is kept as given."""
+    n = len(counts)
     strides = _strides(counts)
     ranges = tuple(map(range, counts))
-    cells = iter(cells)
-    slots: list = []
-    for expected, (profile, vec) in zip(itertools.product(*ranges), cells):
-        if profile != expected:
-            cells = itertools.chain([(profile, vec)], cells)
-            break
-        if min(vec) < PAYOFF_MIN or max(vec) > PAYOFF_MAX:
-            _check_payoffs(profile, vec)
-        slots.append(vec)
-    slots += [None] * (math.prod(counts) - len(slots))
-    for profile, vec in cells:
-        if not all(map(contains, ranges, profile)):
-            check_profile(profile, counts)
-        if min(vec) < PAYOFF_MIN or max(vec) > PAYOFF_MAX:
-            _check_payoffs(profile, vec)
+    try:
+        cells = iter(cells)
+    except TypeError:
+        raise InvalidGame(f"cells {cells!r}: expected (profile, payoffs) pairs") from None
+    slots = [None] * math.prod(counts)
+    for cell in cells:
+        try:
+            profile, values = cell
+            profile, vec = tuple(profile), tuple(values)
+        except (TypeError, ValueError):
+            raise InvalidGame(f"cell {cell!r}: expected a (profile, payoffs) pair") from None
+        # One test per cell; a cell that fails it is checked again entry by
+        # entry, in rule order, so the first broken rule is named.
+        if not (
+            len(profile) == n == len(vec)
+            and are_ints(*profile, *vec)
+            and all(map(contains, ranges, profile))
+            and PAYOFF_MIN <= min(vec)
+            and max(vec) <= PAYOFF_MAX
+        ):
+            profile = check_profile(profile, counts)
+            if len(vec) != n:
+                raise InvalidGame(f"cell {profile}: expected {n} payoff values, got {len(vec)}")
+            for u in vec:
+                if not are_ints(u):
+                    raise PayoffOutOfRange(f"cell {profile}: payoff {u!r} is not an integer")
+                if not PAYOFF_MIN <= u <= PAYOFF_MAX:
+                    raise PayoffOutOfRange(f"cell {profile}: payoff {u} outside [-2**62, 2**62]")
         idx = sum(map(mul, profile, strides))
         if slots[idx] is not None:
             raise DuplicateCell(f"profile {profile} listed more than once")
         slots[idx] = vec
     if None in slots:
-        missing = _profile_from_index(counts, slots.index(None))
+        missing = next(itertools.islice(itertools.product(*ranges), slots.index(None), None))
         raise MissingCell(f"no payoffs for profile {missing}")
     return Game(strategy_labels=strategy_labels, payoffs=tuple(slots))
 
 
 def _build_flat_game(strategy_labels, values) -> Game:
-    """:func:`build_game` for cells given flat: `values` yields ints, the n
-    indices and then the n payoffs of each cell in turn, and is consumed
-    only after the labels and the size guard pass.
+    """The game of cells given flat, under the rules of :func:`new_game`:
+    `values` yields ints, the n indices and then the n payoffs of each cell
+    in turn, and is consumed only after the labels and the size guard pass.
+    `strategy_labels` is a tuple of label tuples, kept as given.
 
     A complete table in enumeration order is accepted in bulk, with one
-    comparison per index column and one range test per payoff column: its
-    cells are exactly the expected profiles, so rules 3 and 4 can only
-    break on a payoff.  Any other table, and one with a payoff out of
-    range, goes through the per-cell checks of :func:`build_game` as
-    ``(profile, payoffs)`` pairs, so it fails with the same error.
+    comparison per index column and one range test per payoff column.  Any
+    other table goes through :func:`_place_cells`, so it fails with the
+    same error as in :func:`new_game`.
     """
     counts = _checked_counts(strategy_labels, MAX_ENTRIES)
     values = list(values)
@@ -343,44 +312,6 @@ def _symmetric_game(strategy_labels, payoffs, rows) -> Game:
     return g
 
 
-def _check_payoffs(profile: Profile, payoffs) -> None:
-    """Raise PayoffOutOfRange naming the first payoff, an int, outside
-    ``[PAYOFF_MIN, PAYOFF_MAX]``."""
-    for u in payoffs:
-        if not PAYOFF_MIN <= u <= PAYOFF_MAX:
-            raise PayoffOutOfRange(f"cell {profile}: payoff {u} outside [-2**62, 2**62]")
-
-
-def _typed_cells(cells, counts: tuple[int, ...]):
-    """`cells` as int tuples, after the type and length checks that
-    :func:`build_game` leaves to its callers."""
-    n = len(counts)
-    try:
-        cells = iter(cells)
-    except TypeError:
-        raise InvalidGame(f"cells {cells!r}: expected (profile, payoffs) pairs") from None
-    for cell in cells:
-        try:
-            profile, values = cell
-            profile, vec = tuple(profile), tuple(values)
-        except (TypeError, ValueError):
-            raise InvalidGame(f"cell {cell!r}: expected a (profile, payoffs) pair") from None
-        # One predicate call per cell; a cell that fails it is checked again
-        # entry by entry, indices first, so the first broken rule is named.
-        if len(profile) != n or len(vec) != n or not are_ints(*profile, *vec):
-            profile = check_profile(profile, counts)
-            if len(vec) != n:
-                raise InvalidGame(
-                    f"cell {profile}: expected {n} payoff values, got {len(vec)}"
-                )
-            first = next(j for j, u in enumerate(vec) if not are_ints(u))
-            _check_payoffs(profile, vec[:first])
-            raise PayoffOutOfRange(
-                f"cell {profile}: payoff {vec[first]!r} is not an integer"
-            )
-        yield profile, vec
-
-
 def new_game(strategy_labels, cells, *, max_entries: int = MAX_ENTRIES) -> Game:
     """Build and validate an immutable game.
 
@@ -390,26 +321,34 @@ def new_game(strategy_labels, cells, *, max_entries: int = MAX_ENTRIES) -> Game:
         Per-player sequences of strategy labels.
     cells:
         Iterable of ``(profile, payoff_vector)`` pairs covering every
-        profile exactly once, in any order.
+        profile exactly once, in any order; consumed only after the labels
+        and the size guard pass.
     max_entries:
         Size guard; construction fails if cells x players exceeds it.
 
-    The argument shapes (InvalidGame) and each cell's indices and payoffs,
-    ints (not bools), one per player, are checked here.  Every other rule
-    is checked, and described, in :func:`build_game`.
+    This is the one home of the rules a game obeys;
+    :func:`nonnash.game_io.parse_game` checks them through
+    :func:`_build_flat_game`.  The first broken rule raises:
 
-    Raises
-    ------
-    InvalidGame, InvalidLabel, DuplicateLabel, IndexOutOfRange,
-    PayoffOutOfRange, DuplicateCell, MissingCell, SizeGuardExceeded
+    1. `strategy_labels` not one sequence per player (InvalidGame);
+    2. labels: at least one player (InvalidGame), at least one strategy per
+       player (InvalidGame), labels matching ``[A-Za-z0-9_-]+``
+       (InvalidLabel), distinct within a player (DuplicateLabel);
+    3. the size guard (SizeGuardExceeded), before any cell is stored;
+    4. `cells` not iterable (InvalidGame); then per cell, in the order
+       `cells` yields them: a ``(profile, payoffs)`` pair (InvalidGame), one
+       int index per player, each in range (IndexOutOfRange, named by
+       :func:`check_profile`), one payoff per player (InvalidGame), each an
+       int in ``[PAYOFF_MIN, PAYOFF_MAX]`` (PayoffOutOfRange), a profile
+       not seen before (DuplicateCell).  An int is never a bool;
+    5. after the last cell, no profile left without payoffs (MissingCell).
     """
     try:
         labels = tuple(map(tuple, strategy_labels))
     except TypeError:
         what = f"strategy labels {strategy_labels!r}"
         raise InvalidGame(f"{what}: expected one sequence per player") from None
-    counts = tuple(map(len, labels))
-    return build_game(labels, _typed_cells(cells, counts), max_entries)
+    return _place_cells(labels, _checked_counts(labels, max_entries), cells)
 
 
 def payoff(g: Game, profile: Profile, player: int) -> int:

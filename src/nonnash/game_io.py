@@ -95,15 +95,9 @@ def parse_game(text: str) -> GameDocument:
     the syntax, line by line in file order: the header, every payoff cell
     (one index and one payoff per player, all integer tokens), ``end``, and
     nothing but blank or comment lines after it.  The third hands the cells
-    to ``game_core``, which checks the labels and the size guard before a
-    single cell token becomes an int, then takes the cells' tokens as one
-    flat list of ints, converted a slice of lines at a time.  It accepts a
-    complete table in enumeration order with one check per column, and
-    otherwise checks the cells one by one in file order.  Either way every
-    rule of the game itself (labels, the size guard, indices and payoffs in
-    range, each profile exactly once) is checked, and named, by
-    :func:`nonnash.game_core.build_game`, as for
-    :func:`nonnash.game_core.new_game`.
+    to ``game_core``, which checks the rules of the game itself, as listed
+    in :func:`nonnash.game_core.new_game`, with the same errors; the labels
+    and the size guard pass before a single cell token becomes an int.
 
     Raises :class:`GnfSyntaxError` with the offending line number and what
     was expected there, :class:`VersionUnsupported`, or the error of the
@@ -241,12 +235,6 @@ def _profile_names(g: Game) -> list[str]:
     return list(map(template.__mod__, itertools.product(*g.strategy_labels)))
 
 
-def _profile_set_text(names: dict, collection) -> str:
-    if not collection:
-        return "none"
-    return ", ".join(map(names.__getitem__, collection))
-
-
 def matrix_lines(g: Game, marks=None) -> list[str]:
     """Payoff table as aligned text.
 
@@ -303,7 +291,13 @@ def _render_text(r) -> str:
     g = r.game
     marks = [_MARKERS[flags] for flags in r.flags]
     profile_names = _profile_names(g)
-    names = dict(zip(profiles(g), profile_names))
+    # The Nash, Hofstadter and individually rational profiles by name, read
+    # off their flags in enumeration order; "none" for an empty set.
+    nash, hofstadter, rational = (
+        ", ".join(itertools.compress(profile_names, map(operator.itemgetter(j), r.flags)))
+        or "none"
+        for j in range(3)
+    )
 
     lines = [f"game: {r.name}" if r.name else "game: (unnamed)"]
     lines.append(f"players: {g.n_players}")
@@ -317,13 +311,13 @@ def _render_text(r) -> str:
         "M = minimax-rationalizable"
     )
     lines.append("")
-    lines.append("pure nash: " + _profile_set_text(names, r.nash))
+    lines.append("pure nash: " + nash)
     if r.hofstadter is None:
         lines.append("hofstadter: n/a (asymmetric)")
     else:
-        lines.append("hofstadter: " + _profile_set_text(names, r.hofstadter))
+        lines.append("hofstadter: " + hofstadter)
     lines.append("maximin: (" + ",".join(str(v) for v in r.maximin) + ")")
-    lines.append("individually rational: " + _profile_set_text(names, r.individually_rational))
+    lines.append("individually rational: " + rational)
     if not r.trace.rounds:
         lines.append("elimination: no strategies eliminated")
     else:

@@ -27,7 +27,8 @@ from nonnash import (
     profiles,
     restrict,
 )
-from nonnash.game_core import build_game, full_sets
+from nonnash.game_core import _build_flat_game, full_sets
+from nonnash.game_io import parse_game
 
 from oracles import symmetric_oracle
 
@@ -129,8 +130,8 @@ AFTER_IN_ORDER = {
     "repeat-of-earlier-cell": (
         [((0, 0), (3, 3))], DuplicateCell, r"profile \(0, 0\) listed more than once",
     ),
-    # the next cell in order, so the payoff rule alone is checked; the bad
-    # cells after it are never reached
+    # the next cell in order breaks only the payoff rule; the bad cells
+    # after it are never reached
     "in-order-payoff-out-of-range": (
         [((1, 0), (0, BIG)), ((1, 0), (0, 0)), ((5, 5), (0, 0))],
         PayoffOutOfRange, r"cell \(1, 0\): payoff 4611686018427387905 outside",
@@ -148,13 +149,21 @@ AFTER_IN_ORDER = {
 }
 
 
-class TestBuildGameInOrder:
-    """Cells in enumeration order skip the index and duplicate checks until
-    the first cell out of order; the first broken rule is named as before."""
+def parse_cells(labels, cells):
+    """parse_game of `cells` written as .gnf text, in the order given."""
+    lines = ["gnf 1", f"players {len(labels)}"]
+    lines += [f"strategies {i} " + " ".join(names) for i, names in enumerate(labels)]
+    lines += ["payoffs", *(" ".join(map(str, p + u)) for p, u in cells), "end"]
+    return parse_game("\n".join(lines) + "\n").game
+
+
+class TestCellRules:
+    """Cells after an in-order prefix name the first broken rule, through
+    new_game and through the parser's cell-by-cell path alike."""
 
     LABELS = (("a", "b"), ("a", "b"))
 
-    @pytest.mark.parametrize("build", [build_game, new_game], ids=["build_game", "new_game"])
+    @pytest.mark.parametrize("build", [new_game, parse_cells], ids=["new_game", "parse_game"])
     @pytest.mark.parametrize(
         "rest, error, message", AFTER_IN_ORDER.values(), ids=list(AFTER_IN_ORDER)
     )
@@ -162,8 +171,24 @@ class TestBuildGameInOrder:
         with pytest.raises(error, match=message):
             build(self.LABELS, IN_ORDER + rest)
 
-    def test_bool_index_refused_before_the_in_order_path(self):
-        # (0, False) == (0, 0): new_game's type check refuses it first
+    @pytest.mark.parametrize(
+        "cell, error, message",
+        [
+            # an index out of range comes before a payload of the wrong length
+            (((0, 2), (1,)), IndexOutOfRange, r"strategy 2 out of range for player 1"),
+            (((1, 0), (1,)), InvalidGame, r"cell \(1, 0\): expected 2 payoff values, got 1"),
+            # each payoff in turn is checked for its type, then its range
+            (((1, 0), (BIG, "x")), PayoffOutOfRange, r"payoff 4611686018427387905 outside"),
+            (((1, 0), ("x", BIG)), PayoffOutOfRange, r"payoff 'x' is not an integer"),
+        ],
+        ids=["index-before-length", "length", "range-before-later-type", "type-before-later-range"],
+    )
+    def test_first_broken_rule_within_a_cell(self, cell, error, message):
+        with pytest.raises(error, match=message):
+            new_game(self.LABELS, IN_ORDER + [cell])
+
+    def test_bool_index_refused(self):
+        # (0, False) == (0, 0), but a bool is not an index
         with pytest.raises(IndexOutOfRange, match="strategy False"):
             new_game(self.LABELS, [((0, False), (1, 1))])
 
@@ -174,11 +199,14 @@ class TestBuildGameInOrder:
             # an in-order prefix, then the rest shuffled
             rest = cells[cut:]
             rng.shuffle(rest)
-            assert build_game(g3x3.strategy_labels, cells[:cut] + rest) == g3x3
+            assert new_game(g3x3.strategy_labels, cells[:cut] + rest) == g3x3
 
-    def test_labels_kept_as_given(self, g3x3):
+    @pytest.mark.parametrize("order", [1, -1], ids=["bulk", "out-of-order"])
+    def test_labels_kept_as_given(self, g3x3, order):
         labels = g3x3.strategy_labels
-        g = build_game(labels, zip(profiles(g3x3), g3x3.payoffs))
+        cells = list(zip(profiles(g3x3), g3x3.payoffs))[::order]
+        g = _build_flat_game(labels, [v for p, u in cells for v in p + u])
+        assert g == g3x3
         assert g.strategy_labels is labels
 
 

@@ -124,9 +124,30 @@ def test_index_out_of_range_raised_only_in_game_core():
 
 
 def test_cell_rules_raised_only_in_game_core():
-    # parse_game reaches them through game_core.build_game, as new_game does
+    # parse_game reaches them through game_core._build_flat_game, whose
+    # fallback is new_game's cell loop
     for error in ("IndexOutOfRange", "PayoffOutOfRange", "DuplicateCell", "MissingCell"):
         assert _modules_calling(error) == {"game_core.py"}, error
+
+
+def _functions_raising(error: str) -> list[str]:
+    raising = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Raise)
+                and getattr(getattr(node.exc, "func", None), "id", None) == error
+                for node in ast.walk(func)
+            ):
+                raising.append(f"{path.name}:{func.name}")
+    return raising
+
+
+def test_one_cell_loop():
+    # new_game and the parser's fallback share one loop that places cells
+    for error in ("DuplicateCell", "MissingCell"):
+        assert len(_functions_raising(error)) == 1, _functions_raising(error)
 
 
 def test_game_io_builds_no_game_itself():
