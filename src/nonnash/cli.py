@@ -148,7 +148,7 @@ def cmd_gen(args) -> int:
 
 
 # argparse reads "-30..30" as an option, so a negative LO needs the = form.
-_PAYOFF_RANGE_HELP = "LO..HI (default 0..99); negative: --payoff-range=-5..5"
+_PAYOFF_RANGE_HELP = "LO..HI (default %(default)s); negative: --payoff-range=-5..5"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,20 +179,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("search", help="sweep random symmetric games for violations")
-    p.add_argument("--players", type=_int, default=2)
+    p.add_argument("--players", type=_int, default=SweepConfig.players)
     p.add_argument(
-        "--strategies", default="2..6", help="strategy count: N or LO..HI (default 2..6)"
+        "--strategies",
+        default=f"{SweepConfig.min_strategies}..{SweepConfig.max_strategies}",
+        help="strategy count: N or LO..HI (default %(default)s)",
     )
-    p.add_argument("--games", type=_int, default=1000)
-    p.add_argument("--seed", type=_int, default=2024)
-    p.add_argument("--payoff-range", default="0..99", help=_PAYOFF_RANGE_HELP)
+    p.add_argument("--games", type=_int, default=SweepConfig.games)
+    p.add_argument("--seed", type=_int, default=SweepConfig.seed)
+    p.add_argument(
+        "--payoff-range",
+        default=f"{SweepConfig.payoff_lo}..{SweepConfig.payoff_hi}",
+        help=_PAYOFF_RANGE_HELP,
+    )
     p.add_argument(
         "--properties",
         default=",".join(SweepConfig.properties),
         help="comma-separated property names (default: all but order-independence)",
     )
     p.add_argument(
-        "--orders", type=_int, default=20, help="deletion orders per game (order-independence)"
+        "--orders",
+        type=_int,
+        default=SweepConfig.orders_per_game,
+        help="deletion orders per game (order-independence)",
     )
     p.add_argument("--workers", type=_int, default=1, help="parallel worker processes")
     p.add_argument("--format", choices=("text", "json"), default="text")

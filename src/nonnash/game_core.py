@@ -14,6 +14,7 @@ lists, by the text serializer, and by the random generators.
 import itertools
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from operator import contains, itemgetter, mul
@@ -70,12 +71,12 @@ class Game:
     left out, so entry x of every row of player i refers to the same
     opponent profile.  The solvers read rows instead of indexing cells.
     In a symmetric game every player has the same rows (see
-    :func:`is_symmetric`).  :func:`_symmetric_game` is the one other place
-    that sets the cache, with rows its caller already holds.
+    :func:`is_symmetric`); :func:`_symmetric_game`, which builds the
+    generated and catalog symmetric games, sets them from its layout.
 
     The rules a game obeys are listed, and checked, in :func:`new_game`.
-    The generators in ``verify`` and :func:`restrict` build tables that
-    obey them by construction.
+    :func:`_symmetric_game`, ``verify.gen_random_game`` and
+    :func:`restrict` build tables that obey them by construction.
 
     Games are immutable; all operations on them are pure functions, so
     values can be shared freely across threads or worker processes.
@@ -305,10 +306,58 @@ def _build_flat_game(strategy_labels, values) -> Game:
     return _place_cells(strategy_labels, counts, ((v[:n], v[n:]) for v in cells))
 
 
-def _symmetric_game(strategy_labels, payoffs, rows) -> Game:
-    """The game of a valid symmetric table; `rows` is every player's own_rows."""
-    g = Game(strategy_labels=strategy_labels, payoffs=payoffs)
-    g.__dict__["own_rows"] = (rows,) * len(strategy_labels)
+# Labels, the class of every (cell, player) entry in cell order, the number
+# of classes and player 0's rows of classes: everything of a symmetric game
+# but its class values.
+_SymmetricLayout = tuple[tuple[tuple[str, ...], ...], array, int, tuple[array, ...]]
+
+
+def _symmetric_layout(n_players: int, labels: tuple[str, ...]) -> _SymmetricLayout:
+    """The layout shared by every symmetric game of `n_players` players,
+    each with the strategies `labels`.
+
+    A class is an own strategy against a multiset of opponent strategies:
+    class ``a*M + r`` is own strategy a against the multiset of rank r, the
+    M multisets ranked in ``combinations_with_replacement`` order.  Ranking
+    the sorted opponents of each opponent profile once gives player 0's
+    rows: row a is ``a*M`` plus those ranks.  Every player reads the same
+    rows: with s = k**(n-1-i), player i's entry at the cell of prefix h (the
+    players before i), own strategy a and suffix t is row a at ``h*s + t``,
+    the place of its opponents' profile.  So player i's entries are the
+    rows re-blocked, copied into ``cells[i::n]`` by slice assignment: per
+    row, k**i blocks of s entries or s strided runs of k**i, whichever is
+    fewer copies.
+    """
+    n, k = n_players, len(labels)
+    multisets = itertools.combinations_with_replacement(range(k), n - 1)
+    rank = {m: r for r, m in enumerate(multisets)}
+    ranks = [rank[tuple(sorted(q))] for q in itertools.product(range(k), repeat=n - 1)]
+    rows = tuple(array("I", map((a * len(rank)).__add__, ranks)) for a in range(k))
+    cells = array("I", [0]) * (n * k**n)
+    for i in range(n):
+        s = k ** (n - 1 - i)
+        blocks = k**i
+        for a, row in enumerate(rows):
+            if blocks <= s:
+                for h in range(blocks):
+                    start = n * (h * k + a) * s + i
+                    cells[start : start + n * s : n] = row[h * s : (h + 1) * s]
+            else:
+                for t in range(s):
+                    cells[n * (a * s + t) + i :: n * k * s] = row[t::s]
+    return (labels,) * n, cells, k * len(rank), rows
+
+
+def _symmetric_game(layout: _SymmetricLayout, values) -> Game:
+    """The symmetric game of `layout` in which class c pays ``values[c]``, an
+    int in ``[PAYOFF_MIN, PAYOFF_MAX]``, with every player's own_rows set
+    from the layout's rows; the table is valid by construction."""
+    labels, cells, _, class_rows = layout
+    value = values.__getitem__
+    payoffs = tuple(zip(*[map(value, cells)] * len(labels)))
+    g = Game(strategy_labels=labels, payoffs=payoffs)
+    rows = tuple(tuple(map(value, row)) for row in class_rows)
+    g.__dict__["own_rows"] = (rows,) * len(labels)
     return g
 
 

@@ -12,31 +12,22 @@ Determinism contract
 --------------------
 ``gen_random_game(args, seed)`` draws one splitmix64 value per payoff
 entry in profile enumeration order, player index fastest within a cell,
-and ``gen_random_symmetric_game`` one value per payoff class (an own
-strategy plus the multiset of opponent strategies, enumerated
-own-strategy-major, multisets in lexicographic order).  A symmetric game
-is a layout of its shape (the labels, the class of every payoff entry in
-cell order, and player 0's rows of classes, which become every player's
-``own_rows``) filled from the class draws, taken in one batch.  The
-layout ranks the sorted opponents of each opponent profile once, in that
-lexicographic order: class ``a*M + rank`` for own strategy a and M
-multisets.  Those ranks give player 0's rows, and every player's entries
-are the same rows re-blocked, so no cell is sorted.  Both
-generators check their arguments through ``game_core`` before any draw and
-write the table in cell order with no ``new_game`` pass: it is valid by
-construction.  A seed is any int, not a bool, read mod 2**64.  Sweep game
-``j`` draws from the substream ``derive_seed(seed, j)``, in order: the
-strategy count, the game seed, the deletion-order seed.  A sweep builds
-one layout per strategy count and fills it for every game of that count,
-so its games equal the generator's.  Identical configurations therefore
-give identical reports on any machine and under any worker count.
+and ``gen_random_symmetric_game`` one value per payoff class, in one batch
+in the class order of ``game_core._symmetric_layout``, and places them
+through ``game_core._symmetric_game``.  Both generators check their
+arguments through ``game_core`` before any draw and write the table in
+cell order with no ``new_game`` pass: it is valid by construction.  A
+seed is any int, not a bool, read mod 2**64.  Sweep game ``j`` draws from
+the substream ``derive_seed(seed, j)``, in order: the strategy count, the
+game seed, the deletion-order seed.  A sweep builds one layout per
+strategy count and fills it for every game of that count, so its games
+equal the generator's.  Identical configurations therefore give
+identical reports on any machine and under any worker count.
 """
 
-import itertools
 import math
 import os
 import time
-from array import array
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -48,6 +39,8 @@ from .game_core import (
     Profile,
     _payoffs_at,
     _symmetric_game,
+    _symmetric_layout,
+    _SymmetricLayout,
     are_ints,
     check_count,
     check_payoff_range,
@@ -91,6 +84,10 @@ class Verdict:
     profile: Profile | None = None
 
 
+def _labels(k: int) -> tuple[str, ...]:
+    return tuple(f"s{v}" for v in range(k))
+
+
 def _check_seed(seed) -> None:
     """BadRange unless `seed` is an int, not a bool."""
     if not are_ints(seed):
@@ -115,7 +112,7 @@ def gen_random_game(
     check_payoff_range(lo, hi)
     check_size_guard(counts, max_entries)
     _check_seed(seed)
-    labels = tuple(tuple(f"s{v}" for v in range(k)) for k in counts)
+    labels = tuple(map(_labels, counts))
     draws = iter(SplitMix64(seed).next_many_in_range(lo, hi, math.prod(counts) * n_players))
     return Game(strategy_labels=labels, payoffs=tuple(zip(*[draws] * n_players)))
 
@@ -141,57 +138,12 @@ def gen_random_symmetric_game(
     check_payoff_range(lo, hi)
     check_size_guard(counts, max_entries)
     _check_seed(seed)
-    return _fill_symmetric(_symmetric_layout(n_players, k), lo, hi, seed)
-
-
-# Labels, the class draw index of every (cell, player) in cell order, the
-# number of classes and player 0's rows of class indices: everything of a
-# symmetric game but its draws.
-_SymmetricLayout = tuple[tuple[tuple[str, ...], ...], array, int, tuple[array, ...]]
-
-
-def _symmetric_layout(n_players: int, k: int) -> _SymmetricLayout:
-    """The layout shared by every symmetric game of one shape.
-
-    Class ``a*M + r`` is own strategy a against the opponent multiset of
-    rank r, the M multisets ranked in ``combinations_with_replacement``
-    order.  Ranking the sorted opponents of each opponent profile once
-    gives player 0's rows: row a is ``a*M`` plus those ranks.  Every player
-    reads the same rows: with s = k**(n-1-i), player i's entry at the cell
-    of prefix h (the players before i), own strategy a and suffix t is row
-    a at ``h*s + t``, the place of its opponents' profile.  So player i's
-    entries are the rows re-blocked, copied into ``cells[i::n]`` by slice
-    assignment: per row, k**i blocks of s entries or s strided runs of
-    k**i, whichever is fewer copies.
-    """
-    n = n_players
-    multisets = itertools.combinations_with_replacement(range(k), n - 1)
-    rank = {m: r for r, m in enumerate(multisets)}
-    ranks = [rank[tuple(sorted(q))] for q in itertools.product(range(k), repeat=n - 1)]
-    rows = tuple(array("I", map((a * len(rank)).__add__, ranks)) for a in range(k))
-    cells = array("I", [0]) * (n * k**n)
-    for i in range(n):
-        s = k ** (n - 1 - i)
-        blocks = k**i
-        for a, row in enumerate(rows):
-            if blocks <= s:
-                for h in range(blocks):
-                    start = n * (h * k + a) * s + i
-                    cells[start : start + n * s : n] = row[h * s : (h + 1) * s]
-            else:
-                for t in range(s):
-                    cells[n * (a * s + t) + i :: n * k * s] = row[t::s]
-    labels = (tuple(f"s{v}" for v in range(k)),) * n
-    return labels, cells, k * len(rank), rows
+    return _fill_symmetric(_symmetric_layout(n_players, _labels(k)), lo, hi, seed)
 
 
 def _fill_symmetric(layout: _SymmetricLayout, lo: int, hi: int, seed: int) -> Game:
-    """The game of `layout` with one value per class drawn in class order."""
-    labels, cells, n_classes, class_rows = layout
-    value = SplitMix64(seed).next_many_in_range(lo, hi, n_classes).__getitem__
-    payoffs = tuple(zip(*[map(value, cells)] * len(labels)))
-    rows = tuple(tuple(map(value, row)) for row in class_rows)
-    return _symmetric_game(labels, payoffs, rows)
+    """The game of `layout` with its ``layout[2]`` class values drawn in class order."""
+    return _symmetric_game(layout, SplitMix64(seed).next_many_in_range(lo, hi, layout[2]))
 
 
 def _require_symmetric(r: AnalysisReport, what: str) -> None:
@@ -471,7 +423,7 @@ def _sweep_chunk(config: SweepConfig, start: int, stop: int):
             except SizeGuardExceeded:
                 layouts[k] = None
             else:
-                layouts[k] = _symmetric_layout(config.players, k)
+                layouts[k] = _symmetric_layout(config.players, _labels(k))
         layout = layouts[k]
         if layout is None:
             skipped += 1

@@ -7,7 +7,9 @@ import pytest
 from oracles import sweep_game
 from pinned_games import PINNED_GAMES, sha256
 
-from nonnash import GameDocument, Verdict, parse_game, serialize_game
+import nonnash.cli
+from nonnash import GameDocument, SweepConfig, Verdict, parse_game, serialize_game
+from nonnash import sweep as real_sweep
 from nonnash.cli import main
 from nonnash.verify import CHECKERS, HOFSTADTER_RATIONALIZABLE
 
@@ -279,6 +281,18 @@ class TestSearch:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    def test_defaults_are_sweep_config_defaults(self, capsys, monkeypatch):
+        built = []
+
+        def counted_sweep(config, workers):
+            built.append((config, workers))
+            return real_sweep(config, workers)
+
+        monkeypatch.setattr(nonnash.cli, "sweep", counted_sweep)
+        code, _, _ = run_cli(capsys, "search")
+        assert code == 0
+        assert built == [(SweepConfig(), 1)]
 
     def test_size_guard_on_every_game_exits_2(self, capsys):
         code, out, err = run_cli(

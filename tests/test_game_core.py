@@ -187,6 +187,17 @@ class TestCellRules:
         with pytest.raises(error, match=message):
             new_game(self.LABELS, IN_ORDER + [cell])
 
+    @pytest.mark.parametrize("build", [new_game, parse_cells], ids=["new_game", "parse_game"])
+    @pytest.mark.parametrize(
+        "payoffs, named",
+        [((-(2**62), 2**63), "9223372036854775808"), ((2**62, -(2**63)), "-9223372036854775808")],
+        ids=["lowest-then-too-high", "highest-then-too-low"],
+    )
+    def test_both_payoff_bounds_are_legal(self, build, payoffs, named):
+        # the bound comes first in the cell, so the entry after it is named
+        with pytest.raises(PayoffOutOfRange, match=rf"cell \(0, 0\): payoff {named} outside"):
+            build((("a",), ("a",)), [((0, 0), payoffs)])
+
     def test_bool_index_refused(self):
         # (0, False) == (0, 0), but a bool is not an index
         with pytest.raises(IndexOutOfRange, match="strategy False"):

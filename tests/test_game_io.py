@@ -24,10 +24,14 @@ from nonnash import (
     UnknownFormat,
     VersionUnsupported,
     build_report,
+    chicken,
+    coordination,
+    elimination_ladder,
     gen_random_game,
     gen_random_symmetric_game,
     new_game,
     parse_game,
+    prisoners_dilemma,
     profiles,
     render_report,
     render_sweep_report,
@@ -56,6 +60,26 @@ class TestParse:
         assert doc.game == pd
         # the grammar carries no name and the canonical form no comments
         assert [f.name for f in dataclasses.fields(doc)] == ["game"]
+
+    @pytest.mark.parametrize("name, build", [
+        ("pd", prisoners_dilemma),
+        ("chicken", chicken),
+        ("coordination", coordination),
+        ("g3x3", elimination_ladder),
+    ])
+    def test_catalog_games_equal_their_fixtures(self, games_dir, name, build):
+        # the catalog states class values and hands over its rows; the
+        # fixture lists every cell, and the parsed game derives its rows
+        parsed = parse_game((games_dir / f"{name}.gnf").read_text()).game
+        g = build()
+        assert g == parsed
+        assert g.own_rows == parsed.own_rows
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_player_count_below_one(self, count):
+        with pytest.raises(GnfSyntaxError) as exc:
+            parse_game(CANONICAL_PD.replace("players 2", f"players {count}"))
+        assert str(exc.value) == "line 2: expected a positive player count"
 
     def test_comments_blank_lines_crlf(self, pd):
         text = (

@@ -15,7 +15,9 @@ function tells an int from a bool.  So do the cell rules: ``parse_game``
 raises none of the four cell errors itself, and ``game_io`` never calls
 ``Game(...)``, so every parsed game comes out of ``game_core``.
 ``game_io`` catches no error, so the order of ``parse_game``'s passes
-alone orders its errors.
+alone orders its errors.  Only ``game_core`` numbers the payoff classes of
+a symmetric shape, so every generated or catalog symmetric game is placed
+through its layout.
 No module memoizes with ``functools.lru_cache`` or ``functools.cache``,
 and only ``game_core`` touches an object's ``__dict__`` or sets attributes
 by name, so it stays the one module that sets a game's cached facts.
@@ -117,6 +119,12 @@ def _modules_calling(callee: str) -> set[str]:
 
 def test_cell_index_called_only_in_game_core():
     assert _modules_calling("cell_index") == {"game_core.py"}
+
+
+def test_symmetric_classes_numbered_only_in_game_core():
+    # the generators, sweeps and the catalog take their classes from
+    # game_core._symmetric_layout
+    assert _modules_calling("combinations_with_replacement") == {"game_core.py"}
 
 
 def test_index_out_of_range_raised_only_in_game_core():

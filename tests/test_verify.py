@@ -204,7 +204,7 @@ LAYOUT_SHAPES = [
 
 @pytest.mark.parametrize("n, k", LAYOUT_SHAPES, ids=[f"{n}x{k}" for n, k in LAYOUT_SHAPES])
 def test_symmetric_layout_matches_the_sorting_referee(n, k):
-    layout = nonnash.verify._symmetric_layout(n, k)
+    layout = nonnash.game_core._symmetric_layout(n, tuple(f"s{v}" for v in range(k)))
     assert layout == symmetric_layout_referee(n, k)
     _, cells, _, rows = layout
     assert all(type(a) is array and a.typecode == "I" for a in (cells, *rows))
@@ -789,11 +789,11 @@ class TestOneAnalysisPerGame:
     def test_sweep_builds_one_layout_per_strategy_count(self, monkeypatch):
         config = SweepConfig(games=40, seed=3)
         built = []
-        original = nonnash.verify._symmetric_layout
+        original = nonnash.game_core._symmetric_layout
 
-        def counted(n_players, k):
-            built.append(k)
-            return original(n_players, k)
+        def counted(n_players, labels):
+            built.append(len(labels))
+            return original(n_players, labels)
 
         monkeypatch.setattr(nonnash.verify, "_symmetric_layout", counted)
         sweep(config)
