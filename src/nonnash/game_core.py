@@ -17,7 +17,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import contains, itemgetter, mul
+from operator import itemgetter, mul
 
 from .errors import (
     BadRange,
@@ -248,23 +248,14 @@ def _place_cells(strategy_labels, counts: tuple[int, ...], cells) -> Game:
             profile, vec = tuple(profile), tuple(values)
         except (TypeError, ValueError):
             raise InvalidGame(f"cell {cell!r}: expected a (profile, payoffs) pair") from None
-        # One test per cell; a cell that fails it is checked again entry by
-        # entry, in rule order, so the first broken rule is named.
-        if not (
-            len(profile) == n == len(vec)
-            and are_ints(*profile, *vec)
-            and all(map(contains, ranges, profile))
-            and PAYOFF_MIN <= min(vec)
-            and max(vec) <= PAYOFF_MAX
-        ):
-            profile = check_profile(profile, counts)
-            if len(vec) != n:
-                raise InvalidGame(f"cell {profile}: expected {n} payoff values, got {len(vec)}")
-            for u in vec:
-                if not are_ints(u):
-                    raise PayoffOutOfRange(f"cell {profile}: payoff {u!r} is not an integer")
-                if not PAYOFF_MIN <= u <= PAYOFF_MAX:
-                    raise PayoffOutOfRange(f"cell {profile}: payoff {u} outside [-2**62, 2**62]")
+        profile = check_profile(profile, counts)
+        if len(vec) != n:
+            raise InvalidGame(f"cell {profile}: expected {n} payoff values, got {len(vec)}")
+        for u in vec:
+            if not are_ints(u):
+                raise PayoffOutOfRange(f"cell {profile}: payoff {u!r} is not an integer")
+            if not PAYOFF_MIN <= u <= PAYOFF_MAX:
+                raise PayoffOutOfRange(f"cell {profile}: payoff {u} outside [-2**62, 2**62]")
         idx = sum(map(mul, profile, strides))
         if slots[idx] is not None:
             raise DuplicateCell(f"profile {profile} listed more than once")

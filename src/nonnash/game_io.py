@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import GnfSyntaxError, UnknownFormat, VersionUnsupported
-from .game_core import Game, Profile, _build_flat_game, profiles
+from .game_core import Game, Profile, _build_flat_game, check_profile, profiles
 
 FORMAT_VERSION = 1
 
@@ -200,7 +200,9 @@ def serialize_game(doc: GameDocument) -> str:
 
 
 def format_profile(g: Game, profile: Profile) -> str:
-    """Render a profile with labels, e.g. ``(Defect,Cooperate)``."""
+    """Render a profile with labels, e.g. ``(Defect,Cooperate)``;
+    IndexOutOfRange unless it has one index per player, each in range."""
+    profile = check_profile(profile, g.strategy_counts)
     return "(" + ",".join(g.strategy_labels[i][v] for i, v in enumerate(profile)) + ")"
 
 
@@ -235,20 +237,20 @@ def _profile_names(g: Game) -> list[str]:
     return list(map(template.__mod__, itertools.product(*g.strategy_labels)))
 
 
-def matrix_lines(g: Game, marks=None) -> list[str]:
+def matrix_lines(g: Game) -> list[str]:
     """Payoff table as aligned text.
 
     Two-player games render as a grid (rows = player 0); other player
-    counts render one line per profile.  `marks` holds one short
-    annotation string per cell, in enumeration order, shown next to the
-    payoffs when it is not empty.
+    counts render one line per profile.
     """
-    return _matrix_lines(g, marks, None)
+    return _matrix_lines(g, None, None)
 
 
 def _matrix_lines(g: Game, marks, names) -> list[str]:
-    """:func:`matrix_lines`, with `names` the :func:`_profile_names` of `g`
-    when the caller already holds them, else None."""
+    """:func:`matrix_lines`, with `marks` None or one short annotation
+    string per cell, in enumeration order, shown next to the payoffs when
+    it is not empty, and `names` the :func:`_profile_names` of `g` when the
+    caller already holds them, else None."""
     template = ",".join(["%d"] * g.n_players)
     cells = [template % u for u in g.payoffs]
     if marks is not None:

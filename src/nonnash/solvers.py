@@ -15,8 +15,9 @@ Five families are implemented:
 Everything is exact integer comparison; no payoff arithmetic anywhere.
 :func:`build_report` runs each solver once per game and stores maximin,
 the individually rational profiles, the elimination trace and the Hofstadter
-profiles (symmetry is read off them).  Nash and the per-profile flags, which
-the region tags and every report format read, are derived on read.
+profiles (symmetry is read off them).  Nash and the per-profile flags (one
+:class:`RegionTag` each), which `regions` and every report format read, are
+derived on read.
 
 The solvers read :attr:`Game.own_rows`: for each player and own strategy,
 the player's payoffs over every joint opponent profile, in one shared
@@ -49,6 +50,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from operator import ge
+from typing import NamedTuple
 
 from .errors import DeadStrategy, NotSymmetric
 from .game_core import (
@@ -332,22 +334,20 @@ def minimax_rationalizable_profiles(g: Game) -> list[Profile]:
     return list(itertools.product(*iterate_elimination(g).final_survivors))
 
 
-@dataclass(frozen=True)
-class RegionTag:
-    """Membership flags of one profile in the three profile regions."""
+class RegionTag(NamedTuple):
+    """The flags of one profile: a pure Nash equilibrium, a Hofstadter
+    profile (None on an asymmetric game), individually rational and
+    minimax-rationalizable."""
 
-    rationalizable: bool
+    nash: bool
+    hofstadter: bool | None
     individually_rational: bool
-    hofstadter: bool
+    rationalizable: bool
 
 
-# The 8 possible tags, shared by every report.
-_REGION_TAGS = {
-    flags: RegionTag(*flags) for flags in itertools.product((False, True), repeat=3)
-}
-# Flag tuples shared by every report's `flags`, which would otherwise hold a
-# tuple per profile for as long as the report lives.
-_FLAGS = {f: f for f in itertools.product((None, False, True), repeat=4)}
+# One record per combination of flags, shared by every report's `flags`, which
+# would otherwise hold one per profile for as long as the report lives.
+_FLAGS = {f: RegionTag(*f) for f in itertools.product((None, False, True), repeat=4)}
 
 
 @dataclass(frozen=True)
@@ -355,10 +355,10 @@ class AnalysisReport:
     """Every solution concept of one game, ready for rendering.
 
     Fields hold solver outputs; `symmetric`, `nash` and `flags` are derived
-    from them on read, and `regions` is read off `flags`.  Profile
-    collections are in enumeration order; `hofstadter` and `regions` (one
-    :class:`RegionTag` per profile) are None exactly for asymmetric games,
-    where those concepts are undefined.
+    from them on read, and `regions` maps each profile to its `flags`
+    record.  Profile collections are in enumeration order; `hofstadter` and
+    `regions` are None exactly for asymmetric games, where those concepts
+    are undefined.
     """
 
     name: str
@@ -378,9 +378,8 @@ class AnalysisReport:
         return tuple(pure_nash(self.game))
 
     @cached_property
-    def flags(self) -> tuple[tuple[bool, bool | None, bool, bool], ...]:
-        """(nash, hofstadter, individually rational, rationalizable) per profile
-        in enumeration order; the Hofstadter flag is None on asymmetric games."""
+    def flags(self) -> tuple[RegionTag, ...]:
+        """One :class:`RegionTag` per profile, in enumeration order."""
         g = self.game
         nash = set(self.nash)
         symmetric = self.symmetric
@@ -400,10 +399,7 @@ class AnalysisReport:
     def regions(self) -> dict[Profile, RegionTag] | None:
         if self.hofstadter is None:
             return None
-        return {
-            p: _REGION_TAGS[rationalizable, ir, hof]
-            for p, (_, hof, ir, rationalizable) in zip(profiles(self.game), self.flags)
-        }
+        return dict(zip(profiles(self.game), self.flags))
 
 
 def build_report(game: Game, name: str = "") -> AnalysisReport:

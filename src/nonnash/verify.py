@@ -312,7 +312,7 @@ def check_ir_survives_round1(g: Game) -> Verdict:
 
 
 def classify_regions(g: Game) -> dict[Profile, RegionTag]:
-    """Tag every profile with its three region memberships.
+    """Tag every profile with its flags, one :class:`RegionTag` each.
 
     Only defined for symmetric games (the Hofstadter flag needs one).
     Iteration order of the result is profile enumeration order.

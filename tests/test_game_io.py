@@ -27,6 +27,7 @@ from nonnash import (
     chicken,
     coordination,
     elimination_ladder,
+    format_profile,
     gen_random_game,
     gen_random_symmetric_game,
     new_game,
@@ -39,7 +40,7 @@ from nonnash import (
     sweep,
 )
 from nonnash.game_core import PAYOFF_MAX, PAYOFF_MIN
-from nonnash.game_io import _CELL_SLICE
+from nonnash.game_io import _CELL_SLICE, matrix_lines
 
 CANONICAL_PD = """gnf 1
 players 2
@@ -207,6 +208,33 @@ class TestSerialize:
         for name in ("pd", "chicken", "coordination", "g3x3"):
             text = (games_dir / f"{name}.gnf").read_text()
             assert serialize_game(parse_game(text)) == text
+
+
+class TestFormatProfile:
+    def test_renders_labels(self, pd):
+        assert format_profile(pd, (1, 0)) == "(Cooperate,Defect)"
+
+    @pytest.mark.parametrize("profile", [(0,), (-1, 0), (True, 0), (2, 0)])
+    def test_refuses_a_malformed_profile(self, pd, profile):
+        with pytest.raises(IndexOutOfRange):
+            format_profile(pd, profile)
+
+
+class TestMatrixLines:
+    def test_pd(self, pd):
+        assert matrix_lines(pd) == [
+            "           Defect  Cooperate",
+            "Defect     1,1     3,0",
+            "Cooperate  0,3     2,2",
+        ]
+
+    def test_g3x3(self, g3x3):
+        assert matrix_lines(g3x3) == [
+            "   A    B    C",
+            "A  9,9  8,6  5,1",
+            "B  6,8  7,7  4,2",
+            "C  1,5  2,4  3,3",
+        ]
 
 
 class TestRenderReport:

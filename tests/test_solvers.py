@@ -8,7 +8,9 @@ from nonnash import (
     DeadStrategy,
     IndexOutOfRange,
     NotSymmetric,
+    RegionTag,
     SplitMix64,
+    build_report,
     diagonal_profiles,
     elimination_ladder,
     eliminate_round,
@@ -22,6 +24,7 @@ from nonnash import (
     maximin_values,
     minimax_rationalizable_profiles,
     new_game,
+    prisoners_dilemma,
     pure_nash,
     restrict,
 )
@@ -362,6 +365,34 @@ class TestRationalizableProfiles:
 
     def test_3x3_single(self, g3x3):
         assert minimax_rationalizable_profiles(g3x3) == [(0, 0)]
+
+
+class TestFlagRecords:
+    GAMES = {
+        "pd": prisoners_dilemma,
+        "sym3p": lambda: gen_random_symmetric_game(3, 3, 0, 9, seed=22),
+        "asym": lambda: gen_random_game(2, (2, 3), 0, 9, seed=4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    def test_flags_are_region_tags(self, name):
+        r = build_report(self.GAMES[name]())
+        for tag in r.flags:
+            assert type(tag) is RegionTag
+            assert tag == tuple(tag)
+            assert (tag.hofstadter is None) == (not r.symmetric)
+        assert len(set(map(id, r.flags))) == len(set(r.flags))  # interned
+
+    @pytest.mark.parametrize("name", ["pd", "sym3p"])
+    def test_regions_are_the_flags_records(self, name):
+        r = build_report(self.GAMES[name]())
+        assert list(r.regions) == list(profiles(r.game))
+        for p, tag in zip(profiles(r.game), r.flags):
+            assert r.regions[p] is tag
+
+    def test_asymmetric_report_has_no_regions(self):
+        r = build_report(self.GAMES["asym"]())
+        assert r.regions is None
 
 
 class TestOrdinalInvariance:

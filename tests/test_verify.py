@@ -472,14 +472,14 @@ class TestClassifyRegions:
 
     def test_regions_follow_replaced_fields(self, pd):
         r = build_report(pd)
-        assert r.regions[(1, 1)] == RegionTag(True, True, True)
+        assert r.regions[(1, 1)] == RegionTag(False, True, True, True)
         eliminated = dataclasses.replace(
             r, trace=dataclasses.replace(r.trace, final_survivors=((0,), (0,)))
         )
         assert [p for p, t in eliminated.regions.items() if t.rationalizable] == [(0, 0)]
         moved = dataclasses.replace(r, hofstadter=((0, 0),))
         assert [p for p, t in moved.regions.items() if t.hofstadter] == [(0, 0)]
-        assert r.regions[(1, 1)] == RegionTag(True, True, True)
+        assert r.regions[(1, 1)] == RegionTag(False, True, True, True)
 
     def test_symmetry_follows_replaced_hofstadter(self, pd):
         r2 = dataclasses.replace(build_report(pd), hofstadter=None)
