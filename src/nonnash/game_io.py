@@ -31,7 +31,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import GnfSyntaxError, UnknownFormat, VersionUnsupported
-from .game_core import Game, Profile, _build_flat_game, check_profile, profiles
+from .game_core import Game, Profile, _build_flat_game, check_index, check_profile, full_sets
+from .game_core import normalize_survivors, profiles
 
 FORMAT_VERSION = 1
 
@@ -208,9 +209,12 @@ def format_profile(g: Game, profile: Profile) -> str:
 
 def format_round(g: Game, round_no: int, batch) -> str:
     """One elimination round as text, e.g.
-    ``round 1: player 0: C; player 1: C``."""
+    ``round 1: player 0: C; player 1: C``; IndexOutOfRange unless each
+    (player, strategy) pair of `batch` names a player and one of its strategies."""
     by_player: dict[int, list[str]] = {}
     for player, strategy in batch:
+        check_index(player, g.n_players, "player")
+        check_index(strategy, g.strategy_counts[player], f"player {player}: strategy")
         by_player.setdefault(player, []).append(g.strategy_labels[player][strategy])
     parts = [
         f"player {player}: " + " ".join(by_player[player])
@@ -220,15 +224,13 @@ def format_round(g: Game, round_no: int, batch) -> str:
 
 
 def format_survivors(g: Game, survivors) -> str:
+    """Surviving sets as text, e.g. ``player 0: {C,D}; player 1: {D}``, after
+    :func:`~nonnash.game_core.normalize_survivors` has sorted and checked them."""
     parts = [
         f"player {i}: {{" + ",".join(g.strategy_labels[i][v] for v in alive) + "}"
-        for i, alive in enumerate(survivors)
+        for i, alive in enumerate(normalize_survivors(g, survivors))
     ]
     return "; ".join(parts)
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def _profile_names(g: Game) -> list[str]:
@@ -274,24 +276,16 @@ def _matrix_lines(g: Game, marks, names) -> list[str]:
     return [line.rstrip() for line in lines]
 
 
-# Every (nash, hofstadter, individually rational, minimax-rationalizable)
-# combination of AnalysisReport.flags, with its text marker and CSV columns.
-_FLAG_SETS = list(
-    itertools.product((False, True), (None, False, True), (False, True), (False, True))
-)
-_MARKERS = {
-    flags: "".join(letter for letter, flag in zip("NHIM", flags) if flag)
-    for flags in _FLAG_SETS
-}
-_CSV_FLAGS = {
-    flags: ",".join("" if flag is None else _bool(flag) for flag in flags)
-    for flags in _FLAG_SETS
-}
+# A flag's CSV column: true, false, or empty where it is undefined (None).
+_CSV_FLAG = {None: "", False: "false", True: "true"}
 
 
 def _render_text(r) -> str:
     g = r.game
-    marks = [_MARKERS[flags] for flags in r.flags]
+    # The letters of each record's true flags, spelled once per distinct
+    # record of this report rather than once per profile.
+    mark = {flags: "".join(itertools.compress("NHIM", flags)) for flags in dict.fromkeys(r.flags)}
+    marks = list(map(mark.__getitem__, r.flags))
     profile_names = _profile_names(g)
     # The Nash, Hofstadter and individually rational profiles by name, read
     # off their flags in enumeration order; "none" for an empty set.
@@ -303,7 +297,7 @@ def _render_text(r) -> str:
 
     lines = [f"game: {r.name}" if r.name else "game: (unnamed)"]
     lines.append(f"players: {g.n_players}")
-    lines.append("strategies: " + format_survivors(g, [range(k) for k in g.strategy_counts]))
+    lines.append("strategies: " + format_survivors(g, full_sets(g)))
     lines.append("symmetric: " + ("yes" if r.symmetric else "no"))
     lines.append("")
     lines.extend(_matrix_lines(g, marks, profile_names))
@@ -347,9 +341,11 @@ def _render_csv(r) -> str:
     header = [f"i{i}" for i in range(n)] + ["labels", "nash", "hofstadter", "ir", "rationalizable"]
     template = ",".join(["%s"] * n) + ",(" + ";".join(["%s"] * n) + "),"
     indices = itertools.product(*(list(map(str, range(k))) for k in g.strategy_counts))
+    # Each distinct flag record's columns, spelled once per record.
+    tail = {flags: ",".join(map(_CSV_FLAG.get, flags)) for flags in dict.fromkeys(r.flags)}
     rows = [",".join(header)]
     rows += [
-        template % (index + labels) + _CSV_FLAGS[flags]
+        template % (index + labels) + tail[flags]
         for index, labels, flags in zip(
             indices, itertools.product(*g.strategy_labels), r.flags
         )

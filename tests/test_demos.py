@@ -1,5 +1,7 @@
-"""Every demo script runs to completion against the library in src/."""
+"""Every demo script runs to completion against the library in src/, and
+prints what it printed when its digest was pinned."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -28,3 +30,30 @@ def test_demo_exits_0(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# sha256 of each demo's stdout less its "elapsed:" lines, the one part of
+# it that varies between runs; a demo added without a digest fails here.
+DEMO_STDOUT = {
+    "01_solution_concepts": "8601a7344d18412162027ad70076346409453809a39fcc80d080622d7a3e6eab",
+    "02_iterated_elimination": "353b30f809f161c87c0704ec21a0547d9c7a976007bc4fb1b64e3d95d831b239",
+    "03_random_sweeps": "119270c5383bc23dfee89d1c012c8988b1a5fc6e23f1e36514b728c8ba1bd14b",
+    "04_files_and_reports": "dcf05dfd3dadb253ca93bf47978a4bd3f3490792fab9a61b6b383ea392a35572",
+}
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_stdout_is_pinned(demo):
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        timeout=120,
+        check=True,
+    )
+    kept = b"".join(
+        line for line in proc.stdout.splitlines(keepends=True) if not line.startswith(b"elapsed:")
+    )
+    assert hashlib.sha256(kept).hexdigest() == DEMO_STDOUT[demo.stem]

@@ -1,18 +1,20 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import document_referee, outcome, serialize_referee
+from oracles import document_referee, every_ordinal_type, outcome, serialize_referee
 from pinned_games import PINNED_GAMES, sha256
 
 import nonnash.game_io
 from nonnash import (
     DuplicateCell,
     DuplicateLabel,
+    EmptySurvivorSet,
     GameDocument,
     GnfSyntaxError,
     IndexOutOfRange,
@@ -40,7 +42,7 @@ from nonnash import (
     sweep,
 )
 from nonnash.game_core import PAYOFF_MAX, PAYOFF_MIN
-from nonnash.game_io import _CELL_SLICE, matrix_lines
+from nonnash.game_io import _CELL_SLICE, format_round, format_survivors, matrix_lines
 
 CANONICAL_PD = """gnf 1
 players 2
@@ -220,6 +222,42 @@ class TestFormatProfile:
             format_profile(pd, profile)
 
 
+class TestFormatRound:
+    def test_renders_labels_by_player(self, pd):
+        assert (
+            format_round(pd, 3, [(1, 1), (0, 1), (1, 0)])
+            == "round 3: player 0: Cooperate; player 1: Cooperate Defect"
+        )
+
+    @pytest.mark.parametrize("pair", [(0, -1), (2, 0), (0, True), (True, 0), (0, 2)])
+    def test_refuses_a_malformed_pair(self, pd, pair):
+        with pytest.raises(IndexOutOfRange):
+            format_round(pd, 1, [(0, 0), pair])
+
+
+class TestFormatSurvivors:
+    def test_renders_labels(self, pd):
+        assert (
+            format_survivors(pd, [(0, 1), (1,)])
+            == "player 0: {Defect,Cooperate}; player 1: {Cooperate}"
+        )
+
+    def test_renders_the_normalized_sets(self, pd):
+        assert format_survivors(pd, [(1, 0, 1), (1, 1)]) == format_survivors(pd, [(0, 1), (1,)])
+
+    @pytest.mark.parametrize(
+        "survivors",
+        [[(True, 0)], [(0,), (0,), (0,)], [(0,), (True,)], [(0,), (2,)], [(-1,), (0,)]],
+    )
+    def test_refuses_a_malformed_index(self, pd, survivors):
+        with pytest.raises(IndexOutOfRange):
+            format_survivors(pd, survivors)
+
+    def test_refuses_an_empty_set(self, pd):
+        with pytest.raises(EmptySurvivorSet):
+            format_survivors(pd, [(0,), ()])
+
+
 class TestMatrixLines:
     def test_pd(self, pd):
         assert matrix_lines(pd) == [
@@ -295,6 +333,42 @@ class TestRenderReport:
             render_report(build_report(pd), "yaml")
         with pytest.raises(UnknownFormat):
             render_sweep_report(sweep(SweepConfig(games=1)), "csv")
+
+
+def _table_marks(text: str, n_players: int) -> list[str]:
+    """The ``[marker]`` of each cell of a text report's payoff table, in
+    profile enumeration order; "" for a cell shown without one."""
+    table = text.split("\n\n")[1].splitlines()
+    if n_players != 2:
+        return [re.fullmatch(r"\S+ -> \S+(?: \[(\w+)\])?", line)[1] or "" for line in table]
+    # a grid: a header line, then each row's label and its cells
+    cell = re.compile(r"\S+(?: \[(\w+)\])?")
+    return [mark for row in table[1:] for mark in cell.findall(row.split(None, 1)[1])]
+
+
+def test_flag_texts_match_the_records():
+    # Every profile's text marker and CSV flag columns against its flags
+    # record: the letters N, H, I and M for its true flags, and the columns
+    # true, false, or empty for an undefined (None) flag.
+    seen = set()
+    games = [make() for make in PINNED_GAMES.values()] + list(every_ordinal_type(2, 2))
+    for g in games:
+        report = build_report(g)
+        values = [
+            (rec.nash, rec.hofstadter, rec.individually_rational, rec.rationalizable)
+            for rec in report.flags
+        ]
+        marks = ["".join(c for c, flag in zip("NHIM", v) if flag is True) for v in values]
+        columns = [[{True: "true", False: "false", None: ""}[flag] for flag in v] for v in values]
+        assert _table_marks(render_report(report, "text"), g.n_players) == marks
+        rows = render_report(report, "csv").splitlines()[1:]
+        assert [row.split(",")[-4:] for row in rows] == columns
+        seen.update(values)
+    # A Nash or Hofstadter profile is individually rational and
+    # rationalizable, which leaves 12 possible records; these games reach
+    # 11 of them, asymmetric ones (hofstadter None) among them.
+    assert len(seen) == 11
+    assert any(hofstadter is None for _, hofstadter, _, _ in seen)
 
 
 # sha256 of render_report(build_report(game, name=<key>), fmt).
