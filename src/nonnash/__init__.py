@@ -7,6 +7,8 @@ profiles; reads and writes a canonical text format; and runs deterministic
 randomized sweeps that cross-check the solvers against each other.
 """
 
+from types import ModuleType as _ModuleType
+
 from .catalog import chicken, coordination, elimination_ladder, prisoners_dilemma
 from .errors import (
     BadRange,
@@ -82,71 +84,11 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_PROPERTIES",
-    "AnalysisReport",
-    "BadRange",
-    "DeadStrategy",
-    "DuplicateCell",
-    "DuplicateLabel",
-    "EliminationTrace",
-    "EmptySurvivorSet",
-    "FormatError",
-    "Game",
-    "GameDocument",
-    "GameError",
-    "GnfSyntaxError",
-    "IndexOutOfRange",
-    "InvalidGame",
-    "InvalidLabel",
-    "MAX_ENTRIES",
-    "MaximinVector",
-    "MissingCell",
-    "NotSymmetric",
-    "PayoffOutOfRange",
-    "Profile",
-    "RegionTag",
-    "SizeGuardExceeded",
-    "SplitMix64",
-    "Survivors",
-    "SweepConfig",
-    "SweepReport",
-    "UnknownFormat",
-    "Verdict",
-    "VersionUnsupported",
-    "build_report",
-    "check_hofstadter_individually_rational",
-    "check_hofstadter_rationalizable",
-    "check_ir_survives_round1",
-    "check_order_independence",
-    "chicken",
-    "classify_regions",
-    "coordination",
-    "derive_seed",
-    "diagonal_profiles",
-    "elimination_ladder",
-    "eliminate_round",
-    "format_profile",
-    "full_sets",
-    "gen_random_game",
-    "gen_random_symmetric_game",
-    "hofstadter_equilibria",
-    "individually_rational_profiles",
-    "is_minimax_dominated",
-    "is_symmetric",
-    "iterate_elimination",
-    "maximin_values",
-    "minimax_rationalizable_profiles",
-    "new_game",
-    "parse_game",
-    "payoff",
-    "prisoners_dilemma",
-    "profiles",
-    "pure_nash",
-    "render_report",
-    "render_sweep_report",
-    "restrict",
-    "serialize_game",
-    "strict_inclusion_witnesses",
-    "sweep",
-]
+# The public API is the import list above: __all__ is every public name it
+# binds, so no second list can drift from it, and the submodules those imports
+# bind as attributes stay out of `from nonnash import *`.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -346,8 +346,11 @@ class RegionTag(NamedTuple):
 
 
 # One record per combination of flags, shared by every report's `flags`, which
-# would otherwise hold one per profile for as long as the report lives.
-_FLAGS = {f: RegionTag(*f) for f in itertools.product((None, False, True), repeat=4)}
+# would otherwise hold one per profile for as long as the report lives.  Only
+# the Hofstadter flag can be None; records the theorem rules out stay, so a
+# violation reaches `check` as a verdict rather than as a KeyError.
+_BOOLS = (False, True)
+_FLAGS = {f: RegionTag(*f) for f in itertools.product(_BOOLS, (None, False, True), _BOOLS, _BOOLS)}
 
 
 @dataclass(frozen=True)

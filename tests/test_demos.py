@@ -18,18 +18,26 @@ def test_demos_found():
     assert len(DEMOS) >= 4
 
 
+# Each demo's one run in a session, shared by the two tests that read it.
+_RUNS: dict[Path, subprocess.CompletedProcess] = {}
+
+
+def _run(demo: Path) -> subprocess.CompletedProcess:
+    if demo not in _RUNS:
+        _RUNS[demo] = subprocess.run(
+            [sys.executable, str(demo)],
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True,
+            timeout=120,
+        )
+    return _RUNS[demo]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_0(demo):
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=REPO_ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = _run(demo)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
 
 
 # sha256 of each demo's stdout less its "elapsed:" lines, the one part of
@@ -44,15 +52,8 @@ DEMO_STDOUT = {
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_stdout_is_pinned(demo):
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=REPO_ROOT,
-        env=env,
-        capture_output=True,
-        timeout=120,
-        check=True,
-    )
+    proc = _run(demo)
+    proc.check_returncode()
     kept = b"".join(
         line for line in proc.stdout.splitlines(keepends=True) if not line.startswith(b"elapsed:")
     )

@@ -22,10 +22,13 @@ No module memoizes with ``functools.lru_cache`` or ``functools.cache``,
 and only ``game_core`` touches an object's ``__dict__`` or sets attributes
 by name, so it stays the one module that sets a game's cached facts.
 Every module parses as Python 3.10, the floor ``pyproject.toml`` declares.
+The package's public names are the ones its ``__init__`` imports from its
+modules: ``__all__`` is derived from those imports, sorted, and names no module.
 """
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import nonnash
 
@@ -230,3 +233,22 @@ def test_no_module_level_memo():
 def test_sources_parse_as_python_3_10():
     for path in sorted(SRC.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_all_is_the_init_import_list():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    ]
+    assert nonnash.__all__ == sorted(imported)
+
+
+def test_star_import_binds_all_and_no_module():
+    namespace = {}
+    exec("from nonnash import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace.keys() == set(nonnash.__all__)
+    assert not any(isinstance(value, ModuleType) for value in namespace.values())
