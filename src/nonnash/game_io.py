@@ -88,6 +88,11 @@ def _check_characters(text: str, lines: list[str]) -> None:
             )
 
 
+def _tokens(line: str) -> list[str]:
+    """Tokens of `line` outside its comment."""
+    return line.partition("#")[0].split()
+
+
 def parse_game(text: str) -> GameDocument:
     """Parse a version-1 game document.
 
@@ -110,20 +115,16 @@ def parse_game(text: str) -> GameDocument:
     lines = text.split("\n")
     _check_characters(text, lines)
 
-    def tokens_at(i: int) -> list[str]:
-        """Tokens of line i (from 0), outside its comment."""
-        return lines[i].partition("#")[0].split()
-
-    pos = 0
+    # One pass over the numbered lines: `take` and the after-'end' check
+    # draw the lines that have tokens, and the cell loop reads on from
+    # wherever the header left `numbered`.
+    numbered = enumerate(lines, start=1)
+    filled = ((i, tokens) for i, line in numbered for tokens in [_tokens(line)] if tokens)
 
     def take(expected: str) -> tuple[int, list[str]]:
         """Line number and tokens of the next line that has tokens."""
-        nonlocal pos
-        while pos < len(lines):
-            pos += 1
-            tokens = tokens_at(pos - 1)
-            if tokens:
-                return pos, tokens
+        for pair in filled:
+            return pair
         raise GnfSyntaxError(len(lines), expected)
 
     lineno, tokens = take("header 'gnf 1'")
@@ -159,23 +160,21 @@ def parse_game(text: str) -> GameDocument:
     cell = re.compile(f"(?:{_INT} ){{{2 * n - 1}}}{_INT}\\Z").match
     bad_cell = f"{n} strategy indices and {n} integer payoffs, or 'end'"
     cells = []
-    for i in range(pos, len(lines)):
-        line = lines[i]
+    for lineno, line in numbered:
         if cell(line) is None:
-            tokens = tokens_at(i)
+            tokens = _tokens(line)
             if not tokens:
                 continue
             if tokens == ["end"]:
                 break
             line = " ".join(tokens)
             if cell(line) is None:
-                raise GnfSyntaxError(i + 1, bad_cell)
+                raise GnfSyntaxError(lineno, bad_cell)
         cells.append(line)
     else:
         raise GnfSyntaxError(len(lines), "a payoff cell or 'end'")
-    for j in range(i + 1, len(lines)):
-        if tokens_at(j):
-            raise GnfSyntaxError(j + 1, "end of file after 'end'")
+    for lineno, _ in filled:
+        raise GnfSyntaxError(lineno, "end of file after 'end'")
 
     # Lazy, so that game_core converts no token before the labels and the
     # size guard pass.

@@ -12,7 +12,9 @@ from array import array
 from nonnash import (
     Game,
     GameError,
+    GnfSyntaxError,
     SplitMix64,
+    VersionUnsupported,
     derive_seed,
     gen_random_symmetric_game,
     new_game,
@@ -41,6 +43,72 @@ def document_referee(text: str):
     # rows[2 + n] is "payoffs" and rows[-1] is "end"
     cells = [(tuple(map(int, row[:n])), tuple(map(int, row[n:]))) for row in rows[3 + n : -1]]
     return outcome(lambda: new_game(labels, cells))
+
+
+def _is_format_int(token: str) -> bool:
+    """An optional minus sign, then 1 to 640 of the digits 0-9."""
+    digits = token[1:] if token.startswith("-") else token
+    return 0 < len(digits) <= 640 and all(c in "0123456789" for c in digits)
+
+
+def syntax_referee(text: str):
+    """The (class, message) of the first character or syntax error that
+    ``parse_game`` must raise on `text`, or None when it has neither.
+
+    Every line is checked for its characters and tokenized up front; the
+    rows that have tokens are then indexed through the grammar of
+    ``game_io``'s module docstring.  A syntax error past the last row is
+    reported at the last line of the text.
+    """
+    lines = text.split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        body = line.rstrip("\r").partition("#")[0]
+        if any(ord(c) > 127 for c in body):
+            return GnfSyntaxError, f"line {lineno}: expected ASCII text outside comments"
+        if any(ord(c) < 32 and c != "\t" or ord(c) == 127 for c in body):
+            return GnfSyntaxError, (
+                f"line {lineno}: expected no control character other than tab outside comments"
+            )
+    rows = [(lineno, line.partition("#")[0].split()) for lineno, line in enumerate(lines, 1)]
+    rows = [(lineno, tokens) for lineno, tokens in rows if tokens]
+
+    def error(r: int, expected: str):
+        lineno = rows[r][0] if r < len(rows) else len(lines)
+        return GnfSyntaxError, f"line {lineno}: expected {expected}"
+
+    def row(r: int) -> list[str]:
+        return rows[r][1] if r < len(rows) else []
+
+    header = row(0)
+    if len(header) != 2 or header[0] != "gnf":
+        return error(0, "header 'gnf 1'")
+    if header[1] != "1":
+        return VersionUnsupported, (
+            f"line {rows[0][0]}: format version {header[1]!r} not supported "
+            "(this reader understands version 1)"
+        )
+    players = row(1)
+    if len(players) != 2 or players[0] != "players" or not _is_format_int(players[1]):
+        return error(1, "'players <n>'")
+    n = int(players[1])
+    if n < 1:
+        return error(1, "a positive player count")
+    for i in range(n):
+        strategies = row(2 + i)
+        if len(strategies) < 3 or strategies[:2] != ["strategies", str(i)]:
+            return error(2 + i, f"'strategies {i} <label> ...'")
+    if row(2 + n) != ["payoffs"]:
+        return error(2 + n, "'payoffs'")
+    r = 3 + n
+    while row(r) != ["end"]:
+        if r == len(rows):
+            return error(r, "a payoff cell or 'end'")
+        if len(row(r)) != 2 * n or not all(map(_is_format_int, row(r))):
+            return error(r, f"{n} strategy indices and {n} integer payoffs, or 'end'")
+        r += 1
+    if r + 1 < len(rows):
+        return error(r + 1, "end of file after 'end'")
+    return None
 
 
 def serialize_referee(g: Game) -> str:

@@ -21,6 +21,8 @@ through its layout.
 No module memoizes with ``functools.lru_cache`` or ``functools.cache``,
 and only ``game_core`` touches an object's ``__dict__`` or sets attributes
 by name, so it stays the one module that sets a game's cached facts.
+No module shares mutable state through a ``nonlocal`` or ``global``
+statement.
 Every module parses as Python 3.10, the floor ``pyproject.toml`` declares.
 The package's public names are the ones its ``__init__`` imports from its
 modules: ``__all__`` is derived from those imports, sorted, and names no module.
@@ -228,6 +230,16 @@ def test_no_module_level_memo():
             if names & {"lru_cache", "cache"}:
                 memoizing.append(f"{path.name}:{node.lineno}")
     assert memoizing == []
+
+
+def test_no_nonlocal_or_global_statement():
+    rebinding = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Nonlocal, ast.Global)):
+                rebinding.append(f"{path.name}:{node.lineno}")
+    assert rebinding == []
 
 
 def test_sources_parse_as_python_3_10():

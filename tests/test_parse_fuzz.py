@@ -7,13 +7,15 @@ which are not integers in the format, and ASCII control characters, which
 are not separators.  A document that passes the syntax pass must give
 what ``new_game`` gives on its plainly tokenized cells: the same game or
 the same error, whether ``parse_game`` took its table in bulk or cell by
-cell.
+cell.  On any document, the first character or syntax error it raises,
+with its line number, must be the one ``syntax_referee`` finds by
+tokenizing every line up front.
 """
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import document_referee, outcome
+from oracles import document_referee, outcome, syntax_referee
 
 from nonnash import (
     GameDocument,
@@ -59,6 +61,17 @@ def _check_against_new_game(text: str) -> None:
     assert parsed == document_referee(text)
 
 
+def _check_against_syntax_referee(text: str) -> None:
+    expected = syntax_referee(text)
+    # what the syntax error expected, without its line number, or its class
+    kind = expected and (expected[1].partition(": expected ")[2] or expected[0].__name__)
+    event(kind or "no syntax error")
+    parsed = outcome(lambda: parse_game(text))
+    if not (isinstance(parsed, tuple) and parsed[0] in (GnfSyntaxError, VersionUnsupported)):
+        parsed = None  # parsed, or a game rule's error
+    assert parsed == expected
+
+
 @st.composite
 def mutated_documents(draw):
     n = draw(st.integers(1, 3))
@@ -74,6 +87,35 @@ def mutated_documents(draw):
         else:
             lines[row].insert(col, token)
     return "\n".join(" ".join(line) for line in lines)
+
+
+# Whole lines a document may gain: blank and comment lines, which move the
+# line numbers of what follows, and lines of each part of the grammar.
+LINES = (
+    "", " \t", "# note", "\r", "gnf 1", "players 2", "strategies 0 a", "payoffs",
+    "0 0 1 1", "0\t1 -1 # cell", "0 1", "x", "end", "end # done",
+)
+
+
+@st.composite
+def line_edited_documents(draw):
+    """Canonical documents with whole lines inserted, dropped or replaced,
+    so that a syntax error can fall on any line, after blank lines, at the
+    end of the text or after 'end'."""
+    n = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    g = gen_random_game(n, counts, -5, 5, draw(st.integers(0, 2**32)))
+    lines = serialize_game(GameDocument(game=g)).split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        j = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(("insert", "drop", "replace")))
+        if action == "insert":
+            lines.insert(j, draw(st.sampled_from(LINES)))
+        elif action == "drop" and j < len(lines):
+            del lines[j]
+        elif j < len(lines):
+            lines[j] = draw(st.sampled_from(LINES))
+    return "\n".join(lines)
 
 
 # Integer tokens a cell may hold: in and out of range as indices and
@@ -121,6 +163,23 @@ def test_mutated_documents_parse_or_raise_game_error(text):
     _check_total(text)
     _check_against_new_game(text)
 
+
+@given(st.text(ALPHABET, max_size=200))
+@settings(max_examples=300, deadline=None)
+def test_free_text_syntax_errors_match_the_referee(text):
+    _check_against_syntax_referee(text)
+
+
+@given(mutated_documents())
+@settings(max_examples=400, deadline=None)
+def test_mutated_document_syntax_errors_match_the_referee(text):
+    _check_against_syntax_referee(text)
+
+
+@given(line_edited_documents())
+@settings(max_examples=400, deadline=None)
+def test_line_edited_document_syntax_errors_match_the_referee(text):
+    _check_against_syntax_referee(text)
 
 
 @given(cell_mutated_documents())
