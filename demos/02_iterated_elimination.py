@@ -10,6 +10,7 @@ until nothing is dominated yields the minimax-rationalizable profiles.
 """
 
 from nonnash import (
+    check_ir_survives_round1,
     elimination_ladder,
     eliminate_round,
     full_sets,
@@ -67,8 +68,6 @@ print("rationalizable profiles:", minimax_rationalizable_profiles(g))
 # survival, never more.
 print("maximin:", maximin_values(g))
 print("individually rational:", individually_rational_profiles(g))
-
-from nonnash import check_ir_survives_round1
 
 verdict = check_ir_survives_round1(g)
 print(verdict.detail)

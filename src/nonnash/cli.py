@@ -78,24 +78,6 @@ def cmd_eliminate(args) -> int:
     return 0
 
 
-def _print_verdict(verdict) -> bool:
-    """Print one verdict line (plus note / counterexample); returns pass."""
-    if verdict.passed:
-        print(f"{verdict.name}: PASS")
-        if verdict.name == IR_SURVIVES_ROUND_1 and verdict.detail:
-            print(f"note: {verdict.detail}")
-        return True
-    print(f"{verdict.name}: FAIL ({verdict.detail})")
-    if verdict.game is not None:
-        print("counterexample:")
-        sys.stdout.write(serialize_game(GameDocument(game=verdict.game)))
-        if verdict.profile is not None:
-            print(
-                "offending profile: " + format_profile(verdict.game, verdict.profile)
-            )
-    return False
-
-
 def cmd_check(args) -> int:
     report = build_report(_load(args.path))
     # Every verdict is computed before any is printed, so an input error
@@ -110,8 +92,17 @@ def cmd_check(args) -> int:
     for name, verdict in verdicts.items():
         if verdict is None:
             print(f"{name}: SKIPPED (asymmetric game)")
+        elif verdict.passed:
+            print(f"{name}: PASS")
+            if name == IR_SURVIVES_ROUND_1 and verdict.detail:
+                print(f"note: {verdict.detail}")
         else:
-            ok = _print_verdict(verdict) and ok
+            ok = False
+            print(f"{name}: FAIL ({verdict.detail})")
+            print("counterexample:")
+            sys.stdout.write(serialize_game(GameDocument(game=report.game)))
+            if verdict.profile is not None:
+                print("offending profile: " + format_profile(report.game, verdict.profile))
     return 0 if ok else 1
 
 

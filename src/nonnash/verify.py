@@ -71,16 +71,14 @@ EXHAUSTIVE_LIMIT = 3
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one property check on one game.
+    """Outcome of one property check on one game, which the caller holds.
 
-    A failing verdict always carries the game (and the offending profile
-    when one exists) so the counterexample can be re-checked on its own.
+    A failing verdict names the offending profile when there is one.
     """
 
     name: str
     passed: bool
     detail: str = ""
-    game: Game | None = None
     profile: Profile | None = None
 
 
@@ -164,7 +162,6 @@ def _hofstadter_rationalizable(r: AnalysisReport, *_) -> Verdict:
                 HOFSTADTER_RATIONALIZABLE,
                 False,
                 f"Hofstadter equilibrium {format_profile(r.game, p)} was eliminated",
-                game=r.game,
                 profile=p,
             )
     return Verdict(HOFSTADTER_RATIONALIZABLE, True)
@@ -182,7 +179,6 @@ def _hofstadter_individually_rational(r: AnalysisReport, *_) -> Verdict:
                     False,
                     f"Hofstadter equilibrium {format_profile(g, p)} pays player {i} "
                     f"{u} below the maximin {floor}",
-                    game=g,
                     profile=p,
                 )
     return Verdict(HOFSTADTER_INDIVIDUALLY_RATIONAL, True)
@@ -211,7 +207,6 @@ def _order_independence(r: AnalysisReport, n_orders: int, seed: int) -> Verdict:
                         ORDER_INDEPENDENCE,
                         False,
                         f"a sequential order ended at {s}, batch ended at {target}",
-                        game=g,
                     )
                 continue
             for player, strategy in pairs:
@@ -228,7 +223,6 @@ def _order_independence(r: AnalysisReport, n_orders: int, seed: int) -> Verdict:
                 ORDER_INDEPENDENCE,
                 False,
                 f"random order {run} ended at {s}, batch ended at {target}",
-                game=g,
             )
     return Verdict(ORDER_INDEPENDENCE, True, f"{n_orders} random orders agree")
 
@@ -255,7 +249,6 @@ def _ir_survives_round1(r: AnalysisReport, *_) -> Verdict:
                 False,
                 f"individually rational profile {format_profile(g, p)} uses a "
                 "strategy deleted in round 1",
-                game=g,
                 profile=p,
             )
         by_round.setdefault(first, []).append(p)

@@ -111,7 +111,7 @@ def injected_violations(monkeypatch, request):
 
         def checker(r, n_orders, seed, _prop=prop, _seeds=seeds, _real=CHECKERS[prop]):
             if seed in _seeds:
-                return Verdict(_prop, False, "injected failure", game=r.game)
+                return Verdict(_prop, False, "injected failure")
             return _real(r, n_orders, seed)
 
         monkeypatch.setitem(CHECKERS, prop, checker)

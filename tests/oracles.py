@@ -277,6 +277,67 @@ def deleted_sets(n_players: int, batch) -> set[frozenset[int]]:
     return {frozenset(v for i, v in batch if i == player) for player in range(n_players)}
 
 
+def proof_referee(report):
+    """The name of the first step of the paper's proof that fails on the
+    symmetric `report`, or None when every step holds.
+
+    Let d(b) be the payoff when every player plays b, d* the largest d(b),
+    and a* a strategy of a Hofstadter profile.  A Hofstadter profile pays
+    every player d* (`hofstadter pays d*`).  A strategy b attaining a
+    player's maximin (`maximin`) has a worst payoff of at most d(b), which
+    is at most d* (`ir: worst <= d(b)`, `ir: d(b) <= d*`): the profile is
+    individually rational.  At the start of every elimination round, up to
+    the one that deletes nothing, all players' alive sets are equal
+    (`mirror`), a* is alive (`hofstadter alive`), d* is at most a*'s best
+    alive payoff (`d* <= max(a*)`), and every alive b has a worst alive
+    payoff of at most d(b) (`min(b) <= d(b)`); these two are read for
+    player 0, whom the other players mirror on a symmetric game.  So no b
+    dominates a*: it would need min(b) > max(a*) >= d* >= d(b) >= min(b).
+    A round's steps are named ``round r: <step>``; ``round r`` alone fails
+    when a player has no alive strategy, or batch r is empty or deletes a
+    strategy that is not alive.  Replaying the batches must reach the
+    trace's final survivors (`final survivors`).  Every min and max is
+    taken by brute force over ``_alive_payoffs``.
+    """
+    g = report.game
+    n, k = g.n_players, g.strategy_counts[0]
+    d = [payoff(g, (b,) * n, 0) for b in range(k)]
+    top = max(d)
+    if any(payoff(g, p, i) != top for p in report.hofstadter for i in range(n)):
+        return "hofstadter pays d*"
+    full = [range(k)] * n
+    worst = [[min(_alive_payoffs(g, full, i, b)) for b in range(k)] for i in range(n)]
+    if list(report.maximin) != [max(row) for row in worst]:
+        return "maximin"
+    for row in worst:
+        b = row.index(max(row))
+        if row[b] > d[b]:
+            return "ir: worst <= d(b)"
+        if d[b] > top:
+            return "ir: d(b) <= d*"
+    stars = sorted({a for p in report.hofstadter for a in p})
+    alive = [list(range(k)) for _ in range(n)]
+    rounds = report.trace.rounds
+    for r, batch in enumerate(rounds + ((),), start=1):
+        step = f"round {r}"
+        if not all(alive) or r <= len(rounds) and (
+            not batch or any(v not in alive[i] for i, v in batch)
+        ):
+            return step
+        if any(s != alive[0] for s in alive):
+            return f"{step}: mirror"
+        if any(a not in alive[0] for a in stars):
+            return f"{step}: hofstadter alive"
+        if any(top > max(_alive_payoffs(g, alive, 0, a)) for a in stars):
+            return f"{step}: d* <= max(a*)"
+        if any(min(_alive_payoffs(g, alive, 0, b)) > d[b] for b in alive[0]):
+            return f"{step}: min(b) <= d(b)"
+        alive = [[v for v in s if (i, v) not in batch] for i, s in enumerate(alive)]
+    if tuple(map(tuple, alive)) != report.trace.final_survivors:
+        return "final survivors"
+    return None
+
+
 def sweep_game(config, j: int):
     """Game `j` of a sweep and its deletion-order seed, rebuilt through the
     public generator from the substream ``derive_seed(config.seed, j)`` as

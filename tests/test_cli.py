@@ -12,6 +12,7 @@ from nonnash import GameDocument, SweepConfig, Verdict, parse_game, serialize_ga
 from nonnash import sweep as real_sweep
 from nonnash.cli import main
 from nonnash.verify import CHECKERS, HOFSTADTER_RATIONALIZABLE
+from nonnash.verify import HOFSTADTER_INDIVIDUALLY_RATIONAL, IR_SURVIVES_ROUND_1, ORDER_INDEPENDENCE
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -258,7 +259,6 @@ class TestCheck:
                 HOFSTADTER_RATIONALIZABLE,
                 False,
                 "injected failure",
-                game=r.game,
                 profile=(1, 1),
             )
 
@@ -272,6 +272,38 @@ class TestCheck:
         block = block[: block.index("end\n") + len("end\n")]
         assert parse_game(block).game == pd
         assert "offending profile: (Cooperate,Cooperate)" in out
+
+    # One failing stub per property: the printed profile, or None when the
+    # stub's verdict names no profile (an order-independence failure never does).
+    STUB_PROFILES = {
+        HOFSTADTER_RATIONALIZABLE: ((1, 1), "(Cooperate,Cooperate)"),
+        HOFSTADTER_INDIVIDUALLY_RATIONAL: ((1, 1), "(Cooperate,Cooperate)"),
+        ORDER_INDEPENDENCE: (None, None),
+        IR_SURVIVES_ROUND_1: ((0, 1), "(Defect,Cooperate)"),
+    }
+
+    @pytest.mark.parametrize("prop", STUB_PROFILES)
+    def test_each_failing_property_prints_the_report_game(
+        self, capsys, games_dir, monkeypatch, pd, prop
+    ):
+        profile, shown = self.STUB_PROFILES[prop]
+        monkeypatch.setitem(
+            CHECKERS, prop, lambda r, orders, seed: Verdict(prop, False, "stub", profile=profile)
+        )
+        code, out, _ = run_cli(capsys, "check", str(games_dir / "pd.gnf"))
+        assert code == 1
+        _, _, tail = out.partition(f"{prop}: FAIL (stub)\ncounterexample:\n")
+        assert tail, out
+        # the counterexample block follows at once and is replayable
+        block = tail[: tail.index("end\n") + len("end\n")]
+        assert parse_game(block).game == pd
+        if shown is None:
+            assert "offending profile:" not in out
+        else:
+            assert tail[len(block) :].startswith(f"offending profile: {shown}\n")
+            assert out.count("offending profile:") == 1
+        for name in CHECKERS:
+            assert (f"{name}: PASS\n" in out) == (name != prop)
 
 
 class TestSearch:

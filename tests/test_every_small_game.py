@@ -25,6 +25,7 @@ from oracles import (
     every_symmetric_game,
     maximin_oracle,
     nash_oracle,
+    proof_referee,
 )
 
 
@@ -50,6 +51,7 @@ def test_every_property_on_every_game(n, k, levels, games, bites, oracles):
         seen += 1
         report = build_report(g)
         assert report.symmetric
+        assert proof_referee(report) is None, g
         for name, checker in CHECKERS.items():
             verdict = checker(report, 2, seen)
             if not verdict.passed:
@@ -86,6 +88,7 @@ def test_every_ordinal_type(n, k, games, bites):
     for g in every_ordinal_type(n, k):
         seen += 1
         report = build_report(g)
+        assert proof_referee(report) is None, g
         for name, checker in CHECKERS.items():
             verdict = checker(report, 2, seen)
             if not verdict.passed:

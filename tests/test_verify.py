@@ -345,7 +345,6 @@ class TestCheckers:
             HOFSTADTER_RATIONALIZABLE,
             False,
             "Hofstadter equilibrium (Cooperate,Cooperate) was eliminated",
-            game=pd,
             profile=(1, 1),
         )
 
@@ -359,7 +358,6 @@ class TestCheckers:
             False,
             f"Hofstadter equilibrium (Cooperate,Cooperate) pays player {player} "
             f"2 below the maximin {maximin[player]}",
-            game=pd,
             profile=(1, 1),
         )
 
@@ -373,9 +371,14 @@ class TestCheckers:
             IR_SURVIVES_ROUND_1,
             False,
             "individually rational profile (C,A) uses a strategy deleted in round 1",
-            game=g3x3,
             profile=(2, 0),
         )
+
+    def test_verdict_fields(self):
+        # the caller holds the game a verdict judged, so the verdict does not
+        assert [f.name for f in dataclasses.fields(Verdict)] == [
+            "name", "passed", "detail", "profile",
+        ]
 
 
 class TestOrderIndependence:
@@ -417,7 +420,7 @@ class TestOrderIndependence:
         verdict = CHECKERS[ORDER_INDEPENDENCE](
             dataclasses.replace(r, trace=trace), 3, 0
         )
-        assert verdict == Verdict(ORDER_INDEPENDENCE, False, detail, game=g3x3)
+        assert verdict == Verdict(ORDER_INDEPENDENCE, False, detail)
 
     def test_rejects_fewer_than_one_order(self, pd, g3x3):
         for g in (pd, g3x3):
