@@ -64,15 +64,19 @@ class Game:
         Flat tuple with one entry per cell (one payoff per player), in
         profile enumeration order; :meth:`cell_index` is for random access.
 
-    The derived layout :attr:`own_rows` is built on first use and cached:
-    ``own_rows[i][a]`` is the tuple of player i's payoffs when i plays
-    strategy a, one entry per joint opponent profile.  Opponent profiles
-    are enumerated in the same mixed-radix order as cells with player i
-    left out, so entry x of every row of player i refers to the same
-    opponent profile.  The solvers read rows instead of indexing cells.
-    In a symmetric game every player has the same rows (see
-    :func:`is_symmetric`); :func:`_symmetric_game`, which builds the
-    generated and catalog symmetric games, sets them from its layout.
+    The derived facts :attr:`strategy_counts`, :attr:`strides`,
+    :attr:`own_rows` and :attr:`symmetric` are computed on first use and
+    cached.  ``own_rows[i][a]`` is the tuple of player i's payoffs when i
+    plays strategy a, one entry per joint opponent profile.  Opponent
+    profiles are enumerated in the same mixed-radix order as cells with
+    player i left out, so entry x of every row of player i refers to the
+    same opponent profile.  The solvers read rows instead of indexing
+    cells.  In a symmetric game every player has the same rows (see
+    :func:`is_symmetric`).  :func:`_symmetric_game`, which builds the
+    generated and catalog symmetric games, sets all four from its layout:
+    ``symmetric`` is True, the counts and strides are the layout's, and
+    every player's rows are the layout's rows filled with the game's
+    values.  So no such game runs the symmetry scan.
 
     The rules a game obeys are listed, and checked, in :func:`new_game`.
     :func:`_symmetric_game`, ``verify.gen_random_game`` and
@@ -96,6 +100,10 @@ class Game:
     @cached_property
     def strides(self) -> tuple[int, ...]:
         return _strides(self.strategy_counts)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        return _symmetry_scan(self)
 
     @cached_property
     def own_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -298,9 +306,13 @@ def _build_flat_game(strategy_labels, values) -> Game:
 
 
 # Labels, the class of every (cell, player) entry in cell order, the number
-# of classes and player 0's rows of classes: everything of a symmetric game
-# but its class values.
-_SymmetricLayout = tuple[tuple[tuple[str, ...], ...], array, int, tuple[array, ...]]
+# of classes, player 0's rows of classes and the cached facts every game of
+# the layout shares (symmetric, strategy_counts and strides, keyed by the
+# Game attribute that caches them): everything of a symmetric game but its
+# class values.
+_SymmetricLayout = tuple[
+    tuple[tuple[str, ...], ...], array, int, tuple[array, ...], dict[str, object]
+]
 
 
 def _symmetric_layout(n_players: int, labels: tuple[str, ...]) -> _SymmetricLayout:
@@ -336,19 +348,22 @@ def _symmetric_layout(n_players: int, labels: tuple[str, ...]) -> _SymmetricLayo
             else:
                 for t in range(s):
                     cells[n * (a * s + t) + i :: n * k * s] = row[t::s]
-    return (labels,) * n, cells, k * len(rank), rows
+    counts = (k,) * n
+    facts = {"symmetric": True, "strategy_counts": counts, "strides": _strides(counts)}
+    return (labels,) * n, cells, k * len(rank), rows, facts
 
 
 def _symmetric_game(layout: _SymmetricLayout, values) -> Game:
     """The symmetric game of `layout` in which class c pays ``values[c]``, an
-    int in ``[PAYOFF_MIN, PAYOFF_MAX]``, with every player's own_rows set
-    from the layout's rows; the table is valid by construction."""
-    labels, cells, _, class_rows = layout
+    int in ``[PAYOFF_MIN, PAYOFF_MAX]``, with the layout's facts and every
+    player's own_rows set from the layout's rows; the table is valid by
+    construction."""
+    labels, cells, _, class_rows, facts = layout
     value = values.__getitem__
     payoffs = tuple(zip(*[map(value, cells)] * len(labels)))
     g = Game(strategy_labels=labels, payoffs=payoffs)
     rows = tuple(tuple(map(value, row)) for row in class_rows)
-    g.__dict__["own_rows"] = (rows,) * len(labels)
+    g.__dict__.update(facts, own_rows=(rows,) * len(labels))
     return g
 
 
@@ -417,9 +432,20 @@ def is_symmetric(g: Game) -> bool:
 
     Requires the strategy label lists to be identical *as sequences* (a
     game that is symmetric only after relabeling is reported asymmetric).
-    The payoffs are then symmetric exactly when, in :attr:`Game.own_rows`,
-    every player's rows equal player 0's and player 0's rows do not change
-    when the opponents are reordered:
+    Reads the cached fact :attr:`Game.symmetric`, so the scan
+    (:func:`_symmetry_scan`) runs at most once per game, and never on a
+    game built by :func:`_symmetric_game`, which sets the fact.
+    """
+    return g.symmetric
+
+
+def _symmetry_scan(g: Game) -> bool:
+    """The scan behind :attr:`Game.symmetric`: whether the label lists of
+    `g` are equal and its payoffs symmetric.
+
+    The payoffs are symmetric exactly when, in :attr:`Game.own_rows`, every
+    player's rows equal player 0's and player 0's rows do not change when
+    the opponents are reordered:
 
     * if both hold, a payoff depends only on the player's own strategy and
       the multiset of the opponents' strategies, so every permutation of

@@ -24,15 +24,17 @@ the player's payoffs over every joint opponent profile, in one shared
 opponent order.  Maximin is the best row minimum, and pure Nash compares
 each cell with the per-opponent-profile maximum over the player's rows.
 
-Elimination keeps one state per run (:class:`_Elimination`).  Until the
-first deletion nothing is sorted: round 1 of a game that deletes nothing
-is decided from each row's minimum and maximum.  The first deletion sorts
-each row's entries once by payoff and adds a dead flag per opponent
-profile and a pointer to the least and to the greatest alive entry of
-each row.  A deletion only sets the dead flags of the opponent profiles
-that use the deleted strategy.  Since flags are never cleared, both
-pointers only move inward, so a run scans each row at most once in total
-instead of once per round.  :func:`iterate_elimination`,
+Elimination keeps one state per run (:class:`_Elimination`).  A run from
+the full sets (:func:`iterate_elimination`, :func:`sequential_elimination`)
+starts with every strategy alive and no pass over the sets; a run from
+given sets deletes what they leave out.  Until the first deletion nothing
+is sorted: round 1 of a game that deletes nothing is decided from each
+row's minimum and maximum.  The first deletion sorts each row's entries
+once by payoff and adds a dead flag per opponent profile and a pointer to
+the least and to the greatest alive entry of each row.  A deletion only
+sets the dead flags of the opponent profiles that use the deleted
+strategy.  Since flags are never cleared, both pointers only move inward,
+so a run scans each row at most once in total instead of once per round.  :func:`iterate_elimination`,
 :func:`eliminate_round`, :func:`is_minimax_dominated` and
 :func:`sequential_elimination` all use it.
 
@@ -58,7 +60,6 @@ from .game_core import (
     Profile,
     Survivors,
     check_index,
-    full_sets,
     is_symmetric,
     normalize_survivors,
     profiles,
@@ -173,16 +174,16 @@ class _Elimination:
     opponent profiles that use a deleted strategy, and `_lo[i][a]` and
     `_hi[i][a]` point into the order at the least and greatest alive entry.
     Every player is tracked unless :meth:`mirror` narrows the run to
-    player 0.
+    player 0.  A run given no `survivors` starts from the full sets.
     """
 
-    def __init__(self, g: Game, survivors: Survivors):
+    def __init__(self, g: Game, survivors: Survivors | None = None):
         self._rows = g.own_rows
         self._orders: list[list[array]] | None = None
         self._strides = g.strides
         self._counts = counts = g.strategy_counts
         self.alive = [list(range(k)) for k in counts]
-        for i, keep in enumerate(survivors):
+        for i, keep in enumerate(survivors or ()):
             for v in set(range(counts[i])) - set(keep):
                 self.delete(i, v)
 
@@ -302,7 +303,7 @@ def eliminate_round(g: Game, survivors) -> tuple[Survivors, list[tuple[int, int]
 def iterate_elimination(g: Game) -> EliminationTrace:
     """Run batch elimination from the full sets to a fixed point, on
     player 0's rows alone when every player has them (module docstring)."""
-    state = _Elimination(g, full_sets(g))
+    state = _Elimination(g)
     rows = g.own_rows
     if all(other == rows[0] for other in rows[1:]):
         state.mirror()
@@ -322,7 +323,7 @@ def sequential_elimination(
     At each step `choose` receives every currently dominated pair, sorted,
     and returns the one to delete; returns the final surviving sets.
     """
-    state = _Elimination(g, full_sets(g))
+    state = _Elimination(g)
     while pairs := state.dominated():
         state.delete(*choose(pairs))
     return state.survivors()

@@ -126,9 +126,11 @@ def serialize_referee(g: Game) -> str:
 def symmetric_layout_referee(n_players: int, k: int):
     """The symmetric layout of `n_players` players with `k` strategies
     each, by a sort of every cell: the labels, the class of every payoff
-    entry in cell order (``array("I")``), the number of classes and player
-    0's rows of classes.  Class (own, others) is numbered own-major, the
-    sorted others in ``combinations_with_replacement`` order."""
+    entry in cell order (``array("I")``), the number of classes, player
+    0's rows of classes and the facts every game of the shape has, keyed
+    by the Game attribute that caches them.  Class (own, others) is
+    numbered own-major, the sorted others in
+    ``combinations_with_replacement`` order."""
     # Class (own, others) is stored under the sorted whole profile, then
     # under own, so a cell needs one sort to reach every player's class.
     class_index: dict[tuple[int, ...], dict[int, int]] = {}
@@ -146,7 +148,14 @@ def symmetric_layout_referee(n_players: int, k: int):
     # is a: one block of k**(n-1) cells, n entries each.
     width = k ** (n_players - 1) * n_players
     rows = tuple(cells[a * width : (a + 1) * width : n_players] for a in range(k))
-    return labels, cells, n_classes, rows
+    # Player i's strategy moves the cell index by the number of profiles of
+    # the players after i.
+    facts = {
+        "symmetric": True,
+        "strategy_counts": (k,) * n_players,
+        "strides": tuple(k ** (n_players - 1 - i) for i in range(n_players)),
+    }
+    return labels, cells, n_classes, rows, facts
 
 
 def nash_oracle(g: Game) -> list[tuple[int, ...]]:

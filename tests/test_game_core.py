@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nonnash.game_core
 from nonnash import (
     DuplicateCell,
     DuplicateLabel,
     EmptySurvivorSet,
+    Game,
     IndexOutOfRange,
     InvalidGame,
     InvalidLabel,
@@ -30,7 +32,7 @@ from nonnash import (
 from nonnash.game_core import _build_flat_game, full_sets
 from nonnash.game_io import parse_game
 
-from oracles import symmetric_oracle
+from oracles import every_ordinal_type, symmetric_oracle
 
 
 def single_cell_game():
@@ -407,6 +409,34 @@ class TestIsSymmetric:
             g = gen_random_symmetric_game(n, 2, 0, 5, seed=seed)
             assert is_symmetric(g)
             assert symmetric_oracle(g)
+
+    # Games built by _symmetric_game carry the fact and never run the scan,
+    # so the tests below scan a fresh Game of the same table instead.
+    @staticmethod
+    def scan(g):
+        return nonnash.game_core._symmetry_scan(Game(g.strategy_labels, g.payoffs))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_scan_matches_oracle_on_generated_games(self, n):
+        for k in (1, 2, 3):
+            for seed in range(4):
+                g = gen_random_symmetric_game(n, k, 0, 3, seed=seed)
+                assert (self.scan(g), symmetric_oracle(g)) == (True, True), g
+                # a table of the same shape drawn cell by cell, symmetric
+                # only by chance (or with one player or one strategy)
+                h = gen_random_game(n, k, 0, 1, seed=seed)
+                assert self.scan(h) == symmetric_oracle(h), h
+
+    def test_scan_matches_oracle_on_catalog_games(
+        self, pd, chicken_game, coordination_game, g3x3
+    ):
+        for g in (pd, chicken_game, coordination_game, g3x3):
+            assert (self.scan(g), symmetric_oracle(g)) == (True, True), g
+
+    @pytest.mark.parametrize("n, k", [(2, 2), (3, 2)], ids=["2p-k2", "3p-k2"])
+    def test_scan_matches_oracle_on_every_ordinal_type(self, n, k):
+        for g in every_ordinal_type(n, k):
+            assert (self.scan(g), symmetric_oracle(g)) == (True, True), g
 
     def test_permutation_identity_holds(self, g3x3):
         # direct assertion: player perm[i] earns in the relabeled profile

@@ -6,6 +6,7 @@ import pytest
 import nonnash.solvers
 from nonnash import (
     DeadStrategy,
+    EliminationTrace,
     IndexOutOfRange,
     NotSymmetric,
     RegionTag,
@@ -194,6 +195,25 @@ class TestIterateElimination:
             trace = iterate_elimination(g)
             assert trace.rounds == ()
             assert trace.final_survivors == full_sets(g)
+
+    def test_nothing_sorted_when_nothing_deleted(
+        self, pd, chicken_game, coordination_game, monkeypatch
+    ):
+        """A run from the full sets has nothing to delete up front, so a game
+        that deletes nothing never sorts a row, mirrored or not."""
+
+        def refuse(state):
+            raise AssertionError("sorted the rows of a game that deletes nothing")
+
+        monkeypatch.setattr(nonnash.solvers._Elimination, "_sort", refuse)
+        games = [
+            pd, chicken_game, coordination_game,
+            gen_random_symmetric_game(3, 3, 0, 9, seed=0),
+            gen_random_game(3, (2, 3, 2), 0, 9, seed=0),
+        ]
+        for g in games:
+            assert iterate_elimination(g) == EliminationTrace((), full_sets(g)), g
+            assert nonnash.solvers.sequential_elimination(g, min) == full_sets(g), g
 
     def test_survivors_never_empty(self):
         for j in range(80):

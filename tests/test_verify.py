@@ -206,8 +206,34 @@ LAYOUT_SHAPES = [
 def test_symmetric_layout_matches_the_sorting_referee(n, k):
     layout = nonnash.game_core._symmetric_layout(n, tuple(f"s{v}" for v in range(k)))
     assert layout == symmetric_layout_referee(n, k)
-    _, cells, _, rows = layout
+    _, cells, _, rows, _ = layout
     assert all(type(a) is array and a.typecode == "I" for a in (cells, *rows))
+
+
+# The layout shapes and the pinned 50-player game's one strategy.
+FACT_SHAPES = LAYOUT_SHAPES + [(50, 1)]
+# The facts _symmetric_game sets at construction; a fresh Game of the same
+# table computes each on first read.
+PRESET_FACTS = ("strategy_counts", "strides", "symmetric", "own_rows")
+
+
+@pytest.mark.parametrize("n, k", FACT_SHAPES, ids=[f"{n}x{k}" for n, k in FACT_SHAPES])
+def test_preset_facts_equal_computed_facts(n, k):
+    g = gen_random_symmetric_game(n, k, 0, 99, 24)
+    fresh = Game(g.strategy_labels, g.payoffs)
+    preset = {name: g.__dict__[name] for name in PRESET_FACTS}
+    assert preset == {name: getattr(fresh, name) for name in PRESET_FACTS}
+
+
+@pytest.mark.parametrize("n, k", FACT_SHAPES, ids=[f"{n}x{k}" for n, k in FACT_SHAPES])
+def test_every_symmetric_game_passes_the_scan(n, k):
+    layout = nonnash.game_core._symmetric_layout(n, tuple(f"s{v}" for v in range(k)))
+    m = layout[2]
+    scan = nonnash.game_core._symmetry_scan
+    for values in (range(m), [0] * m, SplitMix64(k).next_many_in_range(0, 2, m)):
+        g = nonnash.game_core._symmetric_game(layout, values)
+        # on the rows the layout set, and on rows built from the table
+        assert scan(g) and scan(Game(g.strategy_labels, g.payoffs))
 
 
 SWEEP_INT_FIELDS = (
@@ -766,6 +792,41 @@ class TestOneAnalysisPerGame:
         g = gen_random_symmetric_game(players, 2, 0, 9, seed=1)
         assert Game(g.strategy_labels, g.payoffs).own_rows == g.own_rows
         assert computed == [1]
+
+    @pytest.mark.parametrize("players, k_max", [(2, 6), (3, 4)], ids=["2p", "3p"])
+    def test_sweep_never_scans_or_counts(self, calls, players, k_max, monkeypatch):
+        """Sweep games come with their symmetry, strategy counts and strides
+        set, so a sweep runs no symmetry scan and computes no count or
+        stride through its property."""
+        computed = []
+        scan = nonnash.game_core._symmetry_scan
+
+        def counted_scan(g):
+            computed.append("scan")
+            return scan(g)
+
+        monkeypatch.setattr(nonnash.game_core, "_symmetry_scan", counted_scan)
+        for name in ("strategy_counts", "strides"):
+
+            def counted(g, _name=name, _original=getattr(Game, name).func):
+                computed.append(_name)
+                return _original(g)
+
+            fact = functools.cached_property(counted)
+            fact.__set_name__(Game, name)
+            monkeypatch.setattr(Game, name, fact)
+        config = SweepConfig(
+            players=players, min_strategies=1, max_strategies=k_max, games=200,
+            seed=8, properties=ALL_PROPERTIES,
+        )
+        assert sweep(config).games_checked == 200
+        assert computed == []
+        assert calls == self.per_game(200)
+        # the patched scan and properties do count a game that has no facts yet
+        g = gen_random_symmetric_game(players, 2, 0, 9, seed=1)
+        fresh = Game(g.strategy_labels, g.payoffs)
+        assert (is_symmetric(fresh), fresh.strides) == (True, g.strides)
+        assert sorted(computed) == ["scan", "strategy_counts", "strides"]
 
     @pytest.mark.parametrize("config", [
         SweepConfig(games=200, seed=3),
