@@ -49,9 +49,27 @@ _INT_RE = re.compile(_INT + r"\Z")
 # separates tokens with spaces and tabs only.
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
 
-# Cell lines parse_game converts to ints with one join and one split: few
-# enough that a large table never holds all its tokens as strings at once.
+# An integer of the format as JSON writes one: no leading zeros.  Every
+# token of a block of canonical cell lines has this form.  The lookahead
+# rather than an alternation makes a line that is not canonical fail
+# sooner.
+_JSON_INT = "-?(?!0[0-9])[0-9]{1,640}"
+
+# The most canonical cell lines parse_game matches at once.  The re module
+# keeps backtracking state for every repeat it has taken, so a block stays
+# small.
+_BLOCK = 256
+
+# Cells read alone, outside blocks, that parse_game converts to ints with
+# one join and one split: few enough that a large table never holds all
+# its tokens as strings at once.
 _CELL_SLICE = 2048
+
+
+def _block_ints(block: str) -> list[int]:
+    """The integers of a block of canonical cell lines, each ending in a
+    line feed, in order: one json.loads."""
+    return json.loads("[" + block.replace(" ", ",").replace("\n", ",")[:-1] + "]")
 
 
 def parse_int(text: str) -> int | None:
@@ -75,7 +93,7 @@ def _check_characters(text: str, lines: list[str]) -> None:
     """Raise GnfSyntaxError for the first line that holds, outside its
     comment, a non-ASCII character or a control character other than tab
     (a carriage return may only end the line)."""
-    if text.isascii() and _CONTROL_RE.search(text.replace("\r\n", "\n")) is None:
+    if text.isascii() and _CONTROL_RE.search(text) is None:
         return
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r").partition("#")[0]
@@ -96,22 +114,32 @@ def _tokens(line: str) -> list[str]:
 def parse_game(text: str) -> GameDocument:
     """Parse a version-1 game document.
 
-    The document is read in three passes.  The first refuses a line with a
-    non-ASCII or control character outside its comment.  The second checks
-    the syntax, line by line in file order: the header, every payoff cell
-    (one index and one payoff per player, all integer tokens), ``end``, and
-    nothing but blank or comment lines after it.  The third hands the cells
-    to ``game_core``, which checks the rules of the game itself, as listed
-    in :func:`nonnash.game_core.new_game`, with the same errors; the labels
-    and the size guard pass before a single cell token becomes an int.
+    First a line with a non-ASCII or control character outside its comment
+    is refused.  Then the syntax is checked in file order: the header,
+    every payoff cell (one index and one payoff per player, all integer
+    tokens), ``end``, and nothing but blank or comment lines after it.  The
+    payoff table takes two routes.  A run of canonical cell lines (single
+    spaces, no leading zeros, LF or CRLF endings) is matched up to
+    ``_BLOCK`` lines at a time by one regex, and each such block becomes
+    ints through one ``json.loads``.  Any other line (a comment, a blank
+    line, tabs, extra spaces, a leading zero) is read alone, keeps its line
+    number, and has its rejoined tokens converted by ``int()``; block
+    reading resumes on the next line.  Last the cells, in file order, go to
+    ``game_core``, which checks the rules of the game itself, as listed in
+    :func:`nonnash.game_core.new_game`, with the same errors; the labels and
+    the size guard pass before a single cell token becomes an int.
 
     Raises :class:`GnfSyntaxError` with the offending line number and what
     was expected there, :class:`VersionUnsupported`, or the error of the
-    first game rule the document breaks.  The order of the passes is the
+    first game rule the document breaks.  The order of the checks is the
     order of the errors: a character error first, then any other syntax
     error in file order, then the game rules, on a document free of syntax
     errors.
     """
+    # A carriage return before a line feed ends its line, where the
+    # tokenizer takes it for a space: dropping it moves no line and
+    # changes no token, and a CRLF table reads as a canonical one.
+    text = text.replace("\r\n", "\n")
     lines = text.split("\n")
     _check_characters(text, lines)
 
@@ -155,22 +183,39 @@ def parse_game(text: str) -> GameDocument:
     if tokens != ["payoffs"]:
         raise GnfSyntaxError(lineno, "'payoffs'")
 
-    # A cell is 2n integers; canonical lines match as they stand, others
-    # (tabs, extra spaces, comments, CRLF) once their tokens are rejoined.
+    # A cell is 2n integers.  Each turn of the loop matches a block of
+    # canonical lines straight from `text`, starting at `line`, or else
+    # reads `line` alone.
+    block = re.compile(f"(?:(?:{_JSON_INT} ){{{2 * n - 1}}}{_JSON_INT}\\n){{1,{_BLOCK}}}").match
     cell = re.compile(f"(?:{_INT} ){{{2 * n - 1}}}{_INT}\\Z").match
     bad_cell = f"{n} strategy indices and {n} integer payoffs, or 'end'"
-    cells = []
+    pos = sum(map(len, lines[:lineno])) + lineno  # where `line` below starts
+    # Blocks, as slices of `text`, and runs of cells read alone, in file
+    # order; an empty run converts to no ints.
+    run = []
+    parts = [run]
     for lineno, line in numbered:
+        m = block(text, pos)
+        if m is not None:
+            start, pos = m.span()
+            skip = text.count("\n", start, pos) - 1  # `line` is the block's first
+            next(itertools.islice(numbered, skip, skip), None)
+            run = []
+            parts += slice(start, pos), run
+            continue
+        pos += len(line) + 1
+        tokens = _tokens(line)
+        if not tokens:
+            continue
+        if tokens == ["end"]:
+            break
+        line = " ".join(tokens)
         if cell(line) is None:
-            tokens = _tokens(line)
-            if not tokens:
-                continue
-            if tokens == ["end"]:
-                break
-            line = " ".join(tokens)
-            if cell(line) is None:
-                raise GnfSyntaxError(lineno, bad_cell)
-        cells.append(line)
+            raise GnfSyntaxError(lineno, bad_cell)
+        if len(run) == _CELL_SLICE:
+            run = []
+            parts.append(run)
+        run.append(line)
     else:
         raise GnfSyntaxError(len(lines), "a payoff cell or 'end'")
     for lineno, _ in filled:
@@ -179,8 +224,8 @@ def parse_game(text: str) -> GameDocument:
     # Lazy, so that game_core converts no token before the labels and the
     # size guard pass.
     values = itertools.chain.from_iterable(
-        map(int, " ".join(cells[c : c + _CELL_SLICE]).split(" "))
-        for c in range(0, len(cells), _CELL_SLICE)
+        map(int, " ".join(part).split()) if type(part) is list else _block_ints(text[part])
+        for part in parts
     )
     return GameDocument(game=_build_flat_game(tuple(labels), values))
 

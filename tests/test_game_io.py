@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 import re
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import document_referee, every_ordinal_type, outcome, serialize_referee
+from oracles import syntax_referee
 from pinned_games import PINNED_GAMES, sha256
 
 import nonnash.game_io
@@ -42,7 +44,7 @@ from nonnash import (
     sweep,
 )
 from nonnash.game_core import PAYOFF_MAX, PAYOFF_MIN
-from nonnash.game_io import _CELL_SLICE, format_round, format_survivors, matrix_lines
+from nonnash.game_io import _BLOCK, _CELL_SLICE, format_round, format_survivors, matrix_lines
 
 CANONICAL_PD = """gnf 1
 players 2
@@ -567,18 +569,33 @@ def test_parse_matches_new_game_on_shuffled_cells():
         assert parse_game(text).game == new_game(g.strategy_labels, cells) == g
 
 
-def test_size_guard_before_any_cell_token_is_converted(monkeypatch):
-    calls = []
+def _count_conversions(monkeypatch) -> tuple[list, list]:
+    """Record every token game_io converts: each int() call's arguments, and
+    for each block json.loads reads, its tokens as one-argument tuples.
+    Returns (conversions, blocks read)."""
+    calls, blocks = [], []
 
     def counting_int(*args):
         calls.append(args)
         return int(*args)
 
+    def counting_block_ints(block):
+        blocks.append(block)
+        calls.extend((token,) for token in block.split())
+        return block_ints(block)
+
+    block_ints = nonnash.game_io._block_ints
     monkeypatch.setattr(nonnash.game_io, "int", counting_int, raising=False)
+    monkeypatch.setattr(nonnash.game_io, "_block_ints", counting_block_ints)
+    return calls, blocks
+
+
+def test_size_guard_before_any_cell_token_is_converted(monkeypatch):
+    calls, _ = _count_conversions(monkeypatch)
     cells = "0 0 1 1\n" * 5000
     with pytest.raises(DuplicateCell):
         parse_game(_edit(("0 0 1 1\n", cells)))
-    assert len(calls) > 4 * 5000  # every cell token goes through int
+    assert len(calls) > 4 * 5000  # every cell token is converted
     calls.clear()
     with pytest.raises(SizeGuardExceeded) as exc:
         parse_game(_edit(*_WIDE, ("0 0 1 1\n", cells)))
@@ -588,9 +605,9 @@ def test_size_guard_before_any_cell_token_is_converted(monkeypatch):
 
 class TestLargeDocument:
     """A canonical 3-player, 25-strategy document (15,625 cells, spanning
-    several conversion slices) is taken in bulk; any edit that breaks a
-    rule falls back to the per-cell checks and names the same error as
-    ``new_game``."""
+    many blocks) is read in blocks; lines that are not canonical are read
+    alone, and either route gives what ``new_game`` gives, the same game or
+    the same error."""
 
     HEAD = 6  # gnf, players, three strategies lines, payoffs
 
@@ -668,3 +685,85 @@ class TestLargeDocument:
         assert self.parse(self.edit(lines, j, 2, "25")) == (
             IndexOutOfRange, f"profile {profile}: strategy 25 out of range for player 2"
         )
+
+    # Table lines around block boundaries, and two lines in a row.
+    BOUNDARIES = (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 15_624)
+
+    # Ways to write a cell line that a block does not match: each gives
+    # the same cell, and "comment line" puts a line of its own before it.
+    NOT_CANONICAL = {
+        "comment line": lambda line: "# note\n" + line,
+        "trailing comment": lambda line: line + " # note",
+        "crlf": lambda line: line + "\r",
+        "tabs": lambda line: line.replace(" ", "\t"),
+        # the last payoff, which is not negative, with a leading zero
+        "leading zero": lambda line: " 0".join(line.rsplit(" ", 1)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(NOT_CANONICAL))
+    def test_lines_read_alone_around_block_boundaries(self, big, kind):
+        g, lines = big
+        lines = list(lines)
+        for j in self.BOUNDARIES:
+            lines[self.HEAD + j] = self.NOT_CANONICAL[kind](lines[self.HEAD + j])
+        assert self.parse(lines) == g
+
+    def test_every_kind_in_a_row_across_a_boundary(self, big):
+        g, lines = big
+        lines = list(lines)
+        for j, rewrite in enumerate(self.NOT_CANONICAL.values(), start=_BLOCK - 2):
+            lines[self.HEAD + j] = rewrite(lines[self.HEAD + j])
+        assert self.parse(lines) == g
+
+    def test_line_numbers_after_blocks_and_lines_read_alone(self, big):
+        g, lines = big
+        lines = list(lines)
+        lines[self.HEAD + _BLOCK] = "# note\n" + lines[self.HEAD + _BLOCK]
+        lines[self.HEAD + 2 * _BLOCK] += "\r"
+        j = 3 * _BLOCK + 5
+        lines[self.HEAD + j] = lines[self.HEAD + j].replace(" ", " x ", 1)
+        text = "\n".join(lines)
+        # line HEAD + j + 1, moved down by the comment line
+        expected = (GnfSyntaxError, f"line {self.HEAD + j + 2}: expected "
+                    "3 strategy indices and 3 integer payoffs, or 'end'")
+        assert outcome(lambda: parse_game(text)) == syntax_referee(text) == expected
+
+    def test_minus_zero_in_a_block(self, big, monkeypatch):
+        g, lines = big
+        j = _BLOCK + 3
+        _, blocks = _count_conversions(monkeypatch)
+        parsed = self.parse(self.edit(lines, j, 4, "-0"))
+        assert parsed.payoffs[j] == (g.payoffs[j][0], 0, g.payoffs[j][2])
+        assert any(" -0 " in block for block in blocks)
+
+    def test_payoff_of_640_digits(self, big):
+        g, lines = big
+        token = "9" * 640
+        assert self.parse(self.edit(lines, 700, 3, token)) == (
+            PayoffOutOfRange, f"cell (1, 3, 0): payoff {token} outside [-2**62, 2**62]"
+        )
+
+    def test_token_of_641_digits(self, big):
+        g, lines = big
+        text = "\n".join(self.edit(lines, 700, 3, "9" * 641))
+        expected = (GnfSyntaxError, f"line {self.HEAD + 701}: expected "
+                    "3 strategy indices and 3 integer payoffs, or 'end'")
+        assert outcome(lambda: parse_game(text)) == syntax_referee(text) == expected
+
+    def test_canonical_tables_are_read_in_blocks(self, big, monkeypatch):
+        g, lines = big
+        calls, blocks = _count_conversions(monkeypatch)
+        # A CRLF table reads as a canonical one; a table of tabs is read
+        # line by line.
+        full = math.ceil(15_625 / _BLOCK)
+        for newline, space, n_blocks in (("\n", " ", full), ("\r\n", " ", full), ("\n", "\t", 0)):
+            calls.clear()
+            blocks.clear()
+            text = newline.join(lines).replace(" ", space)
+            assert self.parse(text.split("\n")) == g
+            assert len(blocks) == n_blocks
+            # the player count, then each cell token once: all in blocks,
+            # or else all by int()
+            assert calls[0] == ("3",) and len(calls) == 1 + 6 * 15_625
+            in_blocks = sum(len(block.split()) for block in blocks)
+            assert in_blocks == (6 * 15_625 if n_blocks else 0)

@@ -6,11 +6,13 @@ few tokens replaced.  Both include non-ASCII digits such as "²" and "٠",
 which are not integers in the format, and ASCII control characters, which
 are not separators.  A document that passes the syntax pass must give
 what ``new_game`` gives on its plainly tokenized cells: the same game or
-the same error, whether ``parse_game`` took its table in bulk or cell by
-cell.  On any document, the first character or syntax error it raises,
+the same error, whether ``parse_game`` read a line in a block of
+canonical lines or alone.  On any document, the first character or syntax error it raises,
 with its line number, must be the one ``syntax_referee`` finds by
 tokenizing every line up front.
 """
+
+import math
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from nonnash import (
     parse_game,
     serialize_game,
 )
+from nonnash.game_io import _BLOCK
 
 TOKENS = (
     "gnf", "1", "2", "players", "strategies", "payoffs", "end", "0", "-1",
@@ -148,6 +151,53 @@ def cell_mutated_documents(draw):
         elif action == "move":
             cells.insert(draw(st.integers(0, len(cells) - 1)), cells.pop(j))
     return "\n".join(head + [" ".join(cell) for cell in cells] + tail)
+
+
+def _leading_zero(line: str, col: int) -> str:
+    """`line` with token `col` (modulo the token count) written with a
+    leading zero."""
+    tokens = line.split(" ")
+    col %= len(tokens)
+    sign = "-" if tokens[col].startswith("-") else ""
+    tokens[col] = sign + "0" + tokens[col].removeprefix("-")
+    return " ".join(tokens)
+
+
+@st.composite
+def spliced_documents(draw):
+    """Canonical 2-player documents of at least two blocks with comment,
+    blank, CRLF, tab and leading-zero lines spliced in, some of them next
+    to a block boundary, and now and then a line that is not a cell."""
+    k = math.isqrt(2 * _BLOCK) + 1
+    g = gen_random_game(2, k, -5, 5, draw(st.integers(0, 2**32)))
+    lines = serialize_game(GameDocument(game=g)).split("\n")
+    head = 5  # gnf, players, two strategies lines, payoffs
+    near_boundary = [head + b + d for b in (_BLOCK, 2 * _BLOCK) for d in (-1, 0, 1)]
+    for _ in range(draw(st.integers(1, 8))):
+        j = draw(st.one_of(st.integers(0, len(lines) - 1), st.sampled_from(near_boundary)))
+        kind = draw(st.sampled_from(
+            ("comment", "blank", "crlf", "tab", "zero", "zero", "not a cell")
+        ))
+        if kind == "comment":
+            lines.insert(j, "# note")
+        elif kind == "blank":
+            lines.insert(j, draw(st.sampled_from(("", " \t", "\r"))))
+        elif kind == "crlf":
+            lines[j] += "\r"
+        elif kind == "tab":
+            lines[j] = lines[j].replace(" ", "\t")
+        elif kind == "zero":
+            lines[j] = _leading_zero(lines[j], draw(st.integers(0, 3)))
+        else:
+            lines.insert(j, draw(st.sampled_from(("x", "0 1", "0 0 1 1 1", "end"))))
+    return "\n".join(lines)
+
+
+@given(spliced_documents())
+@settings(max_examples=200, deadline=None)
+def test_spliced_block_documents_match_both_referees(text):
+    _check_against_new_game(text)
+    _check_against_syntax_referee(text)
 
 
 @given(st.text(ALPHABET, max_size=200))
