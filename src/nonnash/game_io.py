@@ -3,7 +3,10 @@
 This module only parses, serializes and renders; it never solves.  The
 reports it renders are built by :func:`nonnash.solvers.build_report` and
 :func:`nonnash.verify.sweep`, and every report format reads its per-profile
-facts from one pass, :attr:`nonnash.solvers.AnalysisReport.flags`.
+facts from one pass, :attr:`nonnash.solvers.AnalysisReport.codes`: each
+marker and CSV flag column is spelled once per code from the report's
+record of that code, so this module states no bit layout, and JSON reads
+the records per profile through ``flags``.
 
 Game file format, version 1 (conventional extension ``.gnf``)::
 
@@ -279,8 +282,13 @@ def format_survivors(g: Game, survivors) -> str:
 
 def _profile_names(g: Game) -> list[str]:
     """``(label,label,...)`` for every profile, in enumeration order."""
-    template = "(" + ",".join(["%s"] * g.n_players) + ")"
-    return list(map(template.__mod__, itertools.product(*g.strategy_labels)))
+    # Every player's labels, each with the comma or parenthesis after it,
+    # extend every name so far: one join per name and player.
+    names = ["("]
+    ends = [","] * (g.n_players - 1) + [")"]
+    for labels, end in zip(g.strategy_labels, ends):
+        names = list(map("".join, itertools.product(names, [label + end for label in labels])))
+    return names
 
 
 def matrix_lines(g: Game) -> list[str]:
@@ -293,19 +301,19 @@ def matrix_lines(g: Game) -> list[str]:
 
 
 def _matrix_lines(g: Game, marks, names) -> list[str]:
-    """:func:`matrix_lines`, with `marks` None or one short annotation
-    string per cell, in enumeration order, shown next to the payoffs when
-    it is not empty, and `names` the :func:`_profile_names` of `g` when the
+    """:func:`matrix_lines`, with `marks` None or one string per cell, in
+    enumeration order, written right after the payoffs (such as `` [NI]``,
+    or empty), and `names` the :func:`_profile_names` of `g` when the
     caller already holds them, else None."""
     template = ",".join(["%d"] * g.n_players)
-    cells = [template % u for u in g.payoffs]
+    cells = list(map(template.__mod__, g.payoffs))
     if marks is not None:
-        cells = [f"{text} [{mark}]" if mark else text for text, mark in zip(cells, marks)]
+        cells = list(map(operator.add, cells, marks))
 
     if g.n_players != 2:
         if names is None:
             names = _profile_names(g)
-        return [f"{name} -> {text}" for name, text in zip(names, cells)]
+        return list(map(" -> ".join, zip(names, cells)))
 
     row_labels, col_labels = g.strategy_labels
     k = len(col_labels)
@@ -326,17 +334,17 @@ _CSV_FLAG = {None: "", False: "false", True: "true"}
 
 def _render_text(r) -> str:
     g = r.game
-    # The letters of each record's true flags, spelled once per distinct
-    # record of this report rather than once per profile.
-    mark = {flags: "".join(itertools.compress("NHIM", flags)) for flags in dict.fromkeys(r.flags)}
-    marks = list(map(mark.__getitem__, r.flags))
+    # Each code's marker, spelled once per code: the letters of its true
+    # flags in brackets, or nothing when it has none.
+    letters = ("".join(itertools.compress("NHIM", flags)) for flags in r._records)
+    mark = [f" [{text}]" if text else "" for text in letters]
     profile_names = _profile_names(g)
     # The Nash, Hofstadter and individually rational profiles by name, read
-    # off their flags in enumeration order; "none" for an empty set.
+    # off their codes in enumeration order (`flag` holds one flag of every
+    # code); "none" for an empty set.
     nash, hofstadter, rational = (
-        ", ".join(itertools.compress(profile_names, map(operator.itemgetter(j), r.flags)))
-        or "none"
-        for j in range(3)
+        ", ".join(itertools.compress(profile_names, map(flag.__getitem__, r.codes))) or "none"
+        for flag in list(zip(*r._records))[:3]
     )
 
     lines = [f"game: {r.name}" if r.name else "game: (unnamed)"]
@@ -344,7 +352,7 @@ def _render_text(r) -> str:
     lines.append("strategies: " + format_survivors(g, full_sets(g)))
     lines.append("symmetric: " + ("yes" if r.symmetric else "no"))
     lines.append("")
-    lines.extend(_matrix_lines(g, marks, profile_names))
+    lines.extend(_matrix_lines(g, map(mark.__getitem__, r.codes), profile_names))
     lines.append("")
     lines.append(
         "markers: N = pure Nash, H = Hofstadter, I = individually rational, "
@@ -385,13 +393,13 @@ def _render_csv(r) -> str:
     header = [f"i{i}" for i in range(n)] + ["labels", "nash", "hofstadter", "ir", "rationalizable"]
     template = ",".join(["%s"] * n) + ",(" + ";".join(["%s"] * n) + "),"
     indices = itertools.product(*(list(map(str, range(k))) for k in g.strategy_counts))
-    # Each distinct flag record's columns, spelled once per record.
-    tail = {flags: ",".join(map(_CSV_FLAG.get, flags)) for flags in dict.fromkeys(r.flags)}
+    # Each code's flag columns, spelled once per code.
+    tail = [",".join(map(_CSV_FLAG.get, flags)) for flags in r._records]
     rows = [",".join(header)]
     rows += [
-        template % (index + labels) + tail[flags]
-        for index, labels, flags in zip(
-            indices, itertools.product(*g.strategy_labels), r.flags
+        template % (index + labels) + tail[code]
+        for index, labels, code in zip(
+            indices, itertools.product(*g.strategy_labels), r.codes
         )
     ]
     return "\n".join(rows) + "\n"

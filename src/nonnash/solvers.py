@@ -15,9 +15,10 @@ Five families are implemented:
 Everything is exact integer comparison; no payoff arithmetic anywhere.
 :func:`build_report` runs each solver once per game and stores maximin,
 the individually rational profiles, the elimination trace and the Hofstadter
-profiles (symmetry is read off them).  Nash and the per-profile flags (one
-:class:`RegionTag` each), which `regions` and every report format read, are
-derived on read.
+profiles (symmetry is read off them).  Nash and the per-profile codes are
+derived on read.  The codes are the one per-profile pass: one byte of flag
+bits per profile, built in C-level passes, which every report format
+reads; `flags` and `regions` read each code's :class:`RegionTag` record.
 
 The solvers read :attr:`Game.own_rows`: for each player and own strategy,
 the player's payoffs over every joint opponent profile, in one shared
@@ -51,7 +52,7 @@ from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from operator import ge
+from operator import eq, ge, mul
 from typing import NamedTuple
 
 from .errors import DeadStrategy, NotSymmetric
@@ -100,11 +101,7 @@ def pure_nash(g: Game) -> list[Profile]:
         for rows, stride in zip(g.own_rows, g.strides)
     ]
     # u_i never exceeds player i's best, so u equals the bests iff Nash.
-    return [
-        p
-        for p, u, best in zip(profiles(g), g.payoffs, zip(*best_by_cell))
-        if u == best
-    ]
+    return list(itertools.compress(profiles(g), map(eq, g.payoffs, zip(*best_by_cell))))
 
 
 def _by_cell(values: list[int], stride: int, k: int):
@@ -353,13 +350,26 @@ class RegionTag(NamedTuple):
 _BOOLS = (False, True)
 _FLAGS = {f: RegionTag(*f) for f in itertools.product(_BOOLS, (None, False, True), _BOOLS, _BOOLS)}
 
+# The bit layout of AnalysisReport.codes: bit j of a code is field j of its
+# record.  An asymmetric game's codes never set the Hofstadter bit (j = 1),
+# and its records hold None there.  _RECORDS[symmetric][code] is the code's
+# record, one of the 24 above.
+_RECORDS = {
+    symmetric: tuple(
+        _FLAGS[tuple(code >> j & 1 == 1 if symmetric or j != 1 else None for j in range(4))]
+        for code in range(16)
+    )
+    for symmetric in _BOOLS
+}
+
 
 @dataclass(frozen=True)
 class AnalysisReport:
     """Every solution concept of one game, ready for rendering.
 
-    Fields hold solver outputs; `symmetric`, `nash` and `flags` are derived
-    from them on read, and `regions` maps each profile to its `flags`
+    Fields hold solver outputs; `symmetric`, `nash`, `codes` and `flags` are
+    derived from them on read.  `codes` is the one per-profile pass: `flags`
+    reads each code's record, and `regions` maps each profile to its `flags`
     record.  Profile collections are in enumeration order; `hofstadter` and
     `regions` are None exactly for asymmetric games, where those concepts
     are undefined.
@@ -382,22 +392,42 @@ class AnalysisReport:
         return tuple(pure_nash(self.game))
 
     @cached_property
-    def flags(self) -> tuple[RegionTag, ...]:
-        """One :class:`RegionTag` per profile, in enumeration order."""
+    def codes(self) -> bytes:
+        """One byte per profile, in enumeration order, holding its flags as
+        bits: 1 pure Nash, 2 Hofstadter, 4 individually rational and 8
+        minimax-rationalizable (:attr:`_records` reads them back)."""
         g = self.game
-        nash = set(self.nash)
-        symmetric = self.symmetric
-        hof = set(self.hofstadter or ())
+        # The few Nash (bit 0) and Hofstadter (bit 1) profiles go in by cell
+        # index.
+        few = bytearray(len(g.payoffs))
+        for j, found in enumerate((self.nash, self.hofstadter or ())):
+            for p in found:
+                few[sum(map(mul, p, g.strides))] |= 1 << j
         ir = set(self.individually_rational)
         # mask[i][v]: strategy v of player i survives elimination.
         masks = [[False] * k for k in g.strategy_counts]
         for mask, alive in zip(masks, self.trace.final_survivors):
             for v in alive:
                 mask[v] = True
-        return tuple(
-            _FLAGS[p in nash, p in hof if symmetric else None, p in ir, rationalizable]
-            for p, rationalizable in zip(profiles(g), map(all, itertools.product(*masks)))
+        # Each pass below is one byte of 0 or 1 per profile; as big-endian
+        # ints, a shift moves every byte's bit into place (individually
+        # rational to bit 2, rationalizable to bit 3) and no byte carries.
+        code = (
+            int.from_bytes(few, "big")
+            | int.from_bytes(bytes(map(ir.__contains__, profiles(g))), "big") << 2
+            | int.from_bytes(bytes(map(all, itertools.product(*masks))), "big") << 3
         )
+        return code.to_bytes(len(few), "big")
+
+    @property
+    def _records(self) -> tuple[RegionTag, ...]:
+        """The shared :class:`RegionTag` record of each code, by code."""
+        return _RECORDS[self.symmetric]
+
+    @cached_property
+    def flags(self) -> tuple[RegionTag, ...]:
+        """One :class:`RegionTag` per profile, in enumeration order."""
+        return tuple(map(self._records.__getitem__, self.codes))
 
     @cached_property
     def regions(self) -> dict[Profile, RegionTag] | None:

@@ -13,6 +13,7 @@ from nonnash import (
     Game,
     GameError,
     GnfSyntaxError,
+    RegionTag,
     SplitMix64,
     VersionUnsupported,
     derive_seed,
@@ -176,6 +177,26 @@ def nash_oracle(g: Game) -> list[tuple[int, ...]]:
         if is_nash:
             result.append(p)
     return result
+
+
+def flags_oracle(report) -> tuple[RegionTag, ...]:
+    """One RegionTag per profile of `report`'s game, in enumeration order,
+    by membership of the profile in the report's sets: its Nash,
+    Hofstadter (None on an asymmetric game) and individually rational
+    profiles, and the product of its elimination survivors."""
+    nash = set(report.nash)
+    hofstadter = set(report.hofstadter or ())
+    rational = set(report.individually_rational)
+    survivors = report.trace.final_survivors
+    return tuple(
+        RegionTag(
+            p in nash,
+            p in hofstadter if report.symmetric else None,
+            p in rational,
+            all(v in alive for v, alive in zip(p, survivors)),
+        )
+        for p in all_profiles(report.game)
+    )
 
 
 def maximin_oracle(g: Game) -> tuple[int, ...]:

@@ -3,7 +3,11 @@
 The set covers every rendering layout: 2-player grids (symmetric and not,
 with and without elimination), one line per profile for 3 players (with
 and without elimination, symmetric and not, unequal strategy counts), and
-a 1-player game.
+a 1-player game.  Two games are larger: the 3-player, 25-strategy game of
+``nonnash gen --symmetric --players 3 --strategies 25 --seed 1`` (15,625
+profiles, the size the benchmark analyzes), and a 4-player asymmetric game
+with unequal strategy counts, 4 pure Nash equilibria and 66 of its 72
+profiles individually rational.
 """
 
 import hashlib
@@ -65,4 +69,7 @@ PINNED_GAMES = {
     "asym-5x5": lambda: gen_random_game(2, 5, -9, 9, seed=3),
     "one-player": lambda: gen_random_game(1, 4, -9, 9, seed=0),
     "rps": rock_paper_scissors,
+    # the payoff range is gen's default, 0..99
+    "sym3-k25": lambda: gen_random_symmetric_game(3, 25, 0, 99, seed=1),
+    "asym4-3-4-2-3": lambda: gen_random_game(4, (3, 4, 2, 3), -9, 9, seed=2),
 }

@@ -23,6 +23,7 @@ from oracles import (
     elimination_oracle,
     every_ordinal_type,
     every_symmetric_game,
+    flags_oracle,
     maximin_oracle,
     nash_oracle,
     proof_referee,
@@ -52,6 +53,7 @@ def test_every_property_on_every_game(n, k, levels, games, bites, oracles):
         report = build_report(g)
         assert report.symmetric
         assert proof_referee(report) is None, g
+        assert report.flags == flags_oracle(report), g
         for name, checker in CHECKERS.items():
             verdict = checker(report, 2, seen)
             if not verdict.passed:
@@ -89,6 +91,7 @@ def test_every_ordinal_type(n, k, games, bites):
         seen += 1
         report = build_report(g)
         assert proof_referee(report) is None, g
+        assert report.flags == flags_oracle(report), g
         for name, checker in CHECKERS.items():
             verdict = checker(report, 2, seen)
             if not verdict.passed:

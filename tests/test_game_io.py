@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -44,7 +45,8 @@ from nonnash import (
     sweep,
 )
 from nonnash.game_core import PAYOFF_MAX, PAYOFF_MIN
-from nonnash.game_io import _BLOCK, _CELL_SLICE, format_round, format_survivors, matrix_lines
+from nonnash.game_io import _BLOCK, _CELL_SLICE, _profile_names, format_round, format_survivors
+from nonnash.game_io import matrix_lines
 
 CANONICAL_PD = """gnf 1
 players 2
@@ -277,6 +279,26 @@ class TestMatrixLines:
         ]
 
 
+# Label lists of different shapes and lengths, for the profile names.
+NAMED_SHAPES = {
+    "1p": [["Up", "Down", "x"]],
+    "2p-3-5": [["a", "b", "c"], ["v", "w", "x", "y", "z"]],
+    "4p-2-3-1-2": [["p", "q"], ["r", "s", "t"], ["only"], ["u", "v"]],
+    "mixed-lengths": [["s", "long-label_9", "mid"], ["X", "a_b"], ["L" * 40, "m"]],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NAMED_SHAPES))
+def test_profile_names_match_the_template_form(shape):
+    labels = NAMED_SHAPES[shape]
+    cells = [(p, (0,) * len(labels)) for p in itertools.product(*map(range, map(len, labels)))]
+    g = new_game(labels, cells)
+    template = "(" + ",".join(["%s"] * g.n_players) + ")"
+    expected = [template % names for names in itertools.product(*labels)]
+    assert _profile_names(g) == expected
+    assert _profile_names(g) == [format_profile(g, p) for p in profiles(g)]
+
+
 class TestRenderReport:
     def test_csv_pd(self, pd):
         report = build_report(pd, name="pd")
@@ -405,6 +427,12 @@ PINNED_RENDERS = [
     ("rps", "text", "412d80452bec88bb0dc9a60ce339c18ed5b5edce508204cf0c4729e225fa83c9"),
     ("rps", "csv", "1d350f206821177c9c2482d896e5f076ed8389529865c96e4a674987d7c7466f"),
     ("rps", "json", "fecfc2f640842e8937c635c03894ec60c4977169f8200316f7c56969c45a602d"),
+    ("sym3-k25", "text", "cc09fe8b3b5fb5ed6b1db6facfa4b77e27535ac91ad523b67f24fa6d5239c8fc"),
+    ("sym3-k25", "csv", "959995918fcb6219f830aa25c78da60518153113416ce7c0795faacc9f9078d1"),
+    ("sym3-k25", "json", "53a07a6554c46d50290bcabad5cc5a8271ab53d1dd853a6d7cc7b87918c63411"),
+    ("asym4-3-4-2-3", "text", "95085ce3b2bcf2b667db58a1c8b3c65e4f24dc3320c48281d17c738fd4df96f2"),
+    ("asym4-3-4-2-3", "csv", "63214383f690e6e75540b07059c711641ed5cda5c70b3714e729a551a518f9fb"),
+    ("asym4-3-4-2-3", "json", "d551579f0cb8aa8734131d587570bded3c141f8f6e622167c9a24e45845cf3ff"),
 ]
 
 

@@ -3,7 +3,7 @@
 ``game_io`` parses, serializes and renders; it must never reach the
 solvers, so it imports neither ``solvers`` nor ``verify``.  It renders
 every report format from the report's one per-profile pass,
-``AnalysisReport.flags``: it never reads the region tags derived from it,
+``AnalysisReport.codes``: it never reads the region tags derived from it,
 and builds no set of profiles of its own.  No module may hide an import inside a function,
 which is how an import cycle would otherwise slip back in.  The
 generators in ``verify`` build their tables valid by construction and
@@ -55,8 +55,8 @@ def test_game_io_imports_no_solver():
 
 
 def test_game_io_renders_regions_from_its_own_pass():
-    # text, CSV and JSON all read AnalysisReport.flags, so no format reads
-    # the region tags derived from them
+    # text, CSV and JSON all read AnalysisReport.codes (JSON through flags,
+    # their records), so no format reads the region tags derived from them
     tree = ast.parse((SRC / "game_io.py").read_text(encoding="utf-8"))
     reading = [
         node.lineno
@@ -68,7 +68,7 @@ def test_game_io_renders_regions_from_its_own_pass():
 
 
 def test_game_io_builds_no_set():
-    # its per-profile facts come only from AnalysisReport.flags
+    # its per-profile facts come only from AnalysisReport.codes
     assert "game_io.py" not in _modules_calling("set")
 
 

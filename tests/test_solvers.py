@@ -33,10 +33,12 @@ from nonnash.game_core import full_sets, profiles
 
 from oracles import (
     apply_payoff_map,
+    flags_oracle,
     maximin_oracle,
     nash_oracle,
     random_increasing_map,
 )
+from pinned_games import PINNED_GAMES
 
 
 class TestPureNash:
@@ -413,6 +415,42 @@ class TestFlagRecords:
     def test_asymmetric_report_has_no_regions(self):
         r = build_report(self.GAMES["asym"]())
         assert r.regions is None
+
+
+# Random 4-player asymmetric games with unequal strategy counts, besides
+# the pinned games.
+CODED_GAMES = {
+    **PINNED_GAMES,
+    **{
+        f"asym4-{seed}": lambda seed=seed: gen_random_game(4, (3, 2, 1, 2), -3, 3, seed=seed)
+        for seed in range(8)
+    },
+}
+
+
+class TestCodes:
+    @pytest.mark.parametrize("name", sorted(CODED_GAMES))
+    def test_flags_match_the_oracle(self, name):
+        r = build_report(CODED_GAMES[name]())
+        assert len(r.codes) == len(r.game.payoffs)
+        assert r.flags == flags_oracle(r)
+
+    def test_codes_map_to_the_24_shared_records(self):
+        shared = nonnash.solvers._FLAGS.values()
+        assert len(set(shared)) == len(set(map(id, shared))) == 24
+        for records in nonnash.solvers._RECORDS.values():
+            assert len(records) == 16
+            assert set(map(id, records)) <= set(map(id, shared))
+        for make in CODED_GAMES.values():
+            r = build_report(make())
+            assert set(map(id, r.flags)) <= set(map(id, shared))
+
+    @pytest.mark.parametrize("name", [n for n in sorted(CODED_GAMES) if "asym" in n])
+    def test_asymmetric_codes_never_set_the_hofstadter_bit(self, name):
+        r = build_report(CODED_GAMES[name]())
+        assert not r.symmetric
+        assert not any(code & 2 for code in r.codes)
+        assert {tag.hofstadter for tag in r.flags} == {None}
 
 
 class TestOrdinalInvariance:

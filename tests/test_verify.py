@@ -840,7 +840,7 @@ class TestOneAnalysisPerGame:
         a sweep never runs the per-profile pass behind them."""
         expected = TestSweep.replay(config)
 
-        for name in ("regions", "flags"):
+        for name in ("regions", "flags", "codes"):
 
             def refuse(report, _name=name):
                 raise AssertionError(f"the sweep read AnalysisReport.{_name}")
