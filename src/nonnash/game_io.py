@@ -92,13 +92,14 @@ class GameDocument:
     game: Game
 
 
-def _check_characters(text: str, lines: list[str]) -> None:
+def _check_characters(text: str) -> None:
     """Raise GnfSyntaxError for the first line that holds, outside its
     comment, a non-ASCII character or a control character other than tab
     (a carriage return may only end the line)."""
     if text.isascii() and _CONTROL_RE.search(text) is None:
         return
-    for lineno, raw in enumerate(lines, start=1):
+    # Only a text that fails the fast test is split into lines.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r").partition("#")[0]
         # str.split() also splits on non-ASCII spaces such as U+00A0.
         if not line.isascii():
@@ -109,120 +110,124 @@ def _check_characters(text: str, lines: list[str]) -> None:
             )
 
 
-def _tokens(line: str) -> list[str]:
-    """Tokens of `line` outside its comment."""
-    return line.partition("#")[0].split()
+def _line_tokens(text: str, pos: int) -> tuple[list[str], int]:
+    """Tokens of the line at offset `pos`, outside its comment, and the offset after it."""
+    # The line feed, kept in the slice, is whitespace to str.split().
+    end = text.find("\n", pos) + 1 or len(text) + 1
+    return text[pos:end].partition("#")[0].split(), end
+
+
+def _filled_line(text: str, pos: int) -> tuple[int, list[str], int]:
+    """Offset, tokens and next offset of the first line at or after `pos`
+    that has tokens; past the last line, ``len(text)`` and no tokens."""
+    while pos <= len(text):
+        tokens, end = _line_tokens(text, pos)
+        if tokens:
+            return pos, tokens, end
+        pos = end
+    return len(text), [], pos
 
 
 def parse_game(text: str) -> GameDocument:
     """Parse a version-1 game document.
 
     First a line with a non-ASCII or control character outside its comment
-    is refused.  Then the syntax is checked in file order: the header,
-    every payoff cell (one index and one payoff per player, all integer
-    tokens), ``end``, and nothing but blank or comment lines after it.  The
-    payoff table takes two routes.  A run of canonical cell lines (single
-    spaces, no leading zeros, LF or CRLF endings) is matched up to
-    ``_BLOCK`` lines at a time by one regex, and each such block becomes
-    ints through one ``json.loads``.  Any other line (a comment, a blank
-    line, tabs, extra spaces, a leading zero) is read alone, keeps its line
-    number, and has its rejoined tokens converted by ``int()``; block
-    reading resumes on the next line.  Last the cells, in file order, go to
+    is refused.  Then one offset walks the text, checking the syntax in file
+    order: the header, every payoff cell (one index and one payoff per
+    player, all integer tokens), ``end``, and nothing but blank or comment
+    lines after it.  The payoff table takes two routes.  A run of canonical
+    cell lines (single spaces, no leading zeros, LF or CRLF endings) is
+    matched up to ``_BLOCK`` lines at a time by one regex, and each such
+    block becomes ints through one ``json.loads``.  Any other line (a
+    comment, a blank line, tabs, extra spaces, a leading zero) is read alone
+    and has its rejoined tokens converted by ``int()``; block reading
+    resumes on the next line.  Last the cells, in file order, go to
     ``game_core``, which checks the rules of the game itself, as listed in
     :func:`nonnash.game_core.new_game`, with the same errors; the labels and
     the size guard pass before a single cell token becomes an int.
 
-    Raises :class:`GnfSyntaxError` with the offending line number and what
-    was expected there, :class:`VersionUnsupported`, or the error of the
-    first game rule the document breaks.  The order of the checks is the
-    order of the errors: a character error first, then any other syntax
-    error in file order, then the game rules, on a document free of syntax
-    errors.
+    Raises :class:`GnfSyntaxError` with the offending line's number, counted
+    only then, and what was expected there, :class:`VersionUnsupported`, or
+    the error of the first game rule the document breaks.  The checks run in
+    the order of the errors: characters first, then any other syntax error
+    in file order, then the game rules, on a document free of syntax errors.
     """
     # A carriage return before a line feed ends its line, where the
     # tokenizer takes it for a space: dropping it moves no line and
     # changes no token, and a CRLF table reads as a canonical one.
     text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    _check_characters(text, lines)
+    _check_characters(text)
 
-    # One pass over the numbered lines: `take` and the after-'end' check
-    # draw the lines that have tokens, and the cell loop reads on from
-    # wherever the header left `numbered`.
-    numbered = enumerate(lines, start=1)
-    filled = ((i, tokens) for i, line in numbered for tokens in [_tokens(line)] if tokens)
+    # The number of the line that holds `offset`; the end of `text` is on
+    # its last line.
+    def line_at(offset: int) -> int:
+        return text.count("\n", 0, offset) + 1
 
-    def take(expected: str) -> tuple[int, list[str]]:
-        """Line number and tokens of the next line that has tokens."""
-        for pair in filled:
-            return pair
-        raise GnfSyntaxError(len(lines), expected)
-
-    lineno, tokens = take("header 'gnf 1'")
-    if tokens[0] != "gnf" or len(tokens) != 2:
-        raise GnfSyntaxError(lineno, "header 'gnf 1'")
+    # One offset into `text`, `pos`, where the next unread line starts:
+    # the header lines, the blocks, the lines read alone and the
+    # after-'end' check all advance it.  Past the last line a header line
+    # has no tokens, so it fails its test on the last line.
+    start, tokens, pos = _filled_line(text, 0)
+    if len(tokens) != 2 or tokens[0] != "gnf":
+        raise GnfSyntaxError(line_at(start), "header 'gnf 1'")
     if tokens[1] != str(FORMAT_VERSION):
         raise VersionUnsupported(
-            f"line {lineno}: format version {tokens[1]!r} not supported "
+            f"line {line_at(start)}: format version {tokens[1]!r} not supported "
             f"(this reader understands version {FORMAT_VERSION})"
         )
 
-    lineno, tokens = take("'players <n>'")
-    n = parse_int(tokens[1]) if tokens[0] == "players" and len(tokens) == 2 else None
+    start, tokens, pos = _filled_line(text, pos)
+    n = parse_int(tokens[1]) if len(tokens) == 2 and tokens[0] == "players" else None
     if n is None:
-        raise GnfSyntaxError(lineno, "'players <n>'")
+        raise GnfSyntaxError(line_at(start), "'players <n>'")
     if n < 1:
-        raise GnfSyntaxError(lineno, "a positive player count")
+        raise GnfSyntaxError(line_at(start), "a positive player count")
 
     labels = []
     for i in range(n):
-        expected = f"'strategies {i} <label> ...'"
-        lineno, tokens = take(expected)
-        if tokens[0] != "strategies" or len(tokens) < 3 or tokens[1] != str(i):
-            raise GnfSyntaxError(lineno, expected)
+        start, tokens, pos = _filled_line(text, pos)
+        if len(tokens) < 3 or tokens[0] != "strategies" or tokens[1] != str(i):
+            raise GnfSyntaxError(line_at(start), f"'strategies {i} <label> ...'")
         labels.append(tuple(tokens[2:]))
 
-    lineno, tokens = take("'payoffs'")
+    start, tokens, pos = _filled_line(text, pos)
     if tokens != ["payoffs"]:
-        raise GnfSyntaxError(lineno, "'payoffs'")
+        raise GnfSyntaxError(line_at(start), "'payoffs'")
 
     # A cell is 2n integers.  Each turn of the loop matches a block of
-    # canonical lines straight from `text`, starting at `line`, or else
-    # reads `line` alone.
+    # canonical lines at `pos`, or else reads the line there alone.
     block = re.compile(f"(?:(?:{_JSON_INT} ){{{2 * n - 1}}}{_JSON_INT}\\n){{1,{_BLOCK}}}").match
     cell = re.compile(f"(?:{_INT} ){{{2 * n - 1}}}{_INT}\\Z").match
     bad_cell = f"{n} strategy indices and {n} integer payoffs, or 'end'"
-    pos = sum(map(len, lines[:lineno])) + lineno  # where `line` below starts
     # Blocks, as slices of `text`, and runs of cells read alone, in file
     # order; an empty run converts to no ints.
     run = []
     parts = [run]
-    for lineno, line in numbered:
+    while pos <= len(text):
         m = block(text, pos)
         if m is not None:
             start, pos = m.span()
-            skip = text.count("\n", start, pos) - 1  # `line` is the block's first
-            next(itertools.islice(numbered, skip, skip), None)
             run = []
             parts += slice(start, pos), run
             continue
-        pos += len(line) + 1
-        tokens = _tokens(line)
+        start = pos
+        tokens, pos = _line_tokens(text, pos)
         if not tokens:
             continue
         if tokens == ["end"]:
             break
         line = " ".join(tokens)
         if cell(line) is None:
-            raise GnfSyntaxError(lineno, bad_cell)
+            raise GnfSyntaxError(line_at(start), bad_cell)
         if len(run) == _CELL_SLICE:
             run = []
             parts.append(run)
         run.append(line)
     else:
-        raise GnfSyntaxError(len(lines), "a payoff cell or 'end'")
-    for lineno, _ in filled:
-        raise GnfSyntaxError(lineno, "end of file after 'end'")
+        raise GnfSyntaxError(line_at(len(text)), "a payoff cell or 'end'")
+    start, tokens, _ = _filled_line(text, pos)
+    if tokens:
+        raise GnfSyntaxError(line_at(start), "end of file after 'end'")
 
     # Lazy, so that game_core converts no token before the labels and the
     # size guard pass.

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -618,6 +619,17 @@ def _count_conversions(monkeypatch) -> tuple[list, list]:
     return calls, blocks
 
 
+def test_long_header_reaches_the_size_guard_in_linear_time():
+    # 60,000 strategies lines: numbering each header line from the start of
+    # the text, rather than only the line an error names, takes about 30 s
+    lines = [f"strategies {i} a b" for i in range(60_000)]
+    text = "\n".join(["gnf 1", "players 60000", *lines, "payoffs", "end", ""])
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded):
+        parse_game(text)
+    assert time.perf_counter() - start < 3
+
+
 def test_size_guard_before_any_cell_token_is_converted(monkeypatch):
     calls, _ = _count_conversions(monkeypatch)
     cells = "0 0 1 1\n" * 5000
@@ -755,6 +767,22 @@ class TestLargeDocument:
         expected = (GnfSyntaxError, f"line {self.HEAD + j + 2}: expected "
                     "3 strategy indices and 3 integer payoffs, or 'end'")
         assert outcome(lambda: parse_game(text)) == syntax_referee(text) == expected
+
+    @pytest.mark.parametrize("final_lf", ["", "\n"], ids=["no final LF", "final LF"])
+    @pytest.mark.parametrize("cut", [_BLOCK, _BLOCK + 1, 2 * _BLOCK])
+    def test_end_of_file_after_blocks(self, big, cut, final_lf):
+        # the text ends after `cut` table lines, in a block or right after
+        # one, and has no 'end': the error names its last line
+        g, lines = big
+        text = "\n".join(lines[: self.HEAD + cut]) + final_lf
+        last = text.count("\n") + 1
+        expected = (GnfSyntaxError, f"line {last}: expected a payoff cell or 'end'")
+        assert outcome(lambda: parse_game(text)) == syntax_referee(text) == expected
+
+    def test_end_as_the_last_line_without_a_line_feed(self, big):
+        g, lines = big
+        assert lines[-2:] == ["end", ""]
+        assert self.parse(lines[:-1]) == g
 
     def test_minus_zero_in_a_block(self, big, monkeypatch):
         g, lines = big

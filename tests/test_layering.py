@@ -15,7 +15,10 @@ function tells an int from a bool.  So do the cell rules: ``parse_game``
 raises none of the four cell errors itself, and ``game_io`` never calls
 ``Game(...)``, so every parsed game comes out of ``game_core``.
 ``game_io`` catches no error, so the order of ``parse_game``'s passes
-alone orders its errors.  Only ``game_core`` numbers the payoff classes of
+alone orders its errors.  ``parse_game`` reads its document through one
+offset: it never splits the text into lines or jumps a line iterator with
+``islice``, and only a text that fails ``_check_characters``' fast test is
+split.  Only ``game_core`` numbers the payoff classes of
 a symmetric shape, so every generated or catalog symmetric game is placed
 through its layout.
 No module memoizes with ``functools.lru_cache`` or ``functools.cache``,
@@ -84,6 +87,26 @@ def test_game_io_catches_no_error():
     }
     assert "GameError" not in imported
     assert not any(isinstance(node, ast.Try) for node in ast.walk(tree))
+
+
+def test_parse_game_splits_no_document():
+    tree = ast.parse((SRC / "game_io.py").read_text(encoding="utf-8"))
+    splitting = [
+        (func.name, node.lineno)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("split", "splitlines")
+        and getattr(node.func.value, "id", None) == "text"
+    ]
+    [check] = [f for f in tree.body if getattr(f, "name", None) == "_check_characters"]
+    fast_test = min(node.lineno for node in ast.walk(check) if isinstance(node, ast.Return))
+    misplaced = [
+        (name, line) for name, line in splitting if name != "_check_characters" or line < fast_test
+    ]
+    assert misplaced == []
+    assert "game_io.py" not in _modules_calling("islice")
 
 
 def test_verify_does_not_import_new_game():

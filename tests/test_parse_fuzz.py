@@ -167,7 +167,10 @@ def _leading_zero(line: str, col: int) -> str:
 def spliced_documents(draw):
     """Canonical 2-player documents of at least two blocks with comment,
     blank, CRLF, tab and leading-zero lines spliced in, some of them next
-    to a block boundary, and now and then a line that is not a cell."""
+    to a block boundary, and now and then a line that is not a cell.  Now
+    and then the document is cut at a line, with or without its line feed,
+    or ends in blank, whitespace-only or comment lines after 'end' with no
+    final line feed."""
     k = math.isqrt(2 * _BLOCK) + 1
     g = gen_random_game(2, k, -5, 5, draw(st.integers(0, 2**32)))
     lines = serialize_game(GameDocument(game=g)).split("\n")
@@ -190,6 +193,16 @@ def spliced_documents(draw):
             lines[j] = _leading_zero(lines[j], draw(st.integers(0, 3)))
         else:
             lines.insert(j, draw(st.sampled_from(("x", "0 1", "0 0 1 1 1", "end"))))
+    ending = draw(st.sampled_from(("whole", "whole", "cut", "after end")))
+    event(f"ending: {ending}")
+    if ending == "cut":
+        j = draw(st.one_of(st.integers(0, len(lines)), st.sampled_from(near_boundary)))
+        return "\n".join(lines[:j]) + draw(st.sampled_from(("", "\n")))
+    if ending == "after end":
+        # in place of the final line feed's empty last line
+        blank = st.sampled_from(("", " \t", "# note"))
+        tail = draw(st.lists(blank, max_size=3)) + [draw(st.sampled_from((" \t", "\t", "# note")))]
+        lines[-1:] = tail
     return "\n".join(lines)
 
 
