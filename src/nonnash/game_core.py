@@ -409,13 +409,7 @@ def new_game(strategy_labels, cells, *, max_entries: int = MAX_ENTRIES) -> Game:
 def payoff(g: Game, profile: Profile, player: int) -> int:
     """Payoff of `player` at `profile`; IndexOutOfRange unless both are indices."""
     check_index(player, g.n_players, "player")
-    return _payoffs_at(g, profile)[player]
-
-
-def _payoffs_at(g: Game, profile: Profile) -> tuple[int, ...]:
-    """Every player's payoff at `profile`, checked once: a read of all n
-    payoffs through :func:`payoff` would check the profile n times."""
-    return g.payoffs[g.cell_index(check_profile(profile, g.strategy_counts))]
+    return g.payoffs[g.cell_index(check_profile(profile, g.strategy_counts))][player]
 
 
 def profiles(g: Game):

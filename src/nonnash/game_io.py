@@ -385,7 +385,7 @@ def _render_text(r) -> str:
             "regions: minimax-rationalizable=%d, individually-rational=%d, hofstadter=%d"
             % (
                 math.prod(map(len, r.trace.final_survivors)),
-                len(r.individually_rational),
+                r.ir_mask.count(1),
                 len(r.hofstadter),
             )
         )

@@ -14,11 +14,11 @@ Five families are implemented:
 
 Everything is exact integer comparison; no payoff arithmetic anywhere.
 :func:`build_report` runs each solver once per game and stores maximin,
-the individually rational profiles, the elimination trace and the Hofstadter
-profiles (symmetry is read off them).  Nash and the per-profile codes are
-derived on read.  The codes are the one per-profile pass: one byte of flag
-bits per profile, built in C-level passes, which every report format
-reads; `flags` and `regions` read each code's :class:`RegionTag` record.
+the IR mask (one 0/1 byte per profile), the elimination trace and the
+Hofstadter profiles (symmetry is read off them); the rest is derived on
+read.  The codes are the one per-profile pass: one byte of flag bits per
+profile, built in C-level passes, which every report format reads; `flags`
+and `regions` read each code's :class:`RegionTag` record.
 
 The solvers read :attr:`Game.own_rows`: for each player and own strategy,
 the player's payoffs over every joint opponent profile, in one shared
@@ -52,7 +52,7 @@ from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from operator import eq, ge, mul
+from operator import eq, ge, itemgetter, mul
 from typing import NamedTuple
 
 from .errors import DeadStrategy, NotSymmetric
@@ -148,15 +148,18 @@ def individually_rational_profiles(g: Game) -> list[Profile]:
     Thresholds are always computed against the full game, never a reduced
     one.
     """
-    return _rational_profiles(g, maximin_values(g))
+    return list(itertools.compress(profiles(g), _rational_mask(g, maximin_values(g))))
 
 
-def _rational_profiles(g: Game, thresholds: MaximinVector) -> list[Profile]:
-    return [
-        p
-        for p, u in zip(profiles(g), g.payoffs)
-        if all(map(ge, u, thresholds))
-    ]
+def _rational_mask(g: Game, thresholds: MaximinVector) -> bytes:
+    """Per profile, in order, 1 if every player meets their threshold, else 0."""
+    # Player i's column is one 0/1 byte per cell; read as big-endian ints,
+    # the columns AND byte by byte.
+    mask = -1
+    for i, floor in enumerate(thresholds):
+        column = bytes(map(ge, map(itemgetter(i), g.payoffs), itertools.repeat(floor)))
+        mask &= int.from_bytes(column, "big")
+    return mask.to_bytes(len(g.payoffs), "big")
 
 
 class _Elimination:
@@ -367,19 +370,19 @@ _RECORDS = {
 class AnalysisReport:
     """Every solution concept of one game, ready for rendering.
 
-    Fields hold solver outputs; `symmetric`, `nash`, `codes` and `flags` are
-    derived from them on read.  `codes` is the one per-profile pass: `flags`
-    reads each code's record, and `regions` maps each profile to its `flags`
-    record.  Profile collections are in enumeration order; `hofstadter` and
-    `regions` are None exactly for asymmetric games, where those concepts
-    are undefined.
+    Fields hold solver outputs, `ir_mask` as one byte per profile (1 if
+    individually rational).  `individually_rational` (the profiles it
+    marks), `symmetric`, `nash`, `codes` and `flags` are derived on read.
+    `codes` is the one per-profile pass; `flags` and `regions` read each
+    code's record.  Profiles are in enumeration order; `hofstadter` and
+    `regions` are None exactly on asymmetric games.
     """
 
     name: str
     game: Game
     hofstadter: tuple[Profile, ...] | None
     maximin: MaximinVector
-    individually_rational: tuple[Profile, ...]
+    ir_mask: bytes
     trace: EliminationTrace
 
     @property
@@ -390,6 +393,10 @@ class AnalysisReport:
     @cached_property
     def nash(self) -> tuple[Profile, ...]:
         return tuple(pure_nash(self.game))
+
+    @cached_property
+    def individually_rational(self) -> tuple[Profile, ...]:
+        return tuple(itertools.compress(profiles(self.game), self.ir_mask))
 
     @cached_property
     def codes(self) -> bytes:
@@ -403,18 +410,18 @@ class AnalysisReport:
         for j, found in enumerate((self.nash, self.hofstadter or ())):
             for p in found:
                 few[sum(map(mul, p, g.strides))] |= 1 << j
-        ir = set(self.individually_rational)
         # mask[i][v]: strategy v of player i survives elimination.
         masks = [[False] * k for k in g.strategy_counts]
         for mask, alive in zip(masks, self.trace.final_survivors):
             for v in alive:
                 mask[v] = True
-        # Each pass below is one byte of 0 or 1 per profile; as big-endian
-        # ints, a shift moves every byte's bit into place (individually
-        # rational to bit 2, rationalizable to bit 3) and no byte carries.
+        # The IR mask and the pass below are one byte of 0 or 1 per profile;
+        # as big-endian ints, a shift moves every byte's bit into place
+        # (individually rational to bit 2, rationalizable to bit 3) and no
+        # byte carries.
         code = (
             int.from_bytes(few, "big")
-            | int.from_bytes(bytes(map(ir.__contains__, profiles(g))), "big") << 2
+            | int.from_bytes(self.ir_mask, "big") << 2
             | int.from_bytes(bytes(map(all, itertools.product(*masks))), "big") << 3
         )
         return code.to_bytes(len(few), "big")
@@ -444,6 +451,6 @@ def build_report(game: Game, name: str = "") -> AnalysisReport:
         game=game,
         hofstadter=tuple(_best_diagonal(game)) if is_symmetric(game) else None,
         maximin=maximin,
-        individually_rational=tuple(_rational_profiles(game, maximin)),
+        ir_mask=_rational_mask(game, maximin),
         trace=iterate_elimination(game),
     )

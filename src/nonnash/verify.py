@@ -25,6 +25,7 @@ equal the generator's.  Identical configurations therefore give
 identical reports on any machine and under any worker count.
 """
 
+import itertools
 import math
 import os
 import time
@@ -37,7 +38,6 @@ from .game_core import (
     MAX_ENTRIES,
     Game,
     Profile,
-    _payoffs_at,
     _symmetric_game,
     _symmetric_layout,
     _SymmetricLayout,
@@ -47,6 +47,7 @@ from .game_core import (
     check_shape,
     check_size_guard,
     full_sets,
+    profiles,
     remove_pairs,
 )
 from .game_io import GameDocument, format_profile, serialize_game
@@ -170,9 +171,9 @@ def _hofstadter_rationalizable(r: AnalysisReport, *_) -> Verdict:
 def _hofstadter_individually_rational(r: AnalysisReport, *_) -> Verdict:
     _require_symmetric(r, "the Hofstadter check")
     g = r.game
-    # The Hofstadter profiles are in enumeration order: read only their cells.
+    # Hofstadter profile (a, ..., a) is cell a * sum(strides): read only those.
     for p in r.hofstadter:
-        for i, (u, floor) in enumerate(zip(_payoffs_at(g, p), r.maximin)):
+        for i, (u, floor) in enumerate(zip(g.payoffs[p[0] * sum(g.strides)], r.maximin)):
             if u < floor:
                 return Verdict(
                     HOFSTADTER_INDIVIDUALLY_RATIONAL,
@@ -238,7 +239,7 @@ def _ir_survives_round1(r: AnalysisReport, *_) -> Verdict:
             death_round[pair] = round_no
 
     by_round: dict[int, list[Profile]] = {}
-    for p in r.individually_rational:
+    for p in itertools.compress(profiles(g), r.ir_mask):
         hits = [death_round[(i, v)] for i, v in enumerate(p) if (i, v) in death_round]
         if not hits:
             continue
@@ -354,7 +355,7 @@ class SweepReport:
     PASS.  Witness counts tally profiles over all checked games: the
     rationalizable ones and the individually rational ones that are not
     Hofstadter, as :func:`strict_inclusion_witnesses` counts them from
-    region tags; :func:`sweep` counts them from each report's sets.
+    region tags; :func:`sweep` from each report's survivors and IR mask.
     Everything except `elapsed` is a pure function of the config.
     """
 
@@ -428,11 +429,11 @@ def _sweep_chunk(config: SweepConfig, start: int, stop: int):
             if not CHECKERS[prop](report, config.orders_per_game, order_seed).passed:
                 violations.append((serialize_game(GameDocument(game=g)), prop))
         survivors = report.trace.final_survivors
-        rational = report.individually_rational
+        mask = report.ir_mask
         rationalizable_witnesses += math.prod(map(len, survivors)) - sum(
             all(v in alive for v, alive in zip(p, survivors)) for p in report.hofstadter
         )
-        ir_witnesses += len(rational) - sum(p in rational for p in report.hofstadter)
+        ir_witnesses += mask.count(1) - sum(mask[p[0] * sum(g.strides)] for p in report.hofstadter)
     return checked, skipped, violations, rationalizable_witnesses, ir_witnesses
 
 
@@ -450,9 +451,9 @@ def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     seeding makes the report independent of the worker count.  Workers
     take contiguous ranges of games, joined in order, so violations come
     out by game, then in ``config.properties`` order, unsorted.  A game's
-    witness counts come from its report's sets, with no region tags: the
-    product of the final survivor set sizes and the number of individually
-    rational profiles, each less the Hofstadter profiles among them.
+    witness counts come from its report, with no region tags: the product
+    of the final survivor set sizes and the count of IR mask bytes set,
+    each less the Hofstadter profiles among them.
     """
     _validate_config(config)
     if not are_ints(workers):

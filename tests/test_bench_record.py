@@ -6,7 +6,7 @@ each declared end-to-end metric measured in at least five runs and a
 positive median, and must name the git rev it measured.  The script is run
 on a stand-in checkout whose ``bench/run.py`` prints canned results, so
 its summary, its alternation of workloads and its failures are checked in
-well under a second.
+well under a second.  Its ``--compare`` mode is run on committed records.
 """
 
 import json
@@ -148,3 +148,62 @@ def test_script_fails_and_writes_nothing(tmp_path, bad):
     assert done.returncode == 1
     assert done.stderr.startswith("error: ") and bad in done.stderr
     assert not (root / "BENCH_t.json").exists()
+
+
+def compare(a: Path, b: Path) -> list[str]:
+    done = bench_record(ROOT, "--compare", str(a), str(b))
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def metric_line(lines: list[str], workload: str, metric: str) -> str:
+    """The line of `metric` in `workload`'s block of a comparison."""
+    block = lines[lines.index(workload) + 1 :]
+    return next(line for line in block if line.split()[:1] == [metric])
+
+
+def test_compare_reads_the_trajectory_off_two_records():
+    lines = compare(ROOT / "BENCH_pr28.json", ROOT / "BENCH_pr29.json")
+    a, b = (json.loads((ROOT / f"BENCH_{label}.json").read_text()) for label in ("pr28", "pr29"))
+    assert lines[:2] == [
+        f"{side} {r['label']}: {json.dumps(r['provenance'], sort_keys=True)}"
+        for side, r in (("A", a), ("B", b))
+    ]
+    assert '"modified": ["src/nonnash/game_io.py", "src/nonnash/solvers.py"]' in lines[1]
+    p50 = metric_line(lines, "analyze-random", "latency_p50_s")
+    assert p50.split()[1:] == [
+        "0.09309", "[0.09278..0.09461]", "0.08232", "[0.07992..0.08667]",
+        "x0.884", "-11.6%", "disjoint",
+    ]
+    setup = metric_line(lines, "analyze-random", "setup_s")
+    assert setup.split()[-2:] == ["+16.3%", "overlap"]
+    assert not any("WORSE" in line for line in lines)
+    # every workload and every metric of both records is listed
+    for w in BENCHMARK["workloads"]:
+        for name in a["workloads"][w["name"]]["metrics"]:
+            metric_line(lines, w["name"], name)
+
+
+def test_compare_marks_a_metric_past_its_bound(tmp_path):
+    a = json.loads((ROOT / "BENCH_pr29.json").read_text(encoding="utf-8"))
+    b = json.loads(json.dumps(a))
+    metrics = b["workloads"]["sweep-2p"]["metrics"]
+    for name, factor in [
+        ("setup_s", 1.3),  # lower is better: 30 % worse, past the 25 % bound
+        ("latency_p50_s", 1.2),  # 20 % worse, inside the bound
+        ("games_per_s", 0.7),  # higher is better: 30 % worse
+        ("verify.sweep.self_s", 3),  # per-layer metrics have no bound
+    ]:
+        m = metrics[name]
+        metrics[name] = {**m, **{k: m[k] * factor for k in ("median", "min", "max")}}
+    del metrics["peak_rss_mb"]
+    paths = tmp_path / "a.json", tmp_path / "b.json"
+    for path, record in zip(paths, (a, b)):
+        path.write_text(json.dumps(record), encoding="utf-8")
+    lines = compare(*paths)
+    worse = [line.split()[0] for line in lines if "WORSE" in line]
+    assert worse == ["setup_s", "games_per_s"]
+    assert metric_line(lines, "sweep-2p", "setup_s").endswith("WORSE: past the 25% bound")
+    assert metric_line(lines, "sweep-2p", "peak_rss_mb").split()[1:] == ["only", "in", "A"]
+    # the reverse direction moves the same metrics the better way
+    assert not any("WORSE" in line for line in compare(*reversed(paths)))

@@ -25,6 +25,7 @@ from nonnash import (
     maximin_values,
     minimax_rationalizable_profiles,
     new_game,
+    payoff,
     prisoners_dilemma,
     pure_nash,
     restrict,
@@ -32,6 +33,7 @@ from nonnash import (
 from nonnash.game_core import full_sets, profiles
 
 from oracles import (
+    all_profiles,
     apply_payoff_map,
     flags_oracle,
     maximin_oracle,
@@ -133,6 +135,22 @@ class TestIndividuallyRational:
 
     def test_3x3(self, g3x3):
         assert individually_rational_profiles(g3x3) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    # Asymmetric shapes with unequal strategy counts and a one-cell game, with
+    # payoffs over -9..9, over 0..1 (mostly ties) and all equal.
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("lo, hi", [(-9, 9), (0, 1), (5, 5)])
+    @pytest.mark.parametrize("counts", [(2, 3), (3, 1), (2, 3, 4), (1, 1)])
+    def test_mask_matches_the_oracle(self, counts, lo, hi, seed):
+        g = gen_random_game(len(counts), counts, lo, hi, seed=seed)
+        r = build_report(g)
+        floors = maximin_oracle(g)
+        assert r.ir_mask == bytes(
+            all(payoff(g, p, i) >= floors[i] for i in range(g.n_players))
+            for p in all_profiles(g)
+        )
+        assert r.individually_rational == tuple(individually_rational_profiles(g))
+        assert bytes(code >> 2 & 1 for code in r.codes) == r.ir_mask
 
 
 class TestMinimaxDominance:

@@ -389,8 +389,9 @@ class TestCheckers:
 
     def test_ir_profile_deleted_in_round_1_verdict(self, g3x3):
         # C is deleted in round 1 and B in round 2; (C,A) is not truly IR
+        marked = {(0, 1), (2, 0)}
         r = dataclasses.replace(
-            build_report(g3x3), individually_rational=((0, 1), (2, 0))
+            build_report(g3x3), ir_mask=bytes(p in marked for p in profiles(g3x3))
         )
         verdict = CHECKERS[IR_SURVIVES_ROUND_1](r, 20, 0)
         assert verdict == Verdict(
@@ -742,8 +743,7 @@ class TestOneAnalysisPerGame:
         assert calls == self.per_game(1)
         # the report stores solver outputs only
         assert [f.name for f in dataclasses.fields(report)] == [
-            "name", "game", "hofstadter", "maximin", "individually_rational",
-            "trace",
+            "name", "game", "hofstadter", "maximin", "ir_mask", "trace",
         ]
         assert report.symmetric is True
         assert report.nash == report.nash == ((0, 0),)
