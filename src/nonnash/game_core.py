@@ -449,7 +449,8 @@ def _symmetry_scan(g: Game) -> bool:
 
     Reordering is checked on two moves that generate every permutation of
     the n - 1 opponents: rotating them by one place and swapping the first
-    two.  With two players there is nothing to reorder.  The test suite
+    two.  With two opponents the rotation is the swap, so only the rotation
+    runs; with two players there is nothing to reorder.  The test suite
     cross-checks this against an all-permutations scan.
     """
     labels = g.strategy_labels
@@ -473,7 +474,7 @@ def _symmetry_scan(g: Game) -> bool:
             if row[d * wide : (d + 1) * wide] != row[d::k]:
                 return False
         # Swap of the first two: block (b, c) must equal block (c, b).
-        for b, c in itertools.combinations(range(k), 2):
+        for b, c in itertools.combinations(range(k), 2) if g.n_players > 3 else ():
             here, there = (b * k + c) * narrow, (c * k + b) * narrow
             if row[here : here + narrow] != row[there : there + narrow]:
                 return False

@@ -297,29 +297,30 @@ def _profile_names(g: Game) -> list[str]:
 
 
 def matrix_lines(g: Game) -> list[str]:
-    """Payoff table as aligned text.
-
-    Two-player games render as a grid (rows = player 0); other player
-    counts render one line per profile.
-    """
-    return _matrix_lines(g, None, None)
+    """Payoff table as aligned text, one string per line: a grid (rows =
+    player 0) for two players, else one line per profile."""
+    return "\n".join(_matrix_lines(g, [""] * len(g.payoffs), None)).split("\n")
 
 
 def _matrix_lines(g: Game, marks, names) -> list[str]:
-    """:func:`matrix_lines`, with `marks` None or one string per cell, in
-    enumeration order, written right after the payoffs (such as `` [NI]``,
-    or empty), and `names` the :func:`_profile_names` of `g` when the
-    caller already holds them, else None."""
-    template = ",".join(["%d"] * g.n_players)
-    cells = list(map(template.__mod__, g.payoffs))
-    if marks is not None:
-        cells = list(map(operator.add, cells, marks))
+    """The lines of :func:`matrix_lines` (the 2-player grid one string per
+    line, any other table one string) with `marks`, one string per cell in
+    enumeration order written after the payoffs (`` [NI]`` or empty), and
+    `names` the :func:`_profile_names` of `g` or None if the caller has none."""
+    n = g.n_players
+    if n != 2:
+        # One line per cell, its name, n payoffs and mark: one flat list,
+        # filled a column at a time, formats the table with one %.
+        n_cells = len(g.payoffs)
+        values = [None] * ((n + 2) * n_cells)
+        values[:: n + 2] = names or _profile_names(g)
+        for i in range(n):
+            values[i + 1 :: n + 2] = map(operator.itemgetter(i), g.payoffs)
+        values[n + 1 :: n + 2] = marks
+        line = "%s -> " + ",".join(["%d"] * n) + "%s"
+        return ["\n".join([line] * n_cells) % tuple(values)]
 
-    if g.n_players != 2:
-        if names is None:
-            names = _profile_names(g)
-        return list(map(" -> ".join, zip(names, cells)))
-
+    cells = list(map(operator.add, map("%d,%d".__mod__, g.payoffs), marks))
     row_labels, col_labels = g.strategy_labels
     k = len(col_labels)
     rows = [cells[h : h + k] for h in range(0, len(cells), k)]
@@ -345,11 +346,12 @@ def _render_text(r) -> str:
     mark = [f" [{text}]" if text else "" for text in letters]
     profile_names = _profile_names(g)
     # The Nash, Hofstadter and individually rational profiles by name, read
-    # off their codes in enumeration order (`flag` holds one flag of every
-    # code); "none" for an empty set.
+    # off their codes in enumeration order: `f` holds one flag of every
+    # code, and translating the codes through it, as a 256-byte table of 0
+    # and 1, marks the profiles; "none" for an empty set.
     nash, hofstadter, rational = (
-        ", ".join(itertools.compress(profile_names, map(flag.__getitem__, r.codes))) or "none"
-        for flag in list(zip(*r._records))[:3]
+        ", ".join(itertools.compress(profile_names, r.codes.translate(table))) or "none"
+        for table in [bytes(map(bool, f)).ljust(256, b"\0") for f in list(zip(*r._records))[:3]]
     )
 
     lines = [f"game: {r.name}" if r.name else "game: (unnamed)"]

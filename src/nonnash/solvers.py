@@ -17,8 +17,9 @@ Everything is exact integer comparison; no payoff arithmetic anywhere.
 the IR mask (one 0/1 byte per profile), the elimination trace and the
 Hofstadter profiles (symmetry is read off them); the rest is derived on
 read.  The codes are the one per-profile pass: one byte of flag bits per
-profile, built in C-level passes, which every report format reads; `flags`
-and `regions` read each code's :class:`RegionTag` record.
+profile, built in C-level passes (the rationalizable byte one player at a
+time from strides), which every report format reads; `flags` and `regions`
+read each code's :class:`RegionTag` record.
 
 The solvers read :attr:`Game.own_rows`: for each player and own strategy,
 the player's payoffs over every joint opponent profile, in one shared
@@ -402,7 +403,8 @@ class AnalysisReport:
     def codes(self) -> bytes:
         """One byte per profile, in enumeration order, holding its flags as
         bits: 1 pure Nash, 2 Hofstadter, 4 individually rational and 8
-        minimax-rationalizable (:attr:`_records` reads them back)."""
+        minimax-rationalizable, the last built one player at a time from
+        strides (:attr:`_records` reads them back)."""
         g = self.game
         # The few Nash (bit 0) and Hofstadter (bit 1) profiles go in by cell
         # index.
@@ -410,21 +412,20 @@ class AnalysisReport:
         for j, found in enumerate((self.nash, self.hofstadter or ())):
             for p in found:
                 few[sum(map(mul, p, g.strides))] |= 1 << j
-        # mask[i][v]: strategy v of player i survives elimination.
-        masks = [[False] * k for k in g.strategy_counts]
-        for mask, alive in zip(masks, self.trace.final_survivors):
-            for v in alive:
-                mask[v] = True
-        # The IR mask and the pass below are one byte of 0 or 1 per profile;
-        # as big-endian ints, a shift moves every byte's bit into place
-        # (individually rational to bit 2, rationalizable to bit 3) and no
-        # byte carries.
-        code = (
-            int.from_bytes(few, "big")
-            | int.from_bytes(self.ir_mask, "big") << 2
-            | int.from_bytes(bytes(map(all, itertools.product(*masks))), "big") << 3
-        )
-        return code.to_bytes(len(few), "big")
+        # Rationalizable: per player, one 0/1 byte per cell, 1 where the
+        # player's strategy survives elimination.  Player i's strategy runs
+        # `stride` cells and the k runs repeat over the table, so the bytes
+        # are one block of k runs, repeated; as big-endian ints the players'
+        # bytes AND, as in _rational_mask.
+        rationalizable = -1
+        for k, stride, alive in zip(g.strategy_counts, g.strides, self.trace.final_survivors):
+            block = b"".join(bytes([v in alive]) * stride for v in range(k))
+            rationalizable &= int.from_bytes(block * (len(few) // len(block)), "big")
+        # The IR mask and the rationalizable bytes are one byte of 0 or 1 per
+        # profile; a shift moves every byte's bit into place (individually
+        # rational to bit 2, rationalizable to bit 3) and no byte carries.
+        code = int.from_bytes(few, "big") | int.from_bytes(self.ir_mask, "big") << 2
+        return (code | rationalizable << 3).to_bytes(len(few), "big")
 
     @property
     def _records(self) -> tuple[RegionTag, ...]:

@@ -427,6 +427,22 @@ class TestIsSymmetric:
                 h = gen_random_game(n, k, 0, 1, seed=seed)
                 assert self.scan(h) == symmetric_oracle(h), h
 
+    # 3 players with k = 5 and 6: f ignores the opponents' order except at
+    # one pair of opponent strategies, the last two or the first and last.
+    @pytest.mark.parametrize("k", [5, 6])
+    @pytest.mark.parametrize("at_end", [True, False], ids=["last-two", "first-last"])
+    def test_scan_finds_one_ordered_pair_at_three_players(self, k, at_end):
+        pair = (k - 2, k - 1) if at_end else (0, k - 1)
+
+        def order_free(own, others):
+            return 100 * own + 10 * min(others) + max(others)
+
+        h = equal_rows_game(3, k, order_free)
+        assert (self.scan(h), symmetric_oracle(h)) == (True, True)
+        g = equal_rows_game(3, k, lambda own, others: order_free(own, others) + (others == pair))
+        assert all(rows == g.own_rows[0] for rows in g.own_rows)
+        assert (self.scan(g), symmetric_oracle(g)) == (False, False)
+
     def test_scan_matches_oracle_on_catalog_games(
         self, pd, chicken_game, coordination_game, g3x3
     ):

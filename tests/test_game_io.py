@@ -279,6 +279,34 @@ class TestMatrixLines:
             "C  1,5  2,4  3,3",
         ]
 
+    @pytest.mark.parametrize("counts", [(3,), (2, 3, 1), (2, 1, 3, 2)])
+    def test_one_line_per_profile_off_two_players(self, counts):
+        g = gen_random_game(len(counts), counts, -5, 5, seed=3)
+        # the extremes and a negative payoff in the first and last cells
+        payoffs = list(g.payoffs)
+        payoffs[0] = (PAYOFF_MIN,) + payoffs[0][1:]
+        payoffs[-1] = (PAYOFF_MAX,) * (len(counts) - 1) + (-1,)
+        g = new_game(g.strategy_labels, zip(profiles(g), payoffs))
+        lines = matrix_lines(g)
+        assert type(lines) is list and len(lines) == len(payoffs)
+        assert not any("\n" in line for line in lines)
+        assert lines == [
+            f"{format_profile(g, p)} -> " + ",".join(map(str, u))
+            for p, u in zip(profiles(g), payoffs)
+        ]
+
+    def test_grid_with_extreme_payoffs(self):
+        g = new_game(
+            [["a", "bb"], ["x", "y"]],
+            [((0, 0), (PAYOFF_MIN, -1)), ((0, 1), (0, PAYOFF_MAX)),
+             ((1, 0), (-7, 3)), ((1, 1), (PAYOFF_MAX, PAYOFF_MIN))],
+        )
+        assert matrix_lines(g) == [
+            "    x                        y",
+            "a   -4611686018427387904,-1  0,4611686018427387904",
+            "bb  -7,3                     4611686018427387904,-4611686018427387904",
+        ]
+
 
 # Label lists of different shapes and lengths, for the profile names.
 NAMED_SHAPES = {

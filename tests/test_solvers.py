@@ -471,6 +471,46 @@ class TestCodes:
         assert {tag.hofstadter for tag in r.flags} == {None}
 
 
+def biting_game(dead, seed):
+    """A game in which strategy v of player i pays 0..9 at random if
+    ``dead[i][v]``, and else 10 plus the sum of the opponents' indices mod
+    10, so round 1 deletes exactly the dead strategies and no round after."""
+    rng = random.Random(seed)
+    counts = [len(d) for d in dead]
+    cells = [
+        (p, tuple(
+            rng.randrange(10) if dead[i][v] else 10 + (sum(p) - v) % 10
+            for i, v in enumerate(p)
+        ))
+        for p in itertools.product(*map(range, counts))
+    ]
+    return new_game([[f"s{v}" for v in range(k)] for k in counts], cells)
+
+
+# Per player, whether each strategy is dominated: every player loses one,
+# the middle players among them (stride above 1).
+BITING_GAMES = {
+    "3-4-2": [(0, 1, 0), (1, 0, 1, 0), (0, 1)],
+    "2-3-2-3": [(1, 0), (0, 0, 1), (0, 1), (1, 1, 0)],
+}
+
+
+class TestRationalizableCodes:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shape", sorted(BITING_GAMES))
+    def test_bit_matches_the_survivors_when_every_player_loses(self, shape, seed):
+        dead = BITING_GAMES[shape]
+        r = build_report(biting_game(dead, seed))
+        survivors = r.trace.final_survivors
+        assert survivors == tuple(
+            tuple(v for v, gone in enumerate(d) if not gone) for d in dead
+        )
+        assert all(len(alive) < k for alive, k in zip(survivors, r.game.strategy_counts))
+        expected = [all(v in alive for v, alive in zip(p, survivors)) for p in profiles(r.game)]
+        assert [code >> 3 & 1 == 1 for code in r.codes] == expected
+        assert r.flags == flags_oracle(r)
+
+
 class TestOrdinalInvariance:
     def test_solution_sets_unchanged_under_increasing_maps(self):
         rng = SplitMix64(42)
