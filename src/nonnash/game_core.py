@@ -65,18 +65,21 @@ class Game:
         profile enumeration order; :meth:`cell_index` is for random access.
 
     The derived facts :attr:`strategy_counts`, :attr:`strides`,
-    :attr:`own_rows` and :attr:`symmetric` are computed on first use and
-    cached.  ``own_rows[i][a]`` is the tuple of player i's payoffs when i
-    plays strategy a, one entry per joint opponent profile.  Opponent
+    :attr:`columns`, :attr:`own_rows` and :attr:`symmetric` are computed on
+    first use and cached.  ``columns[i]`` is the tuple of player i's payoffs
+    in profile enumeration order, and ``own_rows[i][a]`` the tuple of them
+    when i plays strategy a, one entry per joint opponent profile.  Opponent
     profiles are enumerated in the same mixed-radix order as cells with
     player i left out, so entry x of every row of player i refers to the
-    same opponent profile.  The solvers read rows instead of indexing
-    cells.  In a symmetric game every player has the same rows (see
+    same opponent profile.  The solvers read rows and columns instead of
+    indexing cells.  In a symmetric game every player has the same rows (see
     :func:`is_symmetric`).  :func:`_symmetric_game`, which builds the
-    generated and catalog symmetric games, sets all four from its layout:
-    ``symmetric`` is True, the counts and strides are the layout's, and
-    every player's rows are the layout's rows filled with the game's
-    values.  So no such game runs the symmetry scan.
+    generated and catalog symmetric games, sets all five from its layout:
+    ``symmetric`` is True, the counts and strides are the layout's, the
+    columns are the layout's columns of classes filled with the game's
+    values, and every player's rows are player 0's column cut into blocks.
+    So no such game runs the symmetry scan.  :func:`_build_flat_game` sets
+    the columns of a table it accepts in bulk, which it slices anyway.
 
     The rules a game obeys are listed, and checked, in :func:`new_game`.
     :func:`_symmetric_game`, ``verify.gen_random_game`` and
@@ -106,13 +109,16 @@ class Game:
         return _symmetry_scan(self)
 
     @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(map(itemgetter(i), self.payoffs)) for i in range(self.n_players))
+
+    @cached_property
     def own_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         n_cells = len(self.payoffs)
         out = []
-        for i, (k, stride) in enumerate(zip(self.strategy_counts, self.strides)):
-            column = list(map(itemgetter(i), self.payoffs))
+        for column, k, stride in zip(self.columns, self.strategy_counts, self.strides):
             if stride == 1:
-                rows = [tuple(column[a::k]) for a in range(k)]
+                rows = [column[a::k] for a in range(k)]
             else:
                 block = k * stride
                 rows = [
@@ -281,7 +287,8 @@ def _build_flat_game(strategy_labels, values) -> Game:
     `strategy_labels` is a tuple of label tuples, kept as given.
 
     A complete table in enumeration order is accepted in bulk, with one
-    comparison per index column and one range test per payoff column.  Any
+    comparison per index column and one range test per payoff column; the
+    payoff columns become the game's :attr:`Game.columns`.  Any
     other table goes through :func:`_place_cells`, so it fails with the
     same error as in :func:`new_game`.
     """
@@ -298,21 +305,21 @@ def _build_flat_game(strategy_labels, values) -> Game:
             if values[i::width] != block * (n_cells // len(block)):
                 break
         else:
-            columns = [values[j::width] for j in range(n, width)]
+            columns = tuple(tuple(values[j::width]) for j in range(n, width))
             if min(map(min, columns)) >= PAYOFF_MIN and max(map(max, columns)) <= PAYOFF_MAX:
-                return Game(strategy_labels=strategy_labels, payoffs=tuple(zip(*columns)))
+                g = Game(strategy_labels=strategy_labels, payoffs=tuple(zip(*columns)))
+                g.__dict__["columns"] = columns
+                return g
     cells = zip(*[iter(values)] * width)
     return _place_cells(strategy_labels, counts, ((v[:n], v[n:]) for v in cells))
 
 
-# Labels, the class of every (cell, player) entry in cell order, the number
-# of classes, player 0's rows of classes and the cached facts every game of
-# the layout shares (symmetric, strategy_counts and strides, keyed by the
-# Game attribute that caches them): everything of a symmetric game but its
-# class values.
-_SymmetricLayout = tuple[
-    tuple[tuple[str, ...], ...], array, int, tuple[array, ...], dict[str, object]
-]
+# Labels, each player's column of classes (the class of the player's entry
+# of every cell, in cell order), the number of classes and the cached facts
+# every game of the layout shares (symmetric, strategy_counts and strides,
+# keyed by the Game attribute that caches them): everything of a symmetric
+# game but its class values.
+_SymmetricLayout = tuple[tuple[tuple[str, ...], ...], tuple[array, ...], int, dict[str, object]]
 
 
 def _symmetric_layout(n_players: int, labels: tuple[str, ...]) -> _SymmetricLayout:
@@ -326,44 +333,45 @@ def _symmetric_layout(n_players: int, labels: tuple[str, ...]) -> _SymmetricLayo
     rows: row a is ``a*M`` plus those ranks.  Every player reads the same
     rows: with s = k**(n-1-i), player i's entry at the cell of prefix h (the
     players before i), own strategy a and suffix t is row a at ``h*s + t``,
-    the place of its opponents' profile.  So player i's entries are the
-    rows re-blocked, copied into ``cells[i::n]`` by slice assignment: per
-    row, k**i blocks of s entries or s strided runs of k**i, whichever is
-    fewer copies.
+    the place of its opponents' profile.  So player i's column is the rows
+    re-blocked by slice assignment: per row, k**i blocks of s entries or s
+    strided runs of k**i, whichever is fewer copies.  Player 0's column is
+    its rows one after another.
     """
     n, k = n_players, len(labels)
     multisets = itertools.combinations_with_replacement(range(k), n - 1)
     rank = {m: r for r, m in enumerate(multisets)}
     ranks = [rank[tuple(sorted(q))] for q in itertools.product(range(k), repeat=n - 1)]
-    rows = tuple(array("I", map((a * len(rank)).__add__, ranks)) for a in range(k))
-    cells = array("I", [0]) * (n * k**n)
-    for i in range(n):
+    rows = [array("I", map((a * len(rank)).__add__, ranks)) for a in range(k)]
+    columns = tuple(array("I", [0]) * k**n for _ in range(n))
+    for i, column in enumerate(columns):
         s = k ** (n - 1 - i)
         blocks = k**i
         for a, row in enumerate(rows):
             if blocks <= s:
                 for h in range(blocks):
-                    start = n * (h * k + a) * s + i
-                    cells[start : start + n * s : n] = row[h * s : (h + 1) * s]
+                    column[(h * k + a) * s : (h * k + a + 1) * s] = row[h * s : (h + 1) * s]
             else:
                 for t in range(s):
-                    cells[n * (a * s + t) + i :: n * k * s] = row[t::s]
+                    column[a * s + t :: k * s] = row[t::s]
     counts = (k,) * n
     facts = {"symmetric": True, "strategy_counts": counts, "strides": _strides(counts)}
-    return (labels,) * n, cells, k * len(rank), rows, facts
+    return (labels,) * n, columns, k * len(rank), facts
 
 
 def _symmetric_game(layout: _SymmetricLayout, values) -> Game:
     """The symmetric game of `layout` in which class c pays ``values[c]``, an
-    int in ``[PAYOFF_MIN, PAYOFF_MAX]``, with the layout's facts and every
-    player's own_rows set from the layout's rows; the table is valid by
-    construction."""
-    labels, cells, _, class_rows, facts = layout
+    int in ``[PAYOFF_MIN, PAYOFF_MAX]``, with the layout's facts, every
+    player's column filled from the layout's and every player's own_rows
+    cut from player 0's column; the table is valid by construction."""
+    labels, class_columns, _, facts = layout
     value = values.__getitem__
-    payoffs = tuple(zip(*[map(value, cells)] * len(labels)))
-    g = Game(strategy_labels=labels, payoffs=payoffs)
-    rows = tuple(tuple(map(value, row)) for row in class_rows)
-    g.__dict__.update(facts, own_rows=(rows,) * len(labels))
+    columns = tuple([tuple(map(value, column)) for column in class_columns])
+    g = Game(strategy_labels=labels, payoffs=tuple(zip(*columns)))
+    # Player 0's rows are its column cut into one block per own strategy.
+    s = facts["strides"][0]
+    rows = tuple([columns[0][h : h + s] for h in range(0, len(columns[0]), s)])
+    g.__dict__.update(facts, columns=columns, own_rows=(rows,) * len(labels))
     return g
 
 
@@ -450,28 +458,31 @@ def _symmetry_scan(g: Game) -> bool:
     Reordering is checked on two moves that generate every permutation of
     the n - 1 opponents: rotating them by one place and swapping the first
     two.  With two opponents the rotation is the swap, so only the rotation
-    runs; with two players there is nothing to reorder.  The test suite
-    cross-checks this against an all-permutations scan.
+    runs, once per unordered pair of opponent strategies; with two players
+    there is nothing to reorder.  The test suite cross-checks this against
+    an all-permutations scan.
     """
-    labels = g.strategy_labels
-    first = labels[0]
-    if any(other != first for other in labels[1:]):
+    if len(set(g.strategy_labels)) > 1:
         return False
     rows = g.own_rows
     if any(other != rows[0] for other in rows[1:]):
         return False
     if g.n_players < 3:
         return True
-    k = len(first)
+    k = g.strategy_counts[0]
     # Opponent profiles per strategy of the first opponent, and per
     # strategy pair of the first two.
     wide = k ** (g.n_players - 2)
     narrow = wide // k
+    # Rotation (x1, rest) -> (rest, x1): the x1 = d block read in order
+    # from entry e must equal every k-th entry from e*k + d.  With two
+    # opponents the rotation is their swap, so block d is read from past its
+    # diagonal, e = d + 1, and the last block has no entry left: each
+    # unordered pair of opponent strategies is compared once.  Else e = 0.
+    starts = range(1, k) if g.n_players == 3 else [0] * k
     for row in rows[0]:
-        # Rotation (x1, rest) -> (rest, x1): the x1 = d block read in order
-        # must equal every k-th entry from d.
-        for d in range(k):
-            if row[d * wide : (d + 1) * wide] != row[d::k]:
+        for d, e in enumerate(starts):
+            if row[d * wide + e : (d + 1) * wide] != row[e * k + d :: k]:
                 return False
         # Swap of the first two: block (b, c) must equal block (c, b).
         for b, c in itertools.combinations(range(k), 2) if g.n_players > 3 else ():
@@ -509,9 +520,7 @@ def normalize_survivors(g: Game, survivors) -> Survivors:
     """Surviving sets, sorted and deduplicated: one non-empty index set per player."""
     s = tuple(map(tuple, survivors))
     if len(s) != g.n_players:
-        raise IndexOutOfRange(
-            f"{len(s)} survivor sets given for {g.n_players} players"
-        )
+        raise IndexOutOfRange(f"{len(s)} survivor sets given for {g.n_players} players")
     for i, (alive, k) in enumerate(zip(s, g.strategy_counts)):
         if not alive:
             raise EmptySurvivorSet(f"player {i} has no surviving strategies")

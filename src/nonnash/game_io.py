@@ -47,10 +47,10 @@ FORMAT_VERSION = 1
 _INT = "-?[0-9]{1,640}"
 _INT_RE = re.compile(_INT + r"\Z")
 
-# ASCII control characters other than tab and line feed.  str.split()
-# takes several of them (and U+001C..U+001F) for whitespace; the format
-# separates tokens with spaces and tabs only.
-_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
+# The characters allowed outside comments: printable ASCII, tab and line
+# feed.  str.split() takes several control characters for whitespace; the
+# format separates tokens with spaces and tabs only.
+_ALLOWED = bytes(range(0x20, 0x7F)) + b"\t\n"
 
 # An integer of the format as JSON writes one: no leading zeros.  Every
 # token of a block of canonical cell lines has this form.  The lookahead
@@ -96,7 +96,8 @@ def _check_characters(text: str) -> None:
     """Raise GnfSyntaxError for the first line that holds, outside its
     comment, a non-ASCII character or a control character other than tab
     (a carriage return may only end the line)."""
-    if text.isascii() and _CONTROL_RE.search(text) is None:
+    # Deleting every allowed byte leaves nothing.
+    if text.isascii() and not text.encode("ascii").translate(None, _ALLOWED):
         return
     # Only a text that fails the fast test is split into lines.
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -104,10 +105,8 @@ def _check_characters(text: str) -> None:
         # str.split() also splits on non-ASCII spaces such as U+00A0.
         if not line.isascii():
             raise GnfSyntaxError(lineno, "ASCII text outside comments")
-        if _CONTROL_RE.search(line):
-            raise GnfSyntaxError(
-                lineno, "no control character other than tab outside comments"
-            )
+        if line.encode("ascii").translate(None, _ALLOWED):
+            raise GnfSyntaxError(lineno, "no control character other than tab outside comments")
 
 
 def _line_tokens(text: str, pos: int) -> tuple[list[str], int]:
@@ -306,7 +305,8 @@ def _matrix_lines(g: Game, marks, names) -> list[str]:
     """The lines of :func:`matrix_lines` (the 2-player grid one string per
     line, any other table one string) with `marks`, one string per cell in
     enumeration order written after the payoffs (`` [NI]`` or empty), and
-    `names` the :func:`_profile_names` of `g` or None if the caller has none."""
+    `names` the :func:`_profile_names` of `g` or None if the caller has none.
+    A 3+-player table reads the payoffs from :attr:`Game.columns`."""
     n = g.n_players
     if n != 2:
         # One line per cell, its name, n payoffs and mark: one flat list,
@@ -314,8 +314,8 @@ def _matrix_lines(g: Game, marks, names) -> list[str]:
         n_cells = len(g.payoffs)
         values = [None] * ((n + 2) * n_cells)
         values[:: n + 2] = names or _profile_names(g)
-        for i in range(n):
-            values[i + 1 :: n + 2] = map(operator.itemgetter(i), g.payoffs)
+        for i, column in enumerate(g.columns):
+            values[i + 1 :: n + 2] = column
         values[n + 1 :: n + 2] = marks
         line = "%s -> " + ",".join(["%d"] * n) + "%s"
         return ["\n".join([line] * n_cells) % tuple(values)]

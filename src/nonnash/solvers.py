@@ -25,6 +25,8 @@ The solvers read :attr:`Game.own_rows`: for each player and own strategy,
 the player's payoffs over every joint opponent profile, in one shared
 opponent order.  Maximin is the best row minimum, and pure Nash compares
 each cell with the per-opponent-profile maximum over the player's rows.
+The IR mask and the Hofstadter diagonal read :attr:`Game.columns`, each
+player's payoffs in cell order.
 
 Elimination keeps one state per run (:class:`_Elimination`).  A run from
 the full sets (:func:`iterate_elimination`, :func:`sequential_elimination`)
@@ -36,9 +38,9 @@ once by payoff and adds a dead flag per opponent profile and a pointer to
 the least and to the greatest alive entry of each row.  A deletion only
 sets the dead flags of the opponent profiles that use the deleted
 strategy.  Since flags are never cleared, both pointers only move inward,
-so a run scans each row at most once in total instead of once per round.  :func:`iterate_elimination`,
-:func:`eliminate_round`, :func:`is_minimax_dominated` and
-:func:`sequential_elimination` all use it.
+so a run scans each row at most once in total instead of once per round.
+:func:`iterate_elimination`, :func:`eliminate_round`,
+:func:`is_minimax_dominated` and :func:`sequential_elimination` all use it.
 
 When every player's rows equal player 0's (every symmetric game, and
 some others), :func:`iterate_elimination` mirrors player 0.  Its sets
@@ -53,7 +55,7 @@ from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from operator import eq, ge, itemgetter, mul
+from operator import eq, ge, mul
 from typing import NamedTuple
 
 from .errors import DeadStrategy, NotSymmetric
@@ -129,7 +131,7 @@ def hofstadter_equilibria(g: Game) -> list[Profile]:
 def _best_diagonal(g: Game) -> list[Profile]:
     """Diagonal profiles of symmetric `g` best for player 0, in order."""
     # Profile (a, ..., a) is cell a * sum(strides): the slice is the diagonal.
-    values = [u[0] for u in g.payoffs[:: sum(g.strides)]]
+    values = g.columns[0][:: sum(g.strides)]
     best = max(values)
     return [(a,) * g.n_players for a, u in enumerate(values) if u == best]
 
@@ -153,13 +155,13 @@ def individually_rational_profiles(g: Game) -> list[Profile]:
 
 
 def _rational_mask(g: Game, thresholds: MaximinVector) -> bytes:
-    """Per profile, in order, 1 if every player meets their threshold, else 0."""
-    # Player i's column is one 0/1 byte per cell; read as big-endian ints,
-    # the columns AND byte by byte.
+    """Per profile, in order, 1 if every player meets their threshold, else
+    0, from each player's :attr:`Game.columns` entry."""
+    # Player i's column becomes one 0/1 byte per cell; read as big-endian
+    # ints, the players' bytes AND byte by byte.
     mask = -1
-    for i, floor in enumerate(thresholds):
-        column = bytes(map(ge, map(itemgetter(i), g.payoffs), itertools.repeat(floor)))
-        mask &= int.from_bytes(column, "big")
+    for column, floor in zip(g.columns, thresholds):
+        mask &= int.from_bytes(bytes(map(ge, column, itertools.repeat(floor))), "big")
     return mask.to_bytes(len(g.payoffs), "big")
 
 
@@ -227,8 +229,7 @@ class _Elimination:
             return list(map(min, rows)), list(map(max, rows))
         orders = self._orders[player]
         lo, hi, dead = self._lo[player], self._hi[player], self._dead[player]
-        mins = []
-        maxs = []
+        mins, maxs = [], []
         for a in self.alive[player]:
             order = orders[a]
             x, y = lo[a], hi[a]
@@ -272,9 +273,7 @@ def is_minimax_dominated(
     check_index(player, g.n_players, "player")
     check_index(strategy, g.strategy_counts[player], f"player {player}: strategy")
     if strategy not in s[player]:
-        raise DeadStrategy(
-            f"player {player} strategy {strategy} is not in the surviving set"
-        )
+        raise DeadStrategy(f"player {player} strategy {strategy} is not in the surviving set")
     mins, maxs = _Elimination(g, s).bounds(player)
     cap = maxs[s[player].index(strategy)]
     for candidate, low in zip(s[player], mins):

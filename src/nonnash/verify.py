@@ -320,12 +320,8 @@ def strict_inclusion_witnesses(tags: dict[Profile, RegionTag]) -> tuple[int, int
     """Counts of (rationalizable and not Hofstadter, IR and not Hofstadter)
     profiles; both being positive on some game shows the inclusions are
     strict, not equalities."""
-    rationalizable = sum(
-        1 for t in tags.values() if t.rationalizable and not t.hofstadter
-    )
-    rational = sum(
-        1 for t in tags.values() if t.individually_rational and not t.hofstadter
-    )
+    rationalizable = sum(1 for t in tags.values() if t.rationalizable and not t.hofstadter)
+    rational = sum(1 for t in tags.values() if t.individually_rational and not t.hofstadter)
     return rationalizable, rational
 
 

@@ -126,11 +126,11 @@ def serialize_referee(g: Game) -> str:
 
 def symmetric_layout_referee(n_players: int, k: int):
     """The symmetric layout of `n_players` players with `k` strategies
-    each, by a sort of every cell: the labels, the class of every payoff
-    entry in cell order (``array("I")``), the number of classes, player
-    0's rows of classes and the facts every game of the shape has, keyed
-    by the Game attribute that caches them.  Class (own, others) is
-    numbered own-major, the sorted others in
+    each, by a sort of every cell: the labels, each player's column of
+    classes (the class of the player's entry of every cell, in cell order,
+    an ``array("I")``), the number of classes and the facts every game of
+    the shape has, keyed by the Game attribute that caches them.  Class
+    (own, others) is numbered own-major, the sorted others in
     ``combinations_with_replacement`` order."""
     # Class (own, others) is stored under the sorted whole profile, then
     # under own, so a cell needs one sort to reach every player's class.
@@ -145,10 +145,7 @@ def symmetric_layout_referee(n_players: int, k: int):
     for p in itertools.product(range(k), repeat=n_players):
         cells.extend(map(class_index[tuple(sorted(p))].__getitem__, p))
     labels = (tuple(f"s{v}" for v in range(k)),) * n_players
-    # Row a of player 0 is player 0's entry of every cell whose first index
-    # is a: one block of k**(n-1) cells, n entries each.
-    width = k ** (n_players - 1) * n_players
-    rows = tuple(cells[a * width : (a + 1) * width : n_players] for a in range(k))
+    columns = tuple(cells[i::n_players] for i in range(n_players))
     # Player i's strategy moves the cell index by the number of profiles of
     # the players after i.
     facts = {
@@ -156,7 +153,7 @@ def symmetric_layout_referee(n_players: int, k: int):
         "strategy_counts": (k,) * n_players,
         "strides": tuple(k ** (n_players - 1 - i) for i in range(n_players)),
     }
-    return labels, cells, n_classes, rows, facts
+    return labels, columns, n_classes, facts
 
 
 def nash_oracle(g: Game) -> list[tuple[int, ...]]:

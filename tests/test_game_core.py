@@ -443,6 +443,23 @@ class TestIsSymmetric:
         assert all(rows == g.own_rows[0] for rows in g.own_rows)
         assert (self.scan(g), symmetric_oracle(g)) == (False, False)
 
+    # 3 players, k = 5: f ignores the opponents' order except at one
+    # ordered pair of opponent strategies, and there only for the last own
+    # strategy.  The rotation check compares each unordered pair once,
+    # from the block of its lower strategy; the pairs sit in the first
+    # block, in the last block that compares anything, and at a block's
+    # last entry, each in both orders.
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (3, 4), (4, 3), (2, 4), (4, 2)], ids=repr)
+    def test_scan_finds_the_only_asymmetric_pair(self, pair):
+        k = 5
+
+        def f(own, others):
+            return 100 * own + 10 * min(others) + max(others) + ((own, others) == (k - 1, pair))
+
+        g = equal_rows_game(3, k, f)
+        assert all(rows == g.own_rows[0] for rows in g.own_rows)
+        assert (self.scan(g), symmetric_oracle(g)) == (False, False)
+
     def test_scan_matches_oracle_on_catalog_games(
         self, pd, chicken_game, coordination_game, g3x3
     ):

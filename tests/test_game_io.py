@@ -19,6 +19,7 @@ from nonnash import (
     DuplicateCell,
     DuplicateLabel,
     EmptySurvivorSet,
+    Game,
     GameDocument,
     GnfSyntaxError,
     IndexOutOfRange,
@@ -167,6 +168,36 @@ class TestControlCharacters:
     def test_tabs_and_line_end_carriage_returns_allowed(self, pd):
         text = CANONICAL_PD.replace(" ", "\t").replace("\n", "\r\r\n")
         assert parse_game(text).game == pd
+
+    def test_carriage_return_only_before_a_line_feed(self, pd):
+        assert parse_game(CANONICAL_PD.replace("\n", "\r\n")).game == pd
+        with pytest.raises(GnfSyntaxError, match="^line 9: expected no control"):
+            parse_game(CANONICAL_PD.replace("1 1 2 2\n", "1 1 2 2\r"))
+
+    # Every ASCII character inside the cell line "1 1 2 2", line 9, and
+    # inside a comment after it.  In the cell a space or a tab separates
+    # tokens, any other control character is refused as one, and anything
+    # else (a line feed too) leaves no valid cell on line 9.  In the
+    # comment only a line feed matters: it ends the comment.
+    @pytest.mark.parametrize("code", range(128))
+    def test_every_ascii_character(self, pd, code):
+        char = chr(code)
+        bad_cell = "line 9: expected 2 strategy indices and 2 integer payoffs, or 'end'"
+        control = "line 9: expected no control character other than tab outside comments"
+        if char in " \t":
+            expected = pd
+        elif char != "\n" and (code < 0x20 or code == 0x7F):
+            expected = (GnfSyntaxError, control)
+        else:
+            expected = (GnfSyntaxError, bad_cell)
+        text = CANONICAL_PD.replace("1 1 2 2", f"1 1{char}2 2")
+        assert outcome(lambda: parse_game(text).game) == expected
+        text = CANONICAL_PD.replace("1 1 2 2", f"1 1 2 2 # a{char}b")
+        if char == "\n":
+            expected = (GnfSyntaxError, bad_cell.replace("line 9", "line 10"))
+        else:
+            expected = pd
+        assert outcome(lambda: parse_game(text).game) == expected
 
 
 class TestSerialize:
@@ -705,6 +736,23 @@ class TestLargeDocument:
         g, lines = big
         assert len(lines) - self.HEAD - 2 == 15_625 > 4 * _CELL_SLICE
         assert self.parse(lines) == g
+
+    def test_columns_on_every_route(self, big):
+        """_build_flat_game's bulk route hands over the payoff columns it
+        sliced, for a table in order whether parse_game read it in blocks or,
+        tabbed, line by line; a shuffled table goes through _place_cells and
+        computes them on first read.  Every way they are the columns of a
+        fresh game of the same table."""
+        g, lines = big
+        fresh = Game(g.strategy_labels, g.payoffs).columns
+        assert len(fresh) == 3 and all(len(column) == 15_625 for column in fresh)
+        table = lines[self.HEAD : -2]
+        shuffled = lines[: self.HEAD] + random.Random(5).sample(table, len(table)) + lines[-2:]
+        tabbed = [line.replace(" ", "\t") for line in lines]
+        for copy, preset in ((lines, True), (tabbed, True), (shuffled, False)):
+            parsed = parse_game("\n".join(copy)).game
+            assert ("columns" in parsed.__dict__) is preset
+            assert parsed.columns == fresh
 
     def test_payoff_out_of_range(self, big):
         g, lines = big

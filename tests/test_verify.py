@@ -206,15 +206,16 @@ LAYOUT_SHAPES = [
 def test_symmetric_layout_matches_the_sorting_referee(n, k):
     layout = nonnash.game_core._symmetric_layout(n, tuple(f"s{v}" for v in range(k)))
     assert layout == symmetric_layout_referee(n, k)
-    _, cells, _, rows, _ = layout
-    assert all(type(a) is array and a.typecode == "I" for a in (cells, *rows))
+    _, columns, _, _ = layout
+    assert len(columns) == n
+    assert all(type(a) is array and a.typecode == "I" for a in columns)
 
 
 # The layout shapes and the pinned 50-player game's one strategy.
 FACT_SHAPES = LAYOUT_SHAPES + [(50, 1)]
 # The facts _symmetric_game sets at construction; a fresh Game of the same
 # table computes each on first read.
-PRESET_FACTS = ("strategy_counts", "strides", "symmetric", "own_rows")
+PRESET_FACTS = ("strategy_counts", "strides", "symmetric", "columns", "own_rows")
 
 
 @pytest.mark.parametrize("n, k", FACT_SHAPES, ids=[f"{n}x{k}" for n, k in FACT_SHAPES])
@@ -791,6 +792,30 @@ class TestOneAnalysisPerGame:
         # the patched property does count a game that has no rows yet
         g = gen_random_symmetric_game(players, 2, 0, 9, seed=1)
         assert Game(g.strategy_labels, g.payoffs).own_rows == g.own_rows
+        assert computed == [1]
+
+    @pytest.mark.parametrize("players, k_max", [(2, 6), (3, 4)], ids=["2p", "3p"])
+    def test_sweep_never_builds_columns_from_the_table(self, players, k_max, monkeypatch):
+        """Sweep games come with every player's payoff column from the layout."""
+        computed = []
+        original = Game.columns.func
+
+        def counted(g):
+            computed.append(1)
+            return original(g)
+
+        columns = functools.cached_property(counted)
+        columns.__set_name__(Game, "columns")
+        monkeypatch.setattr(Game, "columns", columns)
+        config = SweepConfig(
+            players=players, min_strategies=1, max_strategies=k_max, games=200,
+            seed=8, properties=ALL_PROPERTIES,
+        )
+        assert sweep(config).games_checked == 200
+        assert computed == []
+        # the patched property does count a game that has no columns yet
+        g = gen_random_symmetric_game(players, 2, 0, 9, seed=1)
+        assert Game(g.strategy_labels, g.payoffs).columns == g.columns
         assert computed == [1]
 
     @pytest.mark.parametrize("players, k_max", [(2, 6), (3, 4)], ids=["2p", "3p"])
