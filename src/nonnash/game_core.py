@@ -1,14 +1,14 @@
 """Immutable finite games in normal form with ordinal integer payoffs.
 
-A game holds one payoff vector (one integer per player) for every joint
-strategy choice.  Payoffs are *ordinals*: the library only ever compares
-them, it never adds, scales or averages them, so replacing all payoffs by
-any strictly increasing map leaves every solution concept unchanged.
+A game holds one integer payoff per player for every joint strategy
+choice.  Payoffs are *ordinals*: the library only ever compares them, it
+never adds, scales or averages them, so replacing all payoffs by any
+strictly increasing map leaves every solution concept unchanged.
 
-Cells are stored flat in mixed-radix order with player 0 most significant
-(the last player's index varies fastest).  That order is also the
-canonical enumeration order used by every operation that returns profile
-lists, by the text serializer, and by the random generators.
+Each player's column lists the cells in mixed-radix order, player 0 most
+significant (the last player's index varies fastest): the canonical
+enumeration order of every operation that returns profile lists, of the
+text serializer and of the random generators.
 """
 
 import itertools
@@ -60,26 +60,25 @@ class Game:
         One tuple of distinct labels per player.  Labels are restricted to
         ``[A-Za-z0-9_-]+`` so any game can be written in the whitespace
         separated text format.
-    payoffs:
-        Flat tuple with one entry per cell (one payoff per player), in
-        profile enumeration order; :meth:`cell_index` is for random access.
+    columns:
+        The one stored table: one tuple per player of that player's payoffs
+        in profile enumeration order, passed in by every constructor;
+        :meth:`cell_index` is a cell's place in each.
 
-    The derived facts :attr:`strategy_counts`, :attr:`strides`,
-    :attr:`columns`, :attr:`own_rows` and :attr:`symmetric` are computed on
-    first use and cached.  ``columns[i]`` is the tuple of player i's payoffs
-    in profile enumeration order, and ``own_rows[i][a]`` the tuple of them
-    when i plays strategy a, one entry per joint opponent profile.  Opponent
-    profiles are enumerated in the same mixed-radix order as cells with
-    player i left out, so entry x of every row of player i refers to the
-    same opponent profile.  The solvers read rows and columns instead of
+    :attr:`payoffs`, the table as one payoff vector per cell, is a view
+    derived from the columns for callers that want cells; no library path
+    reads it.  :attr:`strategy_counts`, :attr:`strides`, :attr:`own_rows`
+    and :attr:`symmetric` are computed on first use and cached.
+    ``own_rows[i][a]`` is player i's payoffs when i plays strategy a, one
+    entry per joint opponent profile.  Opponent profiles are enumerated in the same mixed-radix order as cells
+    with player i left out, so entry x of every row of player i refers to
+    the same opponent profile.  The solvers read rows and columns instead of
     indexing cells.  In a symmetric game every player has the same rows (see
     :func:`is_symmetric`).  :func:`_symmetric_game`, which builds the
-    generated and catalog symmetric games, sets all five from its layout:
-    ``symmetric`` is True, the counts and strides are the layout's, the
-    columns are the layout's columns of classes filled with the game's
-    values, and every player's rows are player 0's column cut into blocks.
-    So no such game runs the symmetry scan.  :func:`_build_flat_game` sets
-    the columns of a table it accepts in bulk, which it slices anyway.
+    generated and catalog symmetric games, sets all four from its layout:
+    ``symmetric`` is True, the counts and strides are the layout's, and
+    every player's rows are player 0's column cut into blocks.  So no such
+    game runs the symmetry scan.
 
     The rules a game obeys are listed, and checked, in :func:`new_game`.
     :func:`_symmetric_game`, ``verify.gen_random_game`` and
@@ -90,7 +89,7 @@ class Game:
     """
 
     strategy_labels: tuple[tuple[str, ...], ...]
-    payoffs: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
     @property
     def n_players(self) -> int:
@@ -109,12 +108,12 @@ class Game:
         return _symmetry_scan(self)
 
     @cached_property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(map(itemgetter(i), self.payoffs)) for i in range(self.n_players))
+    def payoffs(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.columns))
 
     @cached_property
     def own_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        n_cells = len(self.payoffs)
+        n_cells = len(self.columns[0])
         out = []
         for column, k, stride in zip(self.columns, self.strategy_counts, self.strides):
             if stride == 1:
@@ -246,8 +245,8 @@ def _checked_counts(strategy_labels, max_entries: int) -> tuple[int, ...]:
 
 
 def _place_cells(strategy_labels, counts: tuple[int, ...], cells) -> Game:
-    """The game of `cells` under rules 4 and 5 of :func:`new_game`;
-    `strategy_labels` is kept as given."""
+    """The game of `cells` under rules 4 and 5 of :func:`new_game`, its
+    columns read off the slots; `strategy_labels` is kept as given."""
     n = len(counts)
     strides = _strides(counts)
     ranges = tuple(map(range, counts))
@@ -277,7 +276,7 @@ def _place_cells(strategy_labels, counts: tuple[int, ...], cells) -> Game:
     if None in slots:
         missing = next(itertools.islice(itertools.product(*ranges), slots.index(None), None))
         raise MissingCell(f"no payoffs for profile {missing}")
-    return Game(strategy_labels=strategy_labels, payoffs=tuple(slots))
+    return Game(strategy_labels, tuple(tuple(map(itemgetter(i), slots)) for i in range(n)))
 
 
 def _build_flat_game(strategy_labels, values) -> Game:
@@ -287,9 +286,9 @@ def _build_flat_game(strategy_labels, values) -> Game:
     `strategy_labels` is a tuple of label tuples, kept as given.
 
     A complete table in enumeration order is accepted in bulk, with one
-    comparison per index column and one range test per payoff column; the
-    payoff columns become the game's :attr:`Game.columns`.  Any
-    other table goes through :func:`_place_cells`, so it fails with the
+    comparison per index column and one range test per payoff column; its
+    payoff columns, sliced off `values`, are the game's :attr:`Game.columns`.
+    Any other table goes through :func:`_place_cells`, so it fails with the
     same error as in :func:`new_game`.
     """
     counts = _checked_counts(strategy_labels, MAX_ENTRIES)
@@ -307,9 +306,7 @@ def _build_flat_game(strategy_labels, values) -> Game:
         else:
             columns = tuple(tuple(values[j::width]) for j in range(n, width))
             if min(map(min, columns)) >= PAYOFF_MIN and max(map(max, columns)) <= PAYOFF_MAX:
-                g = Game(strategy_labels=strategy_labels, payoffs=tuple(zip(*columns)))
-                g.__dict__["columns"] = columns
-                return g
+                return Game(strategy_labels, columns)
     cells = zip(*[iter(values)] * width)
     return _place_cells(strategy_labels, counts, ((v[:n], v[n:]) for v in cells))
 
@@ -361,17 +358,17 @@ def _symmetric_layout(n_players: int, labels: tuple[str, ...]) -> _SymmetricLayo
 
 def _symmetric_game(layout: _SymmetricLayout, values) -> Game:
     """The symmetric game of `layout` in which class c pays ``values[c]``, an
-    int in ``[PAYOFF_MIN, PAYOFF_MAX]``, with the layout's facts, every
-    player's column filled from the layout's and every player's own_rows
+    int in ``[PAYOFF_MIN, PAYOFF_MAX]``: the layout's columns filled with the
+    values, preset with the layout's facts and with every player's own_rows
     cut from player 0's column; the table is valid by construction."""
     labels, class_columns, _, facts = layout
     value = values.__getitem__
     columns = tuple([tuple(map(value, column)) for column in class_columns])
-    g = Game(strategy_labels=labels, payoffs=tuple(zip(*columns)))
+    g = Game(labels, columns)
     # Player 0's rows are its column cut into one block per own strategy.
     s = facts["strides"][0]
     rows = tuple([columns[0][h : h + s] for h in range(0, len(columns[0]), s)])
-    g.__dict__.update(facts, columns=columns, own_rows=(rows,) * len(labels))
+    g.__dict__.update(facts, own_rows=(rows,) * len(labels))
     return g
 
 
@@ -417,7 +414,7 @@ def new_game(strategy_labels, cells, *, max_entries: int = MAX_ENTRIES) -> Game:
 def payoff(g: Game, profile: Profile, player: int) -> int:
     """Payoff of `player` at `profile`; IndexOutOfRange unless both are indices."""
     check_index(player, g.n_players, "player")
-    return g.payoffs[g.cell_index(check_profile(profile, g.strategy_counts))][player]
+    return g.columns[player][g.cell_index(check_profile(profile, g.strategy_counts))]
 
 
 def profiles(g: Game):
@@ -534,8 +531,8 @@ def restrict(g: Game, survivors) -> Game:
 
     Strategy j of player i in the restricted game is strategy
     ``survivors[i][j]`` of the original (survivor tuples are sorted, so
-    the translation is order preserving); payoffs are taken from the
-    original table unchanged.
+    the translation is order preserving); each player's column is the
+    original column gathered at the kept cells, payoffs unchanged.
     """
     s = normalize_survivors(g, survivors)
     labels = tuple(
@@ -543,5 +540,5 @@ def restrict(g: Game, survivors) -> Game:
     )
     # A valid game's sub-table needs no re-validation; product over the
     # sorted survivor tuples walks it in the restricted game's cell order.
-    payoffs = tuple(g.payoffs[g.cell_index(p)] for p in itertools.product(*s))
-    return Game(strategy_labels=labels, payoffs=payoffs)
+    kept = list(map(g.cell_index, itertools.product(*s)))
+    return Game(labels, tuple(tuple(map(column.__getitem__, kept)) for column in g.columns))

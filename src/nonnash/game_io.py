@@ -246,7 +246,7 @@ def serialize_game(doc: GameDocument) -> str:
     lines.append("payoffs")
     # One %s per index and payoff: %s writes an int as str() does.
     cell = " ".join(["%s"] * (2 * g.n_players)).__mod__
-    lines.extend(map(cell, map(operator.add, profiles(g), g.payoffs)))
+    lines.extend(map(cell, map(operator.add, profiles(g), zip(*g.columns))))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -298,7 +298,7 @@ def _profile_names(g: Game) -> list[str]:
 def matrix_lines(g: Game) -> list[str]:
     """Payoff table as aligned text, one string per line: a grid (rows =
     player 0) for two players, else one line per profile."""
-    return "\n".join(_matrix_lines(g, [""] * len(g.payoffs), None)).split("\n")
+    return "\n".join(_matrix_lines(g, [""] * len(g.columns[0]), None)).split("\n")
 
 
 def _matrix_lines(g: Game, marks, names) -> list[str]:
@@ -306,12 +306,12 @@ def _matrix_lines(g: Game, marks, names) -> list[str]:
     line, any other table one string) with `marks`, one string per cell in
     enumeration order written after the payoffs (`` [NI]`` or empty), and
     `names` the :func:`_profile_names` of `g` or None if the caller has none.
-    A 3+-player table reads the payoffs from :attr:`Game.columns`."""
+    Both read the payoffs from :attr:`Game.columns`."""
     n = g.n_players
     if n != 2:
         # One line per cell, its name, n payoffs and mark: one flat list,
         # filled a column at a time, formats the table with one %.
-        n_cells = len(g.payoffs)
+        n_cells = len(g.columns[0])
         values = [None] * ((n + 2) * n_cells)
         values[:: n + 2] = names or _profile_names(g)
         for i, column in enumerate(g.columns):
@@ -320,7 +320,7 @@ def _matrix_lines(g: Game, marks, names) -> list[str]:
         line = "%s -> " + ",".join(["%d"] * n) + "%s"
         return ["\n".join([line] * n_cells) % tuple(values)]
 
-    cells = list(map(operator.add, map("%d,%d".__mod__, g.payoffs), marks))
+    cells = list(map(operator.add, map("%d,%d".__mod__, zip(*g.columns)), marks))
     row_labels, col_labels = g.strategy_labels
     k = len(col_labels)
     rows = [cells[h : h + k] for h in range(0, len(cells), k)]

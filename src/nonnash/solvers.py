@@ -25,8 +25,8 @@ The solvers read :attr:`Game.own_rows`: for each player and own strategy,
 the player's payoffs over every joint opponent profile, in one shared
 opponent order.  Maximin is the best row minimum, and pure Nash compares
 each cell with the per-opponent-profile maximum over the player's rows.
-The IR mask and the Hofstadter diagonal read :attr:`Game.columns`, each
-player's payoffs in cell order.
+Pure Nash's cells, the IR mask and the Hofstadter diagonal read the one
+stored table, :attr:`Game.columns`: each player's payoffs in cell order.
 
 Elimination keeps one state per run (:class:`_Elimination`).  A run from
 the full sets (:func:`iterate_elimination`, :func:`sequential_elimination`)
@@ -104,7 +104,7 @@ def pure_nash(g: Game) -> list[Profile]:
         for rows, stride in zip(g.own_rows, g.strides)
     ]
     # u_i never exceeds player i's best, so u equals the bests iff Nash.
-    return list(itertools.compress(profiles(g), map(eq, g.payoffs, zip(*best_by_cell))))
+    return list(itertools.compress(profiles(g), map(eq, zip(*g.columns), zip(*best_by_cell))))
 
 
 def _by_cell(values: list[int], stride: int, k: int):
@@ -162,7 +162,7 @@ def _rational_mask(g: Game, thresholds: MaximinVector) -> bytes:
     mask = -1
     for column, floor in zip(g.columns, thresholds):
         mask &= int.from_bytes(bytes(map(ge, column, itertools.repeat(floor))), "big")
-    return mask.to_bytes(len(g.payoffs), "big")
+    return mask.to_bytes(len(g.columns[0]), "big")
 
 
 class _Elimination:
@@ -407,7 +407,7 @@ class AnalysisReport:
         g = self.game
         # The few Nash (bit 0) and Hofstadter (bit 1) profiles go in by cell
         # index.
-        few = bytearray(len(g.payoffs))
+        few = bytearray(len(g.columns[0]))
         for j, found in enumerate((self.nash, self.hofstadter or ())):
             for p in found:
                 few[sum(map(mul, p, g.strides))] |= 1 << j

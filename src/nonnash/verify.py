@@ -112,8 +112,9 @@ def gen_random_game(
     check_size_guard(counts, max_entries)
     _check_seed(seed)
     labels = tuple(map(_labels, counts))
-    draws = iter(SplitMix64(seed).next_many_in_range(lo, hi, math.prod(counts) * n_players))
-    return Game(strategy_labels=labels, payoffs=tuple(zip(*[draws] * n_players)))
+    draws = SplitMix64(seed).next_many_in_range(lo, hi, math.prod(counts) * n_players)
+    # The draws run cell by cell, so player i's column is every n-th from i.
+    return Game(labels, tuple(tuple(draws[i::n_players]) for i in range(n_players)))
 
 
 def gen_random_symmetric_game(
@@ -173,8 +174,8 @@ def _hofstadter_individually_rational(r: AnalysisReport, *_) -> Verdict:
     g = r.game
     # Hofstadter profile (a, ..., a) is cell a * sum(strides): read only those.
     for p in r.hofstadter:
-        for i, (u, floor) in enumerate(zip(g.payoffs[p[0] * sum(g.strides)], r.maximin)):
-            if u < floor:
+        for i, (column, floor) in enumerate(zip(g.columns, r.maximin)):
+            if (u := column[p[0] * sum(g.strides)]) < floor:
                 return Verdict(
                     HOFSTADTER_INDIVIDUALLY_RATIONAL,
                     False,

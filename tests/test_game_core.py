@@ -414,7 +414,7 @@ class TestIsSymmetric:
     # so the tests below scan a fresh Game of the same table instead.
     @staticmethod
     def scan(g):
-        return nonnash.game_core._symmetry_scan(Game(g.strategy_labels, g.payoffs))
+        return nonnash.game_core._symmetry_scan(Game(g.strategy_labels, g.columns))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_scan_matches_oracle_on_generated_games(self, n):
@@ -515,6 +515,16 @@ class TestRestrict:
     def test_full_restriction_identity_random(self, seed):
         g = gen_random_game(2, (3, 4), -5, 5, seed=seed)
         assert restrict(g, full_sets(g)) == g
+
+    @pytest.mark.parametrize(
+        "counts", [(3, 4), (2, 3, 2), (2, 2, 3, 2)], ids=["2p", "3p", "4p"]
+    )
+    def test_full_restriction_keeps_the_columns(self, counts):
+        """restrict gathers each column at the kept cells, so keeping them
+        all gives the game back; the payoffs view is the columns zipped."""
+        g = gen_random_game(len(counts), counts, -5, 5, seed=7)
+        assert restrict(g, full_sets(g)) == g
+        assert g.payoffs == tuple(zip(*g.columns))
 
     def test_single_survivor(self, g3x3):
         r = restrict(g3x3, [(0,), (0,)])

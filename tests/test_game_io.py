@@ -19,7 +19,6 @@ from nonnash import (
     DuplicateCell,
     DuplicateLabel,
     EmptySurvivorSet,
-    Game,
     GameDocument,
     GnfSyntaxError,
     IndexOutOfRange,
@@ -738,21 +737,21 @@ class TestLargeDocument:
         assert self.parse(lines) == g
 
     def test_columns_on_every_route(self, big):
-        """_build_flat_game's bulk route hands over the payoff columns it
-        sliced, for a table in order whether parse_game read it in blocks or,
-        tabbed, line by line; a shuffled table goes through _place_cells and
-        computes them on first read.  Every way they are the columns of a
-        fresh game of the same table."""
+        """_build_flat_game's bulk route slices the columns of a table in
+        order, whether parse_game read it in blocks or, tabbed, line by
+        line; a shuffled table and new_game's cells go through _place_cells.
+        Every route gives the generated game's columns, and a game equal to
+        it, hash included."""
         g, lines = big
-        fresh = Game(g.strategy_labels, g.payoffs).columns
-        assert len(fresh) == 3 and all(len(column) == 15_625 for column in fresh)
+        assert len(g.columns) == 3 and all(len(column) == 15_625 for column in g.columns)
         table = lines[self.HEAD : -2]
         shuffled = lines[: self.HEAD] + random.Random(5).sample(table, len(table)) + lines[-2:]
         tabbed = [line.replace(" ", "\t") for line in lines]
-        for copy, preset in ((lines, True), (tabbed, True), (shuffled, False)):
-            parsed = parse_game("\n".join(copy)).game
-            assert ("columns" in parsed.__dict__) is preset
-            assert parsed.columns == fresh
+        built = [parse_game("\n".join(copy)).game for copy in (lines, tabbed, shuffled)]
+        built.append(new_game(g.strategy_labels, zip(profiles(g), g.payoffs)))
+        for route in built:
+            assert route.columns == g.columns
+            assert route == g and hash(route) == hash(g)
 
     def test_payoff_out_of_range(self, big):
         g, lines = big

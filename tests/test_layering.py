@@ -7,11 +7,13 @@ every report format from the report's one per-profile pass,
 and builds no set of profiles of its own.  No module may hide an import inside a function,
 which is how an import cycle would otherwise slip back in.  The
 generators in ``verify`` build their tables valid by construction and
-never go through ``new_game``, and whole-table readers walk ``payoffs`` in
+never go through ``new_game``, and whole-table readers walk ``columns`` in
 profile order, so ``cell_index`` (random access) is called only inside
-``game_core``.  The integer rules live in ``game_core`` too: only that
-module raises ``IndexOutOfRange`` or names the payoff bounds, and one
-function tells an int from a bool.  So do the cell rules: ``parse_game``
+``game_core``.  A game stores its table once, as those columns: no module
+reads ``payoffs``, the per-cell view derived from them.  The integer
+rules live in ``game_core`` too: only that module raises
+``IndexOutOfRange`` or names the payoff bounds, and one function tells an
+int from a bool.  So do the cell rules: ``parse_game``
 raises none of the four cell errors itself, and ``game_io`` never calls
 ``Game(...)``, so every parsed game comes out of ``game_core``.
 ``game_io`` catches no error, so the order of ``parse_game``'s passes
@@ -147,6 +149,19 @@ def _modules_calling(callee: str) -> set[str]:
 
 def test_cell_index_called_only_in_game_core():
     assert _modules_calling("cell_index") == {"game_core.py"}
+
+
+def test_no_module_reads_payoffs():
+    # Game.payoffs zips the columns into cells on first read; it is kept for
+    # callers that want cells, and no library path builds it
+    reading = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "payoffs":
+                if isinstance(node.ctx, ast.Load):
+                    reading.append(f"{path.name}:{node.lineno}")
+    assert reading == []
 
 
 def test_symmetric_classes_numbered_only_in_game_core():

@@ -141,7 +141,7 @@ class TestGenerators:
     def test_symmetric_rows_equal_rows_from_the_table(self, n, k):
         for j in range(20):
             g = gen_random_symmetric_game(n, k, 0, 99, seed=derive_seed(23, j))
-            assert g.own_rows == Game(g.strategy_labels, g.payoffs).own_rows
+            assert g.own_rows == Game(g.strategy_labels, g.columns).own_rows
             # every player shares player 0's one tuple of rows
             assert all(rows is g.own_rows[0] for rows in g.own_rows)
 
@@ -214,14 +214,14 @@ def test_symmetric_layout_matches_the_sorting_referee(n, k):
 # The layout shapes and the pinned 50-player game's one strategy.
 FACT_SHAPES = LAYOUT_SHAPES + [(50, 1)]
 # The facts _symmetric_game sets at construction; a fresh Game of the same
-# table computes each on first read.
-PRESET_FACTS = ("strategy_counts", "strides", "symmetric", "columns", "own_rows")
+# columns computes each on first read.
+PRESET_FACTS = ("strategy_counts", "strides", "symmetric", "own_rows")
 
 
 @pytest.mark.parametrize("n, k", FACT_SHAPES, ids=[f"{n}x{k}" for n, k in FACT_SHAPES])
 def test_preset_facts_equal_computed_facts(n, k):
     g = gen_random_symmetric_game(n, k, 0, 99, 24)
-    fresh = Game(g.strategy_labels, g.payoffs)
+    fresh = Game(g.strategy_labels, g.columns)
     preset = {name: g.__dict__[name] for name in PRESET_FACTS}
     assert preset == {name: getattr(fresh, name) for name in PRESET_FACTS}
 
@@ -234,7 +234,7 @@ def test_every_symmetric_game_passes_the_scan(n, k):
     for values in (range(m), [0] * m, SplitMix64(k).next_many_in_range(0, 2, m)):
         g = nonnash.game_core._symmetric_game(layout, values)
         # on the rows the layout set, and on rows built from the table
-        assert scan(g) and scan(Game(g.strategy_labels, g.payoffs))
+        assert scan(g) and scan(Game(g.strategy_labels, g.columns))
 
 
 SWEEP_INT_FIELDS = (
@@ -791,32 +791,58 @@ class TestOneAnalysisPerGame:
         assert computed == []
         # the patched property does count a game that has no rows yet
         g = gen_random_symmetric_game(players, 2, 0, 9, seed=1)
-        assert Game(g.strategy_labels, g.payoffs).own_rows == g.own_rows
+        assert Game(g.strategy_labels, g.columns).own_rows == g.own_rows
         assert computed == [1]
 
-    @pytest.mark.parametrize("players, k_max", [(2, 6), (3, 4)], ids=["2p", "3p"])
-    def test_sweep_never_builds_columns_from_the_table(self, players, k_max, monkeypatch):
-        """Sweep games come with every player's payoff column from the layout."""
-        computed = []
-        original = Game.columns.func
+    @pytest.fixture
+    def payoff_builds(self, monkeypatch):
+        """Record each build of Game.payoffs, the per-cell view derived from
+        the columns."""
+        built = []
+        original = Game.payoffs.func
 
         def counted(g):
-            computed.append(1)
+            built.append(1)
             return original(g)
 
-        columns = functools.cached_property(counted)
-        columns.__set_name__(Game, "columns")
-        monkeypatch.setattr(Game, "columns", columns)
+        payoffs = functools.cached_property(counted)
+        payoffs.__set_name__(Game, "payoffs")
+        monkeypatch.setattr(Game, "payoffs", payoffs)
+        return built
+
+    @pytest.mark.parametrize("players, k_max", [(2, 6), (3, 4)], ids=["2p", "3p"])
+    def test_sweep_never_builds_payoffs(self, payoff_builds, players, k_max):
+        """Every solver and checker a sweep runs reads the columns."""
         config = SweepConfig(
             players=players, min_strategies=1, max_strategies=k_max, games=200,
             seed=8, properties=ALL_PROPERTIES,
         )
         assert sweep(config).games_checked == 200
-        assert computed == []
-        # the patched property does count a game that has no columns yet
+        assert payoff_builds == []
+        # the patched property does count a fresh game's build
         g = gen_random_symmetric_game(players, 2, 0, 9, seed=1)
-        assert Game(g.strategy_labels, g.payoffs).columns == g.columns
-        assert computed == [1]
+        assert g.payoffs == tuple(zip(*g.columns))
+        assert payoff_builds == [1]
+
+    def test_cli_never_builds_payoffs(self, payoff_builds, games_dir, tmp_path, capsys):
+        """Every subcommand, on the 3x3 example and on a generated 3-player,
+        9-strategy file, parses, solves and renders from the columns."""
+        main = nonnash.cli.main
+        assert main(["gen", "--players", "3", "--strategies", "9", "--symmetric"]) == 0
+        generated = tmp_path / "g3p9.gnf"
+        generated.write_text(capsys.readouterr().out, encoding="utf-8")
+        for path in (str(games_dir / "g3x3.gnf"), str(generated)):
+            for argv in (
+                ["analyze", path],
+                ["analyze", path, "--format", "csv"],
+                ["analyze", path, "--format", "json"],
+                ["check", path],
+                ["eliminate", "--trace", path],
+            ):
+                assert main(argv) == 0, argv
+        assert main(["search", "--players", "3", "--strategies", "1..4", "--games", "50"]) == 0
+        assert capsys.readouterr().err == ""
+        assert payoff_builds == []
 
     @pytest.mark.parametrize("players, k_max", [(2, 6), (3, 4)], ids=["2p", "3p"])
     def test_sweep_never_scans_or_counts(self, calls, players, k_max, monkeypatch):
@@ -849,7 +875,7 @@ class TestOneAnalysisPerGame:
         assert calls == self.per_game(200)
         # the patched scan and properties do count a game that has no facts yet
         g = gen_random_symmetric_game(players, 2, 0, 9, seed=1)
-        fresh = Game(g.strategy_labels, g.payoffs)
+        fresh = Game(g.strategy_labels, g.columns)
         assert (is_symmetric(fresh), fresh.strides) == (True, g.strides)
         assert sorted(computed) == ["scan", "strategy_counts", "strides"]
 
