@@ -538,7 +538,10 @@ def restrict(g: Game, survivors) -> Game:
     labels = tuple(
         tuple(g.strategy_labels[i][v] for v in alive) for i, alive in enumerate(s)
     )
-    # A valid game's sub-table needs no re-validation; product over the
-    # sorted survivor tuples walks it in the restricted game's cell order.
-    kept = list(map(g.cell_index, itertools.product(*s)))
+    # A valid game's sub-table needs no re-validation.  The kept cells are
+    # mixed-radix sums built one player at a time, player 0 outermost, so
+    # over sorted survivor tuples they come in the restricted game's order.
+    kept = [0]
+    for alive, stride in zip(s, g.strides):
+        kept = [b + v * stride for b in kept for v in alive]
     return Game(labels, tuple(tuple(map(column.__getitem__, kept)) for column in g.columns))

@@ -7,13 +7,25 @@ produce identical results on every platform and under any worker count.
 The stream advances its state by a fixed odd constant and finalizes each
 new state with an xor-shift/multiply mix; everything is plain integer
 arithmetic mod 2**64.
+
+:func:`mix64_many` finalizes many states at once: each is a 64-bit lane
+in its own 128-bit slot of one int, packed little-endian on every host,
+so each step is one big-int operation over all lanes.  No slot carries:
+a lane times a 64-bit multiplier stays below 2**128, and every shifted
+and multiplied value is masked back to the low 64 bits of each slot.
+The bulk draws mix ``_LANES`` lanes per pass, so their memory is bounded.
 """
+
+import struct
+from itertools import chain, islice
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 # The two multipliers of the finalizer.
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
+# Lanes per mix64_many pass of the bulk draws: few passes, little memory.
+_LANES = 4096
 
 
 def mix64(z: int) -> int:
@@ -22,6 +34,21 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * MIX1) & MASK64
     z = ((z ^ (z >> 27)) * MIX2) & MASK64
     return z ^ (z >> 31)
+
+
+def mix64_many(states) -> list[int]:
+    """``[mix64(s) for s in states]`` for states in [0, 2**64), in one pass."""
+    n = len(states)
+    # one 64-bit word per half slot: the lanes in the even words, zeros in the odd
+    fmt = f"<{2 * n}Q"
+    words = [0] * (2 * n)
+    words[::2] = states
+    m = int.from_bytes(MASK64.to_bytes(16, "little") * n, "little")
+    z = int.from_bytes(struct.pack(fmt, *words), "little")
+    z = ((z ^ (z >> 30)) & m) * MIX1 & m
+    z = ((z ^ (z >> 27)) & m) * MIX2 & m
+    z ^= (z >> 31) & m
+    return list(struct.unpack(fmt, z.to_bytes(16 * n, "little"))[::2])
 
 
 class SplitMix64:
@@ -47,21 +74,41 @@ class SplitMix64:
         rule stays fixed anyway, since changing it would change every
         seeded game and sweep report.
         """
-        return lo + self.next_u64() % (hi - lo + 1)
+        return in_range(self.next_u64(), lo, hi)
 
     def next_many_in_range(self, lo: int, hi: int, count: int) -> list[int]:
-        """`count` draws of :meth:`next_in_range` in one loop, same end state."""
-        r = hi - lo + 1
+        """`count` draws of :meth:`next_in_range` in one pass, same end state."""
         s = self.state
-        out = []
-        append = out.append
-        for _ in range(count):
-            s = (s + GOLDEN) & MASK64
-            z = ((s ^ (s >> 30)) * MIX1) & MASK64
-            z = ((z ^ (z >> 27)) * MIX2) & MASK64
-            append(lo + (z ^ (z >> 31)) % r)
-        self.state = s
-        return out
+        self.state = (s + count * GOLDEN) & MASK64
+        return next(draw_streams([(s, count)], lo, hi))
+
+
+def in_range(z: int, lo: int, hi: int) -> int:
+    """A 64-bit output reduced to [lo, hi], as :meth:`SplitMix64.next_in_range` does."""
+    return lo + z % (hi - lo + 1)
+
+
+def draw_streams(streams, lo: int = 0, hi: int = MASK64):
+    """Yield, per ``(seed, count)`` of `streams`, the first `count` draws of
+    ``SplitMix64(seed).next_in_range(lo, hi)``, mixed ``_LANES`` at a time."""
+    streams = list(streams)
+    r = hi - lo + 1
+    states = chain.from_iterable(
+        [(seed + u * GOLDEN) & MASK64 for u in range(t, min(t + _LANES, count + 1))]
+        for seed, count in streams
+        for t in range(1, count + 1, _LANES)
+    )
+    values, at = [], 0
+    for _, count in streams:
+        if at + count > len(values):
+            values, at = values[at:], 0
+            while len(values) < count:
+                mixed = mix64_many(list(islice(states, _LANES)))
+                # the full range keeps each raw output as it is
+                values += mixed if (lo, r) == (0, 1 << 64) else [lo + z % r for z in mixed]
+        # a stream that fills the buffer alone is handed over, not copied
+        yield values if count == len(values) else values[at : at + count]
+        at += count
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -72,3 +119,8 @@ def derive_seed(master: int, index: int) -> int:
     parallel workers reproduce exactly what a sequential run would draw.
     """
     return mix64((master + (index + 1) * GOLDEN) & MASK64)
+
+
+def derive_seeds(master: int, start: int, count: int) -> list[int]:
+    """``derive_seed(master, j)`` for ``j`` in ``start .. start + count - 1``."""
+    return next(draw_streams([(master + start * GOLDEN, count)]))

@@ -21,7 +21,10 @@ seed is any int, not a bool, read mod 2**64.  Sweep game ``j`` draws from
 the substream ``derive_seed(seed, j)``, in order: the strategy count, the
 game seed, the deletion-order seed.  A sweep builds one layout per
 strategy count and fills it for every game of that count, so its games
-equal the generator's.  Identical configurations therefore give
+equal the generator's.  It draws per batch of up to ``_BATCH`` games,
+through ``rng``'s bulk draws: the derived seeds, the three draws of each
+game, then the class values of each game not skipped.  Each value is
+the one its stream would draw alone, so identical configurations give
 identical reports on any machine and under any worker count.
 """
 
@@ -51,7 +54,7 @@ from .game_core import (
     remove_pairs,
 )
 from .game_io import GameDocument, format_profile, serialize_game
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, derive_seed, derive_seeds, draw_streams, in_range
 from .solvers import (
     AnalysisReport,
     RegionTag,
@@ -68,6 +71,9 @@ IR_SURVIVES_ROUND_1 = "ir-survives-round-1"
 # Order-independence enumerates every deletion order when the batch trace
 # deletes at most this many pairs, and samples random orders above it.
 EXHAUSTIVE_LIMIT = 3
+
+# A sweep draws the seeds and headers of up to this many games at once.
+_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -138,11 +144,7 @@ def gen_random_symmetric_game(
     check_payoff_range(lo, hi)
     check_size_guard(counts, max_entries)
     _check_seed(seed)
-    return _fill_symmetric(_symmetric_layout(n_players, _labels(k)), lo, hi, seed)
-
-
-def _fill_symmetric(layout: _SymmetricLayout, lo: int, hi: int, seed: int) -> Game:
-    """The game of `layout` with its ``layout[2]`` class values drawn in class order."""
+    layout = _symmetric_layout(n_players, _labels(k))
     return _symmetric_game(layout, SplitMix64(seed).next_many_in_range(lo, hi, layout[2]))
 
 
@@ -393,33 +395,38 @@ def _validate_config(config: SweepConfig) -> None:
             raise BadRange(f"property {prop!r} listed twice")
 
 
-def _sweep_chunk(config: SweepConfig, start: int, stop: int):
-    checked = 0
-    skipped = 0
-    violations: list[tuple[str, str]] = []
-    rationalizable_witnesses = 0
-    ir_witnesses = 0
+def _sweep_games(config: SweepConfig, start: int, stop: int):
+    """Sweep games ``start .. stop - 1`` not skipped, in order, with their order seeds."""
     # One layout per strategy count, None for a count over the size guard.
     # _validate_config has checked the payoff range and the player count;
     # each new count gets the generator's shape and size checks here.
     layouts: dict[int, _SymmetricLayout | None] = {}
-    for j in range(start, stop):
-        stream = SplitMix64(derive_seed(config.seed, j))
-        k = stream.next_in_range(config.min_strategies, config.max_strategies)
-        game_seed = stream.next_u64()
-        order_seed = stream.next_u64()
-        if k not in layouts:
-            try:
-                check_size_guard(check_shape(config.players, k), config.max_entries)
-            except SizeGuardExceeded:
-                layouts[k] = None
-            else:
-                layouts[k] = _symmetric_layout(config.players, _labels(k))
-        layout = layouts[k]
-        if layout is None:
-            skipped += 1
-            continue
-        g = _fill_symmetric(layout, config.payoff_lo, config.payoff_hi, game_seed)
+    for a in range(start, stop, _BATCH):
+        seeds = derive_seeds(config.seed, a, min(_BATCH, stop - a))
+        games = []
+        for k_draw, game_seed, order_seed in draw_streams((seed, 3) for seed in seeds):
+            k = in_range(k_draw, config.min_strategies, config.max_strategies)
+            if k not in layouts:
+                try:
+                    check_size_guard(check_shape(config.players, k), config.max_entries)
+                except SizeGuardExceeded:
+                    layouts[k] = None
+                else:
+                    layouts[k] = _symmetric_layout(config.players, _labels(k))
+            if (layout := layouts[k]) is not None:
+                games.append((layout, game_seed, order_seed))
+        streams = [(game_seed, layout[2]) for layout, game_seed, _ in games]
+        draws = draw_streams(streams, config.payoff_lo, config.payoff_hi)
+        for (layout, _, order_seed), values in zip(games, draws):
+            yield _symmetric_game(layout, values), order_seed
+
+
+def _sweep_chunk(config: SweepConfig, start: int, stop: int):
+    checked = 0
+    violations: list[tuple[str, str]] = []
+    rationalizable_witnesses = 0
+    ir_witnesses = 0
+    for g, order_seed in _sweep_games(config, start, stop):
         checked += 1
         report = build_report(g)
         for prop in config.properties:
@@ -431,7 +438,7 @@ def _sweep_chunk(config: SweepConfig, start: int, stop: int):
             all(v in alive for v, alive in zip(p, survivors)) for p in report.hofstadter
         )
         ir_witnesses += mask.count(1) - sum(mask[p[0] * sum(g.strides)] for p in report.hofstadter)
-    return checked, skipped, violations, rationalizable_witnesses, ir_witnesses
+    return checked, stop - start - checked, violations, rationalizable_witnesses, ir_witnesses
 
 
 def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:

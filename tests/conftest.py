@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import nonnash.rng
 import nonnash.verify
 from nonnash import (
     SweepConfig,
@@ -27,6 +28,20 @@ from oracles import sweep_game  # found through the path above
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GAMES_DIR = REPO_ROOT / "games"
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The lane count of every rng.mix64_many pass the bulk draws make."""
+    sizes = []
+    mix64_many = nonnash.rng.mix64_many
+
+    def counting_mix64_many(states):
+        sizes.append(len(states))
+        return mix64_many(states)
+
+    monkeypatch.setattr(nonnash.rng, "mix64_many", counting_mix64_many)
+    return sizes
 
 
 @pytest.fixture

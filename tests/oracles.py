@@ -365,6 +365,20 @@ def proof_referee(report):
     return None
 
 
+def draws_referee(state: int, lo: int, hi: int, count: int) -> tuple[list[int], int]:
+    """`count` draws from [lo, hi] of a splitmix64 stream now at `state`,
+    and its end state: the scalar loop, one step and one finalizer pass
+    per draw, with the published constants written out."""
+    mask = (1 << 64) - 1
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(lo + (z ^ (z >> 31)) % (hi - lo + 1))
+    return out, state
+
+
 def sweep_game(config, j: int):
     """Game `j` of a sweep and its deletion-order seed, rebuilt through the
     public generator from the substream ``derive_seed(config.seed, j)`` as

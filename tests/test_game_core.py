@@ -526,6 +526,21 @@ class TestRestrict:
         assert restrict(g, full_sets(g)) == g
         assert g.payoffs == tuple(zip(*g.columns))
 
+    def test_random_restriction_equals_per_cell_lookup(self):
+        """The kept cells, built per player from strides, hold the payoffs
+        a per-cell lookup of every kept profile gives, in cell order."""
+        rng = random.Random(2017)
+        for _ in range(200):
+            counts = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            g = gen_random_game(len(counts), counts, -9, 9, seed=rng.getrandbits(64))
+            s = [rng.sample(range(k), rng.randint(1, k)) for k in counts]
+            kept = list(itertools.product(*map(sorted, s)))
+            r = restrict(g, s)
+            assert r.strategy_counts == tuple(map(len, s))
+            assert r.payoffs == tuple(
+                tuple(payoff(g, p, i) for i in range(g.n_players)) for p in kept
+            )
+
     def test_single_survivor(self, g3x3):
         r = restrict(g3x3, [(0,), (0,)])
         assert r.payoffs == ((9, 9),)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import nonnash.cli
 import nonnash.game_core
 import nonnash.game_io
+import nonnash.rng
 import nonnash.solvers
 import nonnash.verify
 from nonnash import (
@@ -61,8 +62,20 @@ from oracles import (
 
 @pytest.fixture
 def draws(monkeypatch):
-    """One entry per value drawn from a stream the verify module makes."""
+    """One entry per value drawn from a stream the verify module makes, and
+    one per value a sweep draws through its ``derive_seeds`` and
+    ``draw_streams``."""
     drawn = []
+    derive_seeds, draw_streams = nonnash.verify.derive_seeds, nonnash.verify.draw_streams
+
+    def counting_derive_seeds(master, start, count):
+        drawn.extend([1] * count)
+        return derive_seeds(master, start, count)
+
+    def counting_draw_streams(streams, *bounds):
+        for values in draw_streams(streams, *bounds):
+            drawn.extend([1] * len(values))
+            yield values
 
     class CountingStream(SplitMix64):
         def next_u64(self):
@@ -74,6 +87,8 @@ def draws(monkeypatch):
             return super().next_many_in_range(lo, hi, count)
 
     monkeypatch.setattr(nonnash.verify, "SplitMix64", CountingStream)
+    monkeypatch.setattr(nonnash.verify, "derive_seeds", counting_derive_seeds)
+    monkeypatch.setattr(nonnash.verify, "draw_streams", counting_draw_streams)
     return drawn
 
 
@@ -523,6 +538,10 @@ class TestClassifyRegions:
         assert '"symmetric": false' in render_report(r2, "json")
 
 
+# Six 2-player games of 64 to 72 strategies, none skipped.
+LARGE_SWEEP = SweepConfig(min_strategies=64, max_strategies=72, games=6, seed=3)
+
+
 class TestSweep:
     def test_empty_sweep(self):
         # a sweep that checks no game must not pass
@@ -651,7 +670,14 @@ class TestSweep:
             players=3, min_strategies=1, max_strategies=4, games=60, seed=6,
             properties=ALL_PROPERTIES, orders_per_game=3,
         ),
-    ], ids=["2p-size-guard", "3p"])
+        # four draw batches, with skipped games among them, and at two
+        # workers a second chunk that starts inside a batch
+        SweepConfig(min_strategies=2, max_strategies=12, games=200, seed=8, max_entries=200),
+        # games of 4,096 to 5,184 class values: each takes more than one
+        # mix64_many pass, and a pass mixes the end of one game with the
+        # start of the next
+        LARGE_SWEEP,
+    ], ids=["2p-size-guard", "3p", "2p-batches", "2p-large"])
     def test_sweep_equals_its_replay(self, config, monkeypatch, inline_pool):
         expected = self.replay(config)
         assert expected[0] and expected[3] and expected[4]
@@ -666,6 +692,13 @@ class TestSweep:
                 report.ir_not_hofstadter,
             ) == expected, workers
         assert inline_pool == [2]
+
+    def test_large_games_mix_bounded_passes(self, passes):
+        """However many class values a batch's games hold, each mix64_many
+        pass of a sweep takes at most ``rng._LANES`` lanes."""
+        sweep(LARGE_SWEEP)
+        assert sum(passes) > 6 * 4096
+        assert max(passes) <= nonnash.rng._LANES
 
     def test_bad_config(self):
         with pytest.raises(BadRange):
