@@ -34,7 +34,6 @@ from .game_core import (
     Game,
     Profile,
     Survivors,
-    diagonal_profiles,
     full_sets,
     is_symmetric,
     new_game,

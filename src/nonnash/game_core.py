@@ -28,7 +28,6 @@ from .errors import (
     InvalidGame,
     InvalidLabel,
     MissingCell,
-    NotSymmetric,
     PayoffOutOfRange,
     SizeGuardExceeded,
 )
@@ -487,18 +486,6 @@ def _symmetry_scan(g: Game) -> bool:
             if row[here : here + narrow] != row[there : there + narrow]:
                 return False
     return True
-
-
-def diagonal_profiles(g: Game) -> list[Profile]:
-    """The profiles assigning one shared strategy to every player.
-
-    Only defined for symmetric games, where all players share a strategy
-    list.
-    """
-    if not is_symmetric(g):
-        raise NotSymmetric("diagonal profiles are defined only for symmetric games")
-    n = g.n_players
-    return [(k,) * n for k in range(g.strategy_counts[0])]
 
 
 def full_sets(g: Game) -> Survivors:

@@ -13,7 +13,8 @@ in its own 128-bit slot of one int, packed little-endian on every host,
 so each step is one big-int operation over all lanes.  No slot carries:
 a lane times a 64-bit multiplier stays below 2**128, and every shifted
 and multiplied value is masked back to the low 64 bits of each slot.
-The bulk draws mix ``_LANES`` lanes per pass, so their memory is bounded.
+:func:`draw_streams`, the one bulk draw, mixes ``_LANES`` lanes per pass,
+so its memory is bounded.
 """
 
 import struct
@@ -74,21 +75,10 @@ class SplitMix64:
         rule stays fixed anyway, since changing it would change every
         seeded game and sweep report.
         """
-        return in_range(self.next_u64(), lo, hi)
-
-    def next_many_in_range(self, lo: int, hi: int, count: int) -> list[int]:
-        """`count` draws of :meth:`next_in_range` in one pass, same end state."""
-        s = self.state
-        self.state = (s + count * GOLDEN) & MASK64
-        return next(draw_streams([(s, count)], lo, hi))
+        return lo + self.next_u64() % (hi - lo + 1)
 
 
-def in_range(z: int, lo: int, hi: int) -> int:
-    """A 64-bit output reduced to [lo, hi], as :meth:`SplitMix64.next_in_range` does."""
-    return lo + z % (hi - lo + 1)
-
-
-def draw_streams(streams, lo: int = 0, hi: int = MASK64):
+def draw_streams(streams, lo: int, hi: int):
     """Yield, per ``(seed, count)`` of `streams`, the first `count` draws of
     ``SplitMix64(seed).next_in_range(lo, hi)``, mixed ``_LANES`` at a time."""
     streams = list(streams)
@@ -98,17 +88,11 @@ def draw_streams(streams, lo: int = 0, hi: int = MASK64):
         for seed, count in streams
         for t in range(1, count + 1, _LANES)
     )
-    values, at = [], 0
+    # one pass per _LANES states, mixed and reduced only once a stream reaches it
+    passes = iter(lambda: list(islice(states, _LANES)), [])
+    values = chain.from_iterable([lo + z % r for z in mix64_many(lanes)] for lanes in passes)
     for _, count in streams:
-        if at + count > len(values):
-            values, at = values[at:], 0
-            while len(values) < count:
-                mixed = mix64_many(list(islice(states, _LANES)))
-                # the full range keeps each raw output as it is
-                values += mixed if (lo, r) == (0, 1 << 64) else [lo + z % r for z in mixed]
-        # a stream that fills the buffer alone is handed over, not copied
-        yield values if count == len(values) else values[at : at + count]
-        at += count
+        yield list(islice(values, count))
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -120,7 +104,3 @@ def derive_seed(master: int, index: int) -> int:
     """
     return mix64((master + (index + 1) * GOLDEN) & MASK64)
 
-
-def derive_seeds(master: int, start: int, count: int) -> list[int]:
-    """``derive_seed(master, j)`` for ``j`` in ``start .. start + count - 1``."""
-    return next(draw_streams([(master + start * GOLDEN, count)]))

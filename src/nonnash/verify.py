@@ -21,9 +21,9 @@ seed is any int, not a bool, read mod 2**64.  Sweep game ``j`` draws from
 the substream ``derive_seed(seed, j)``, in order: the strategy count, the
 game seed, the deletion-order seed.  A sweep builds one layout per
 strategy count and fills it for every game of that count, so its games
-equal the generator's.  It draws per batch of up to ``_BATCH`` games,
-through ``rng``'s bulk draws: the derived seeds, the three draws of each
-game, then the class values of each game not skipped.  Each value is
+equal the generator's.  It draws those three values per game, from the
+scalar stream, and the class values of its games not skipped per batch
+of up to ``_BATCH`` games, through ``rng.draw_streams``.  Each value is
 the one its stream would draw alone, so identical configurations give
 identical reports on any machine and under any worker count.
 """
@@ -54,7 +54,7 @@ from .game_core import (
     remove_pairs,
 )
 from .game_io import GameDocument, format_profile, serialize_game
-from .rng import SplitMix64, derive_seed, derive_seeds, draw_streams, in_range
+from .rng import SplitMix64, derive_seed, draw_streams
 from .solvers import (
     AnalysisReport,
     RegionTag,
@@ -72,7 +72,7 @@ IR_SURVIVES_ROUND_1 = "ir-survives-round-1"
 # deletes at most this many pairs, and samples random orders above it.
 EXHAUSTIVE_LIMIT = 3
 
-# A sweep draws the seeds and headers of up to this many games at once.
+# A sweep draws the class values of up to this many games at once.
 _BATCH = 64
 
 
@@ -118,7 +118,7 @@ def gen_random_game(
     check_size_guard(counts, max_entries)
     _check_seed(seed)
     labels = tuple(map(_labels, counts))
-    draws = SplitMix64(seed).next_many_in_range(lo, hi, math.prod(counts) * n_players)
+    draws = next(draw_streams([(seed, math.prod(counts) * n_players)], lo, hi))
     # The draws run cell by cell, so player i's column is every n-th from i.
     return Game(labels, tuple(tuple(draws[i::n_players]) for i in range(n_players)))
 
@@ -145,7 +145,7 @@ def gen_random_symmetric_game(
     check_size_guard(counts, max_entries)
     _check_seed(seed)
     layout = _symmetric_layout(n_players, _labels(k))
-    return _symmetric_game(layout, SplitMix64(seed).next_many_in_range(lo, hi, layout[2]))
+    return _symmetric_game(layout, next(draw_streams([(seed, layout[2])], lo, hi)))
 
 
 def _require_symmetric(r: AnalysisReport, what: str) -> None:
@@ -402,10 +402,11 @@ def _sweep_games(config: SweepConfig, start: int, stop: int):
     # each new count gets the generator's shape and size checks here.
     layouts: dict[int, _SymmetricLayout | None] = {}
     for a in range(start, stop, _BATCH):
-        seeds = derive_seeds(config.seed, a, min(_BATCH, stop - a))
         games = []
-        for k_draw, game_seed, order_seed in draw_streams((seed, 3) for seed in seeds):
-            k = in_range(k_draw, config.min_strategies, config.max_strategies)
+        for j in range(a, min(a + _BATCH, stop)):
+            stream = SplitMix64(derive_seed(config.seed, j))
+            k = stream.next_in_range(config.min_strategies, config.max_strategies)
+            game_seed, order_seed = stream.next_u64(), stream.next_u64()
             if k not in layouts:
                 try:
                     check_size_guard(check_shape(config.players, k), config.max_entries)

@@ -32,7 +32,7 @@ GAMES_DIR = REPO_ROOT / "games"
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The lane count of every rng.mix64_many pass the bulk draws make."""
+    """The lane count of every rng.mix64_many pass the bulk draw makes."""
     sizes = []
     mix64_many = nonnash.rng.mix64_many
 

@@ -365,10 +365,10 @@ def proof_referee(report):
     return None
 
 
-def draws_referee(state: int, lo: int, hi: int, count: int) -> tuple[list[int], int]:
-    """`count` draws from [lo, hi] of a splitmix64 stream now at `state`,
-    and its end state: the scalar loop, one step and one finalizer pass
-    per draw, with the published constants written out."""
+def draws_referee(state: int, lo: int, hi: int, count: int) -> list[int]:
+    """`count` draws from [lo, hi] of a splitmix64 stream now at `state`:
+    the scalar loop, one step and one finalizer pass per draw, with the
+    published constants written out."""
     mask = (1 << 64) - 1
     out = []
     for _ in range(count):
@@ -376,7 +376,7 @@ def draws_referee(state: int, lo: int, hi: int, count: int) -> tuple[list[int], 
         z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(lo + (z ^ (z >> 31)) % (hi - lo + 1))
-    return out, state
+    return out
 
 
 def sweep_game(config, j: int):

@@ -15,10 +15,8 @@ from nonnash import (
     InvalidGame,
     InvalidLabel,
     MissingCell,
-    NotSymmetric,
     PayoffOutOfRange,
     SizeGuardExceeded,
-    diagonal_profiles,
     eliminate_round,
     gen_random_game,
     gen_random_symmetric_game,
@@ -481,23 +479,6 @@ class TestIsSymmetric:
                     permuted[perm[i]] = p[i]
                 for i in range(2):
                     assert payoff(g3x3, p, i) == payoff(g3x3, tuple(permuted), perm[i])
-
-
-class TestDiagonalProfiles:
-    def test_pd(self, pd):
-        assert diagonal_profiles(pd) == [(0, 0), (1, 1)]
-
-    def test_3x3(self, g3x3):
-        assert diagonal_profiles(g3x3) == [(0, 0), (1, 1), (2, 2)]
-
-    def test_three_player(self):
-        g = gen_random_symmetric_game(3, 2, 0, 9, seed=3)
-        assert diagonal_profiles(g) == [(0, 0, 0), (1, 1, 1)]
-
-    def test_requires_symmetry(self):
-        g = gen_random_game(2, (2, 3), 0, 9, seed=1)
-        with pytest.raises(NotSymmetric):
-            diagonal_profiles(g)
 
 
 class TestRestrict:

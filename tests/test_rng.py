@@ -5,7 +5,7 @@ import pytest
 from nonnash import SplitMix64, derive_seed
 from nonnash.game_core import PAYOFF_MAX, PAYOFF_MIN
 from nonnash.rng import (
-    _LANES, GOLDEN, MASK64, derive_seeds, draw_streams, mix64, mix64_many,
+    _LANES, GOLDEN, MASK64, draw_streams, mix64, mix64_many,
 )
 
 from oracles import draws_referee
@@ -17,12 +17,9 @@ from oracles import draws_referee
 @pytest.mark.parametrize("count", [0, 1, 7, 100])
 def test_batch_equals_repeated_draws(lo, hi, count):
     for seed in (0, 1, 2**64 - 1, derive_seed(3, 4)):
-        one, batch = SplitMix64(seed), SplitMix64(seed)
-        drawn = batch.next_many_in_range(lo, hi, count)
+        one = SplitMix64(seed)
+        drawn = next(draw_streams([(seed, count)], lo, hi))
         assert drawn == [one.next_in_range(lo, hi) for _ in range(count)]
-        assert batch.state == one.state
-        # the stream goes on as if each value had been drawn alone
-        assert batch.next_u64() == one.next_u64()
 
 
 def test_first_draws_are_pinned():
@@ -32,7 +29,7 @@ def test_first_draws_are_pinned():
     assert [rng.next_u64() for _ in range(3)] == [
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
     ]
-    assert SplitMix64(0).next_many_in_range(0, 2**64 - 1, 1) == [0xE220A8397B1DCDAF]
+    assert next(draw_streams([(0, 1)], 0, MASK64)) == [0xE220A8397B1DCDAF]
 
 
 EDGE_STATES = [0, 1, 2**63, MASK64, GOLDEN, (2 * GOLDEN) & MASK64, (-GOLDEN) & MASK64]
@@ -59,12 +56,9 @@ def test_mix64_many_edge_lanes():
     "lo, hi", [(0, 99), (PAYOFF_MIN, PAYOFF_MAX)], ids=["0..99", "widest"]
 )
 @pytest.mark.parametrize("count", [0, 1, 3, 1000, 2 * _LANES + 5])
-def test_next_many_in_range_equals_scalar_loop(lo, hi, count):
+def test_one_stream_equals_referee(lo, hi, count):
     for seed in (0, MASK64, 2**63, derive_seed(5, 6)):
-        rng = SplitMix64(seed)
-        assert (rng.next_many_in_range(lo, hi, count), rng.state) == draws_referee(
-            seed, lo, hi, count
-        )
+        assert next(draw_streams([(seed, count)], lo, hi)) == draws_referee(seed, lo, hi, count)
 
 
 def test_draw_streams_equals_scalar_loops(passes):
@@ -77,16 +71,26 @@ def test_draw_streams_equals_scalar_loops(passes):
     for lo, hi in [(0, 99), (PAYOFF_MIN, PAYOFF_MAX), (0, MASK64)]:
         passes.clear()
         drawn = list(draw_streams(iter(streams), lo, hi))
-        assert drawn == [draws_referee(seed, lo, hi, c)[0] for seed, c in streams]
+        assert drawn == [draws_referee(seed, lo, hi, c) for seed, c in streams]
         assert sum(passes) == sum(counts)
         assert max(passes) <= _LANES
-    assert list(draw_streams([])) == []
+    assert list(draw_streams([], 0, 99)) == []
+
+
+def test_draw_streams_mixes_lanes_only_as_streams_are_taken(passes):
+    drawn = draw_streams([(1, 3), (2, 5 * _LANES)], 0, 99)
+    assert next(drawn) == draws_referee(1, 0, 99, 3)
+    assert passes == [_LANES]
+    assert next(drawn) == draws_referee(2, 0, 99, 5 * _LANES)
+    assert passes == [_LANES] * 5 + [3]
 
 
 @pytest.mark.parametrize("master", [0, 7, MASK64, -3, 2**70 + 1])
-def test_derive_seeds_equals_derive_seed(master):
+def test_derive_seed_is_a_raw_draw_of_the_master_stream(master):
+    # substream j's seed is draw j of the master stream, whatever j the
+    # stream starts from
     for start, count in [(0, 0), (0, 1), (5, 64), (2**40, 3), (0, _LANES + 9)]:
-        assert derive_seeds(master, start, count) == [
+        assert next(draw_streams([(master + start * GOLDEN, count)], 0, MASK64)) == [
             derive_seed(master, j) for j in range(start, start + count)
         ]
 

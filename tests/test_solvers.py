@@ -12,7 +12,6 @@ from nonnash import (
     RegionTag,
     SplitMix64,
     build_report,
-    diagonal_profiles,
     elimination_ladder,
     eliminate_round,
     gen_random_game,
@@ -93,7 +92,17 @@ class TestHofstadter:
             g = gen_random_symmetric_game(2, 2 + j % 4, 0, 20, seed=500 + j)
             eq = hofstadter_equilibria(g)
             assert eq
-            assert set(eq) <= set(diagonal_profiles(g))
+            assert set(eq) <= {(a, a) for a in range(2 + j % 4)}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_best_of_every_diagonal_profile(self, n):
+        # a diagonal profile read cell by cell, not off the strided slice
+        for j in range(12):
+            k = 2 + j % 3
+            g = gen_random_symmetric_game(n, k, 0, 3, seed=700 + j)
+            diagonal = [(a,) * n for a in range(k)]
+            best = max(payoff(g, p, 0) for p in diagonal)
+            assert hofstadter_equilibria(g) == [p for p in diagonal if payoff(g, p, 0) == best]
 
 
 class TestMaximin:

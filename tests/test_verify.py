@@ -63,17 +63,12 @@ from oracles import (
 @pytest.fixture
 def draws(monkeypatch):
     """One entry per value drawn from a stream the verify module makes, and
-    one per value a sweep draws through its ``derive_seeds`` and
-    ``draw_streams``."""
+    one per value it draws through ``draw_streams``."""
     drawn = []
-    derive_seeds, draw_streams = nonnash.verify.derive_seeds, nonnash.verify.draw_streams
+    draw_streams = nonnash.verify.draw_streams
 
-    def counting_derive_seeds(master, start, count):
-        drawn.extend([1] * count)
-        return derive_seeds(master, start, count)
-
-    def counting_draw_streams(streams, *bounds):
-        for values in draw_streams(streams, *bounds):
+    def counting_draw_streams(streams, lo, hi):
+        for values in draw_streams(streams, lo, hi):
             drawn.extend([1] * len(values))
             yield values
 
@@ -82,12 +77,7 @@ def draws(monkeypatch):
             drawn.append(1)
             return super().next_u64()
 
-        def next_many_in_range(self, lo, hi, count):
-            drawn.extend([1] * count)
-            return super().next_many_in_range(lo, hi, count)
-
     monkeypatch.setattr(nonnash.verify, "SplitMix64", CountingStream)
-    monkeypatch.setattr(nonnash.verify, "derive_seeds", counting_derive_seeds)
     monkeypatch.setattr(nonnash.verify, "draw_streams", counting_draw_streams)
     return drawn
 
@@ -246,7 +236,7 @@ def test_every_symmetric_game_passes_the_scan(n, k):
     layout = nonnash.game_core._symmetric_layout(n, tuple(f"s{v}" for v in range(k)))
     m = layout[2]
     scan = nonnash.game_core._symmetry_scan
-    for values in (range(m), [0] * m, SplitMix64(k).next_many_in_range(0, 2, m)):
+    for values in (range(m), [0] * m, next(nonnash.rng.draw_streams([(k, m)], 0, 2))):
         g = nonnash.game_core._symmetric_game(layout, values)
         # on the rows the layout set, and on rows built from the table
         assert scan(g) and scan(Game(g.strategy_labels, g.columns))
