@@ -32,14 +32,15 @@ Elimination keeps one state per run (:class:`_Elimination`).  A run from
 the full sets (:func:`iterate_elimination`, :func:`sequential_elimination`)
 starts with every strategy alive and no pass over the sets; a run from
 given sets deletes what they leave out.  Until the first deletion nothing
-is sorted: round 1 of a game that deletes nothing is decided from each
-row's minimum and maximum.  The first deletion sorts each row's entries
-once by payoff and adds a dead flag per opponent profile and a pointer to
-the least and to the greatest alive entry of each row.  A deletion only
-sets the dead flags of the opponent profiles that use the deleted
-strategy.  Since flags are never cleared, both pointers only move inward,
-so a run scans each row at most once in total instead of once per round.
-:func:`iterate_elimination`, :func:`eliminate_round`,
+is sorted: round 1 is decided from each row's minimum and maximum over the
+full game, so its best guarantee per player is the maximin value, which
+:func:`build_report` reads off its one run.  The first deletion sorts each
+row's entries once by payoff and adds a dead flag per opponent profile and
+a pointer to the least and to the greatest alive entry of each row.  A
+deletion only sets the dead flags of the opponent profiles that use the
+deleted strategy.  Since flags are never cleared, both pointers only move
+inward, so a run scans each row at most once in total instead of once per
+round.  :func:`iterate_elimination`, :func:`eliminate_round`,
 :func:`is_minimax_dominated` and :func:`sequential_elimination` all use it.
 
 When every player's rows equal player 0's (every symmetric game, and
@@ -47,7 +48,8 @@ some others), :func:`iterate_elimination` mirrors player 0.  Its sets
 start full, hence equal; equal sets give every player the same alive
 opponent profile indices, so each round deletes the same strategies for
 every player and the sets stay equal.  So the state sorts, flags and
-scans player 0's rows alone and repeats player 0's batch for every player.
+scans player 0's rows alone and repeats player 0's batch and guarantee
+for every player.
 """
 
 import itertools
@@ -140,7 +142,8 @@ def maximin_values(g: Game) -> MaximinVector:
     """Each player's best worst payoff.
 
     Entry i is the max over player i's strategies of the min over all
-    joint opponent profiles of player i's payoff.
+    joint opponent profiles of player i's payoff.  :func:`build_report`
+    reads the same values off round 1 of its elimination run instead.
     """
     return tuple(max(map(min, rows)) for rows in g.own_rows)
 
@@ -183,6 +186,9 @@ class _Elimination:
     def __init__(self, g: Game, survivors: Survivors | None = None):
         self._rows = g.own_rows
         self._orders: list[list[array]] | None = None
+        # Each player's best guarantee, set by `dominated` while nothing is
+        # deleted: in a run from the full sets, round 1's, the maximin values.
+        self.maximin: MaximinVector = ()
         self._strides = g.strides
         self._counts = counts = g.strategy_counts
         self.alive = [list(range(k)) for k in counts]
@@ -245,14 +251,17 @@ class _Elimination:
     def dominated(self) -> list[tuple[int, int]]:
         """Every minimax-dominated (player, strategy) pair, sorted; a
         strategy attaining its player's best guarantee is never among them.
-        A mirrored run repeats player 0's pairs for every player."""
-        batch = []
+        A mirrored run repeats player 0's pairs and guarantee for every player."""
+        batch, best = [], []
         for i, alive in enumerate(self.alive[: len(self._rows)]):
             mins, maxs = self.bounds(i)
-            best_guarantee = max(mins)
-            batch.extend((i, a) for a, top in zip(alive, maxs) if top < best_guarantee)
+            best.append(max(mins))
+            batch.extend((i, a) for a, top in zip(alive, maxs) if top < best[-1])
         if len(self._rows) < len(self.alive):
             batch = [(i, a) for i in range(len(self.alive)) for _, a in batch]
+            best *= len(self.alive)
+        if self._orders is None:
+            self.maximin = tuple(best)
         return batch
 
     def survivors(self) -> Survivors:
@@ -301,8 +310,13 @@ def eliminate_round(g: Game, survivors) -> tuple[Survivors, list[tuple[int, int]
 
 
 def iterate_elimination(g: Game) -> EliminationTrace:
-    """Run batch elimination from the full sets to a fixed point, on
-    player 0's rows alone when every player has them (module docstring)."""
+    """Run batch elimination from the full sets to a fixed point."""
+    return _iterate(g)[0]
+
+
+def _iterate(g: Game) -> tuple[EliminationTrace, MaximinVector]:
+    """:func:`iterate_elimination`'s run, on player 0's rows alone when every
+    player has them, and its round 1 guarantees (module docstring)."""
     state = _Elimination(g)
     rows = g.own_rows
     if all(other == rows[0] for other in rows[1:]):
@@ -312,7 +326,7 @@ def iterate_elimination(g: Game) -> EliminationTrace:
         rounds.append(tuple(batch))
         for pair in batch:
             state.delete(*pair)
-    return EliminationTrace(rounds=tuple(rounds), final_survivors=state.survivors())
+    return EliminationTrace(tuple(rounds), state.survivors()), state.maximin
 
 
 def sequential_elimination(
@@ -444,13 +458,13 @@ class AnalysisReport:
 
 
 def build_report(game: Game, name: str = "") -> AnalysisReport:
-    """Run every solver on `game` once and collect the results."""
-    maximin = maximin_values(game)
+    """Run every solver on `game` once; maximin is elimination's round 1."""
+    trace, maximin = _iterate(game)
     return AnalysisReport(
         name=name,
         game=game,
         hofstadter=tuple(_best_diagonal(game)) if is_symmetric(game) else None,
         maximin=maximin,
         ir_mask=_rational_mask(game, maximin),
-        trace=iterate_elimination(game),
+        trace=trace,
     )

@@ -6,12 +6,14 @@ import random
 
 from nonnash import (
     SplitMix64,
+    build_report,
     eliminate_round,
     gen_random_game,
     gen_random_symmetric_game,
     is_minimax_dominated,
     is_symmetric,
     iterate_elimination,
+    maximin_values,
     new_game,
     pure_nash,
 )
@@ -20,6 +22,7 @@ from nonnash.game_core import full_sets, profiles
 from oracles import (
     dominators_oracle,
     elimination_oracle,
+    maximin_oracle,
     nash_oracle,
     symmetric_oracle,
 )
@@ -92,6 +95,27 @@ def test_iterate_elimination_matches_oracle():
         trace = iterate_elimination(g)
         expected = elimination_oracle(g, full_sets(g))
         assert (trace.rounds, trace.final_survivors) == expected, index
+
+
+def test_report_maximin_matches_oracle():
+    """A report reads maximin off round 1 of its elimination run, which
+    mirrors player 0 on symmetric games and tracks every player otherwise."""
+    shapes = {
+        "unequal counts": 0, "round 1 deletes": 0, "one player": 0,
+        "one strategy": 0, "4-player symmetric": 0,
+    }
+    for index, g in enumerate(GAMES):
+        report = build_report(g)
+        assert report.maximin == maximin_values(g) == maximin_oracle(g), index
+        counts = g.strategy_counts
+        shapes["unequal counts"] += len(set(counts)) > 1
+        shapes["round 1 deletes"] += bool(report.trace.rounds)
+        shapes["one player"] += g.n_players == 1
+        shapes["one strategy"] += 1 in counts
+        shapes["4-player symmetric"] += g.n_players == 4 and report.symmetric and counts[0] > 1
+    assert min(shapes.values()) >= 10, shapes
+    # the ladders, the last four games, delete in round 1 on player 0's rows
+    assert all(build_report(g).trace.rounds for g in GAMES[-4:])
 
 
 def test_eliminate_round_and_dominance_match_oracle():

@@ -736,14 +736,19 @@ class TestSweep:
 
 class TestOneAnalysisPerGame:
     COUNTED = (
-        "is_symmetric", "maximin_values", "iterate_elimination", "_best_diagonal",
-        "pure_nash",
+        "is_symmetric", "_iterate", "_best_diagonal", "maximin_values",
+        "iterate_elimination", "pure_nash",
     )
 
     def per_game(self, n):
-        """Expected counts for `n` reports: no reader of a sweep or of
-        `nonnash check` needs pure Nash, which is derived on read."""
-        return {**dict.fromkeys(self.COUNTED, n), "pure_nash": 0}
+        """Expected counts for `n` reports: one elimination run each, whose
+        round 1 gives maximin, so neither `maximin_values` nor the public
+        `iterate_elimination` runs; and no reader of a sweep or of `nonnash
+        check` needs pure Nash, which is derived on read."""
+        return {
+            **dict.fromkeys(self.COUNTED, n),
+            **dict.fromkeys(("maximin_values", "iterate_elimination", "pure_nash"), 0),
+        }
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -771,7 +776,7 @@ class TestOneAnalysisPerGame:
         ]
         assert report.symmetric is True
         assert report.nash == report.nash == ((0, 0),)
-        assert calls == dict.fromkeys(self.COUNTED, 1)
+        assert calls == {**self.per_game(1), "pure_nash": 1}
 
     def test_check_command_skips_nash(self, calls, games_dir, capsys):
         assert nonnash.cli.main(["check", str(games_dir / "g3x3.gnf")]) == 0
