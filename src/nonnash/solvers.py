@@ -360,23 +360,19 @@ class RegionTag(NamedTuple):
     rationalizable: bool
 
 
-# One record per combination of flags, shared by every report's `flags`, which
-# would otherwise hold one per profile for as long as the report lives.  Only
-# the Hofstadter flag can be None; records the theorem rules out stay, so a
-# violation reaches `check` as a verdict rather than as a KeyError.
-_BOOLS = (False, True)
-_FLAGS = {f: RegionTag(*f) for f in itertools.product(_BOOLS, (None, False, True), _BOOLS, _BOOLS)}
-
 # The bit layout of AnalysisReport.codes: bit j of a code is field j of its
-# record.  An asymmetric game's codes never set the Hofstadter bit (j = 1),
-# and its records hold None there.  _RECORDS[symmetric][code] is the code's
-# record, one of the 24 above.
+# record.  _RECORDS[symmetric][code] is the code's record, one per code per
+# table, shared by every report's `flags`, which would otherwise hold one per
+# profile for as long as the report lives.  An asymmetric game's codes never
+# set the Hofstadter bit (j = 1), and its records hold None there.  Records
+# the theorem rules out stay, so a violation reaches `check` as a verdict
+# rather than as a KeyError.
 _RECORDS = {
     symmetric: tuple(
-        _FLAGS[tuple(code >> j & 1 == 1 if symmetric or j != 1 else None for j in range(4))]
+        RegionTag(*(code >> j & 1 == 1 if symmetric or j != 1 else None for j in range(4)))
         for code in range(16)
     )
-    for symmetric in _BOOLS
+    for symmetric in (False, True)
 }
 
 

@@ -320,9 +320,8 @@ def classify_regions(g: Game) -> dict[Profile, RegionTag]:
 
 
 def strict_inclusion_witnesses(tags: dict[Profile, RegionTag]) -> tuple[int, int]:
-    """Counts of (rationalizable and not Hofstadter, IR and not Hofstadter)
-    profiles; both being positive on some game shows the inclusions are
-    strict, not equalities."""
+    """:func:`_check_game`'s two witness counts, read from region tags; both
+    positive on some game shows the paper's inclusions are strict."""
     rationalizable = sum(1 for t in tags.values() if t.rationalizable and not t.hofstadter)
     rational = sum(1 for t in tags.values() if t.individually_rational and not t.hofstadter)
     return rationalizable, rational
@@ -351,11 +350,8 @@ class SweepReport:
     `violations` holds (canonical game text, property name) pairs, by
     game, then in ``config.properties`` order, so any finding can be
     replayed through the CLI; it is empty exactly when the verdict is
-    PASS.  Witness counts tally profiles over all checked games: the
-    rationalizable ones and the individually rational ones that are not
-    Hofstadter, as :func:`strict_inclusion_witnesses` counts them from
-    region tags; :func:`sweep` from each report's survivors and IR mask.
-    Everything except `elapsed` is a pure function of the config.
+    PASS.  Witness counts sum :func:`_check_game`'s over the checked
+    games.  Everything except `elapsed` is a pure function of the config.
     """
 
     config: SweepConfig
@@ -422,24 +418,35 @@ def _sweep_games(config: SweepConfig, start: int, stop: int):
             yield _symmetric_game(layout, values), order_seed
 
 
+def _check_game(config: SweepConfig, g: Game, order_seed: int) -> tuple[list, int, int]:
+    """One sweep game's violations, as (canonical game text, property name)
+    pairs in ``config.properties`` order, and its witness counts: profiles
+    rationalizable, and profiles IR, that are not Hofstadter.  Both read the
+    one report: the survivor sets' product and the IR mask bytes set, less
+    the Hofstadter profiles (a, ..., a) among them, at cells a * sum(strides)."""
+    report = build_report(g)
+    violations = []
+    for prop in config.properties:
+        if not CHECKERS[prop](report, config.orders_per_game, order_seed).passed:
+            violations.append((serialize_game(GameDocument(game=g)), prop))
+    survivors = report.trace.final_survivors
+    mask = report.ir_mask
+    rationalizable = math.prod(map(len, survivors)) - sum(
+        all(v in alive for v, alive in zip(p, survivors)) for p in report.hofstadter
+    )
+    rational = mask.count(1) - sum(mask[p[0] * sum(g.strides)] for p in report.hofstadter)
+    return violations, rationalizable, rational
+
+
 def _sweep_chunk(config: SweepConfig, start: int, stop: int):
-    checked = 0
+    checked = rationalizable = rational = 0
     violations: list[tuple[str, str]] = []
-    rationalizable_witnesses = 0
-    ir_witnesses = 0
-    for g, order_seed in _sweep_games(config, start, stop):
-        checked += 1
-        report = build_report(g)
-        for prop in config.properties:
-            if not CHECKERS[prop](report, config.orders_per_game, order_seed).passed:
-                violations.append((serialize_game(GameDocument(game=g)), prop))
-        survivors = report.trace.final_survivors
-        mask = report.ir_mask
-        rationalizable_witnesses += math.prod(map(len, survivors)) - sum(
-            all(v in alive for v, alive in zip(p, survivors)) for p in report.hofstadter
-        )
-        ir_witnesses += mask.count(1) - sum(mask[p[0] * sum(g.strides)] for p in report.hofstadter)
-    return checked, stop - start - checked, violations, rationalizable_witnesses, ir_witnesses
+    for checked, (g, order_seed) in enumerate(_sweep_games(config, start, stop), 1):
+        found, w_rationalizable, w_rational = _check_game(config, g, order_seed)
+        violations += found
+        rationalizable += w_rationalizable
+        rational += w_rational
+    return checked, violations, rationalizable, rational
 
 
 def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
@@ -455,10 +462,8 @@ def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     below 2 (a `workers` that is not an int raises BadRange); per-game
     seeding makes the report independent of the worker count.  Workers
     take contiguous ranges of games, joined in order, so violations come
-    out by game, then in ``config.properties`` order, unsorted.  A game's
-    witness counts come from its report, with no region tags: the product
-    of the final survivor set sizes and the count of IR mask bytes set,
-    each less the Hofstadter profiles among them.
+    out by game, then in ``config.properties`` order, unsorted.  Each game
+    is checked, and its witnesses counted, by :func:`_check_game`.
     """
     _validate_config(config)
     if not are_ints(workers):
@@ -476,7 +481,8 @@ def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
             futures = [pool.submit(_sweep_chunk, config, a, b) for a, b in bounds]
             parts = [f.result() for f in futures]
     checked = sum(p[0] for p in parts)
-    skipped = sum(p[1] for p in parts)
+    # The chunks partition range(config.games).
+    skipped = config.games - checked
     if not checked:
         raise SizeGuardExceeded(
             f"no game was checked: {skipped} skipped, each needing more than "
@@ -486,8 +492,8 @@ def sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
         config=config,
         games_checked=checked,
         games_skipped=skipped,
-        violations=tuple(v for p in parts for v in p[2]),
-        rationalizable_not_hofstadter=sum(p[3] for p in parts),
-        ir_not_hofstadter=sum(p[4] for p in parts),
+        violations=tuple(v for p in parts for v in p[1]),
+        rationalizable_not_hofstadter=sum(p[2] for p in parts),
+        ir_not_hofstadter=sum(p[3] for p in parts),
         elapsed=time.perf_counter() - started,
     )

@@ -462,15 +462,23 @@ class TestCodes:
         assert len(r.codes) == len(r.game.payoffs)
         assert r.flags == flags_oracle(r)
 
-    def test_codes_map_to_the_24_shared_records(self):
-        shared = nonnash.solvers._FLAGS.values()
-        assert len(set(shared)) == len(set(map(id, shared))) == 24
-        for records in nonnash.solvers._RECORDS.values():
+    def test_codes_map_to_one_shared_record_per_code(self):
+        tables = nonnash.solvers._RECORDS
+        assert set(tables) == {False, True}
+        for symmetric, records in tables.items():
+            # bits 1, 2, 4 and 8 are the fields in order; an asymmetric
+            # table holds None as every record's Hofstadter flag
             assert len(records) == 16
-            assert set(map(id, records)) <= set(map(id, shared))
+            for code, tag in enumerate(records):
+                assert type(tag) is RegionTag
+                assert tag.nash is (code & 1 == 1)
+                assert tag.hofstadter is (code & 2 == 2 if symmetric else None)
+                assert tag.individually_rational is (code & 4 == 4)
+                assert tag.rationalizable is (code & 8 == 8)
+        assert len(set(tables[True])) == 16
         for make in CODED_GAMES.values():
             r = build_report(make())
-            assert set(map(id, r.flags)) <= set(map(id, shared))
+            assert set(map(id, r.flags)) <= set(map(id, tables[r.symmetric]))
 
     @pytest.mark.parametrize("name", [n for n in sorted(CODED_GAMES) if "asym" in n])
     def test_asymmetric_codes_never_set_the_hofstadter_bit(self, name):

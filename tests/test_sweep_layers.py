@@ -10,7 +10,7 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "sweep_layers.py"
 STEPS = [
     "generation", "build_report", "is_symmetric", "_best_diagonal", "_rational_mask",
     "_iterate", "hofstadter-rationalizable", "hofstadter-individually-rational",
-    "ir-survives-round-1", "sweep()",
+    "ir-survives-round-1", "_check_game", "sweep()",
 ]
 
 

@@ -633,7 +633,8 @@ class TestSweep:
     @staticmethod
     def replay(config):
         """The sweep's counts, rebuilt game by game through the public
-        generator with the sweep's derived seeds."""
+        generator with the sweep's derived seeds; each game's violations
+        and region-tag witness counts are also held to ``_check_game``'s."""
         checked = skipped = rationalizable = rational = 0
         violations = []
         for j in range(config.games):
@@ -646,10 +647,16 @@ class TestSweep:
             r = build_report(g)
             for batch in r.trace.rounds:
                 assert len(deleted_sets(config.players, batch)) == 1, (g, batch)
-            for prop in config.properties:
-                if not CHECKERS[prop](r, config.orders_per_game, order_seed).passed:
-                    violations.append((serialize_game(GameDocument(game=g)), prop))
+            found = [
+                (serialize_game(GameDocument(game=g)), prop)
+                for prop in config.properties
+                if not CHECKERS[prop](r, config.orders_per_game, order_seed).passed
+            ]
             w_rationalizable, w_rational = strict_inclusion_witnesses(r.regions)
+            assert nonnash.verify._check_game(config, g, order_seed) == (
+                found, w_rationalizable, w_rational
+            ), j
+            violations += found
             rationalizable += w_rationalizable
             rational += w_rational
         return checked, skipped, tuple(violations), rationalizable, rational
@@ -777,6 +784,13 @@ class TestOneAnalysisPerGame:
         assert report.symmetric is True
         assert report.nash == report.nash == ((0, 0),)
         assert calls == {**self.per_game(1), "pure_nash": 1}
+
+    def test_check_game_builds_one_report(self, calls, g3x3):
+        # the ladder's one survivor is its Hofstadter profile (0, 0); three
+        # other profiles are individually rational
+        config = SweepConfig(properties=ALL_PROPERTIES)
+        assert nonnash.verify._check_game(config, g3x3, 0) == ([], 0, 3)
+        assert calls == self.per_game(1)
 
     def test_check_command_skips_nash(self, calls, games_dir, capsys):
         assert nonnash.cli.main(["check", str(games_dir / "g3x3.gnf")]) == 0

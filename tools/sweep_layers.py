@@ -13,8 +13,10 @@ as the minimum over ``--reps`` runs, in microseconds per game:
   against the report's maximin) and ``_iterate`` (elimination, whose
   round 1 gives maximin);
 * each ``verify.CHECKERS`` entry of the config, on the built reports;
-* ``sweep()``: the whole call, at one worker, which also counts the
-  witnesses.
+* ``_check_game``: what a sweep does with each game it draws (its report,
+  the config's checkers and its witness counts), on fresh games with the
+  sweep's order seeds;
+* ``sweep()``: the whole call, at one worker.
 
 Prints one line per step: the least, median and greatest of the configs'
 figures, and the median's share of the median ``sweep()``.  Uses the
@@ -87,6 +89,10 @@ def layer_times(config: verify.SweepConfig, reps: int) -> dict[str, float]:
             ],
             lambda: reports,
         )
+    steps["_check_game"] = (
+        lambda gs: [verify._check_game(config, g, seed) for g, seed in zip(gs, seeds)],
+        games,
+    )
     steps["sweep()"] = (lambda _: verify.sweep(config), list)
     return {name: best_of(reps, *step) / len(reports) for name, step in steps.items()}
 
