@@ -454,9 +454,9 @@ def _symmetry_scan(g: Game) -> bool:
     Reordering is checked on two moves that generate every permutation of
     the n - 1 opponents: rotating them by one place and swapping the first
     two.  With two opponents the rotation is the swap, so only the rotation
-    runs, once per unordered pair of opponent strategies; with two players
-    there is nothing to reorder.  The test suite cross-checks this against
-    an all-permutations scan.
+    runs; with two players there is nothing to reorder.  No other code
+    compares players' rows.  The test suite cross-checks this against an
+    all-permutations scan.
     """
     if len(set(g.strategy_labels)) > 1:
         return False
@@ -471,14 +471,10 @@ def _symmetry_scan(g: Game) -> bool:
     wide = k ** (g.n_players - 2)
     narrow = wide // k
     # Rotation (x1, rest) -> (rest, x1): the x1 = d block read in order
-    # from entry e must equal every k-th entry from e*k + d.  With two
-    # opponents the rotation is their swap, so block d is read from past its
-    # diagonal, e = d + 1, and the last block has no entry left: each
-    # unordered pair of opponent strategies is compared once.  Else e = 0.
-    starts = range(1, k) if g.n_players == 3 else [0] * k
+    # must equal every k-th entry from d.
     for row in rows[0]:
-        for d, e in enumerate(starts):
-            if row[d * wide + e : (d + 1) * wide] != row[e * k + d :: k]:
+        for d in range(k):
+            if row[d * wide : (d + 1) * wide] != row[d::k]:
                 return False
         # Swap of the first two: block (b, c) must equal block (c, b).
         for b, c in itertools.combinations(range(k), 2) if g.n_players > 3 else ():

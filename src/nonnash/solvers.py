@@ -33,7 +33,8 @@ the full sets (:func:`iterate_elimination`, :func:`sequential_elimination`)
 starts with every strategy alive and no pass over the sets; a run from
 given sets deletes what they leave out.  Until the first deletion nothing
 is sorted: round 1 is decided from each row's minimum and maximum over the
-full game, so its best guarantee per player is the maximin value, which
+full game, so the best guarantees that :meth:`_Elimination.dominated`
+returns with round 1's batch are the maximin values, which
 :func:`build_report` reads off its one run.  The first deletion sorts each
 row's entries once by payoff and adds a dead flag per opponent profile and
 a pointer to the least and to the greatest alive entry of each row.  A
@@ -43,13 +44,15 @@ inward, so a run scans each row at most once in total instead of once per
 round.  :func:`iterate_elimination`, :func:`eliminate_round`,
 :func:`is_minimax_dominated` and :func:`sequential_elimination` all use it.
 
-When every player's rows equal player 0's (every symmetric game, and
-some others), :func:`iterate_elimination` mirrors player 0.  Its sets
-start full, hence equal; equal sets give every player the same alive
-opponent profile indices, so each round deletes the same strategies for
-every player and the sets stay equal.  So the state sorts, flags and
+On a symmetric game (:attr:`Game.symmetric`) every player has player 0's
+rows and the sets start full, hence equal; equal sets give every player
+the same alive opponent profile indices, so each round deletes the same
+strategies for every player and the sets stay equal.  So a Hofstadter
+profile (a, ..., a) can be followed round by round, and
+:func:`iterate_elimination` mirrors player 0: the state sorts, flags and
 scans player 0's rows alone and repeats player 0's batch and guarantee
-for every player.
+for every player.  Any other game, even one whose players share rows,
+tracks every player.
 """
 
 import itertools
@@ -186,9 +189,6 @@ class _Elimination:
     def __init__(self, g: Game, survivors: Survivors | None = None):
         self._rows = g.own_rows
         self._orders: list[list[array]] | None = None
-        # Each player's best guarantee, set by `dominated` while nothing is
-        # deleted: in a run from the full sets, round 1's, the maximin values.
-        self.maximin: MaximinVector = ()
         self._strides = g.strides
         self._counts = counts = g.strategy_counts
         self.alive = [list(range(k)) for k in counts]
@@ -198,8 +198,8 @@ class _Elimination:
 
     def mirror(self) -> None:
         """Track player 0 alone, whose bounds then decide every player's
-        batch; sound only while every player has player 0's rows and alive
-        set.  Any player's deletion still sets player 0's dead flags."""
+        batch; sound on a symmetric game run from the full sets (module
+        docstring).  Any player's deletion still sets player 0's dead flags."""
         self._rows = self._rows[:1]
 
     def _sort(self) -> None:
@@ -248,10 +248,11 @@ class _Elimination:
             maxs.append(rows[a][order[y]])
         return mins, maxs
 
-    def dominated(self) -> list[tuple[int, int]]:
-        """Every minimax-dominated (player, strategy) pair, sorted; a
-        strategy attaining its player's best guarantee is never among them.
-        A mirrored run repeats player 0's pairs and guarantee for every player."""
+    def dominated(self) -> tuple[list[tuple[int, int]], MaximinVector]:
+        """Every minimax-dominated (player, strategy) pair, sorted, and each
+        player's best guarantee; a strategy attaining it is never among the
+        pairs.  A mirrored run repeats player 0's pairs and guarantee for
+        every player (module docstring)."""
         batch, best = [], []
         for i, alive in enumerate(self.alive[: len(self._rows)]):
             mins, maxs = self.bounds(i)
@@ -260,9 +261,7 @@ class _Elimination:
         if len(self._rows) < len(self.alive):
             batch = [(i, a) for i in range(len(self.alive)) for _, a in batch]
             best *= len(self.alive)
-        if self._orders is None:
-            self.maximin = tuple(best)
-        return batch
+        return batch, tuple(best)
 
     def survivors(self) -> Survivors:
         return tuple(map(tuple, self.alive))
@@ -296,14 +295,13 @@ def eliminate_round(g: Game, survivors) -> tuple[Survivors, list[tuple[int, int]
 
     Every domination test in the round is evaluated against the incoming
     sets, never against partial deletions of the same round, so the batch
-    is deterministic and keeps symmetric games symmetric (on equal sets,
-    players with equal rows delete the same strategies, which lets
-    :func:`iterate_elimination` mirror player 0).  This round tracks every
-    player, as its incoming sets may differ.  An empty batch is a legal
-    result.
+    is deterministic and keeps symmetric games symmetric (the lemma in the
+    module docstring, which lets :func:`iterate_elimination` mirror player
+    0).  This round tracks every player, as its incoming sets may differ.
+    An empty batch is a legal result.
     """
     state = _Elimination(g, normalize_survivors(g, survivors))
-    batch = state.dominated()
+    batch, _ = state.dominated()
     for pair in batch:
         state.delete(*pair)
     return state.survivors(), batch
@@ -315,18 +313,19 @@ def iterate_elimination(g: Game) -> EliminationTrace:
 
 
 def _iterate(g: Game) -> tuple[EliminationTrace, MaximinVector]:
-    """:func:`iterate_elimination`'s run, on player 0's rows alone when every
-    player has them, and its round 1 guarantees (module docstring)."""
+    """:func:`iterate_elimination`'s run, mirrored when `g` is symmetric,
+    and its round 1 guarantees, the maximin values (module docstring)."""
     state = _Elimination(g)
-    rows = g.own_rows
-    if all(other == rows[0] for other in rows[1:]):
+    if g.symmetric:
         state.mirror()
+    batch, maximin = state.dominated()
     rounds: list[tuple[tuple[int, int], ...]] = []
-    while batch := state.dominated():
+    while batch:
         rounds.append(tuple(batch))
         for pair in batch:
             state.delete(*pair)
-    return EliminationTrace(tuple(rounds), state.survivors()), state.maximin
+        batch, _ = state.dominated()
+    return EliminationTrace(tuple(rounds), state.survivors()), maximin
 
 
 def sequential_elimination(
@@ -338,7 +337,7 @@ def sequential_elimination(
     and returns the one to delete; returns the final surviving sets.
     """
     state = _Elimination(g)
-    while pairs := state.dominated():
+    while pairs := state.dominated()[0]:
         state.delete(*choose(pairs))
     return state.survivors()
 

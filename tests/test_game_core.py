@@ -443,10 +443,10 @@ class TestIsSymmetric:
 
     # 3 players, k = 5: f ignores the opponents' order except at one
     # ordered pair of opponent strategies, and there only for the last own
-    # strategy.  The rotation check compares each unordered pair once,
-    # from the block of its lower strategy; the pairs sit in the first
-    # block, in the last block that compares anything, and at a block's
-    # last entry, each in both orders.
+    # strategy.  The rotation check compares block d with every k-th entry
+    # from d, so it meets each unordered pair in the blocks of both its
+    # strategies; the pairs sit in the first block, in the last two blocks
+    # and at a block's last entry, each in both orders.
     @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (3, 4), (4, 3), (2, 4), (4, 2)], ids=repr)
     def test_scan_finds_the_only_asymmetric_pair(self, pair):
         k = 5

@@ -7,6 +7,7 @@ import nonnash.solvers
 from nonnash import (
     DeadStrategy,
     EliminationTrace,
+    GameDocument,
     IndexOutOfRange,
     NotSymmetric,
     RegionTag,
@@ -24,10 +25,12 @@ from nonnash import (
     maximin_values,
     minimax_rationalizable_profiles,
     new_game,
+    parse_game,
     payoff,
     prisoners_dilemma,
     pure_nash,
     restrict,
+    serialize_game,
 )
 from nonnash.game_core import full_sets, profiles
 
@@ -342,8 +345,10 @@ def eliminate_round_loop(g):
 
 
 class TestMirroredElimination:
-    """`iterate_elimination` mirrors player 0 on games whose players all
-    have player 0's rows; the general path of `eliminate_round` referees."""
+    """`iterate_elimination` mirrors player 0 exactly on symmetric games;
+    the general path of `eliminate_round` referees.  Games whose players
+    share rows without being symmetric ("ordered", "relabelled") take the
+    per-player path, which the same loop referees."""
 
     SHAPES = ((2, 4), (3, 3), (4, 3))
 
@@ -377,7 +382,7 @@ class TestMirroredElimination:
                 assert is_symmetric(g) == (kind == "symmetric"), g
                 mirrored.clear()
                 trace = iterate_elimination(g)
-                assert mirrored == [1] * shared_rows, g
+                assert mirrored == [1] * (kind == "symmetric"), g
                 assert (trace.rounds, trace.final_survivors) == eliminate_round_loop(g), g
                 checked += 1
                 bitten += bool(trace.rounds)
@@ -386,6 +391,33 @@ class TestMirroredElimination:
         # "ordered" games run more than one, about 15 of 600 of the others.
         assert checked >= 300
         assert bitten >= 80 and deep >= 2, (bitten, deep)
+
+    @pytest.mark.parametrize("kind, mirrors", [("symmetric", 1), ("ordered", 0)])
+    def test_report_scans_once_and_mirrors_symmetric_games(
+        self, kind, mirrors, mirrored, monkeypatch
+    ):
+        """A parsed game carries no symmetry fact: `build_report` runs the
+        scan once, and elimination reads its result instead of comparing
+        rows, mirroring only the symmetric game."""
+        scans = []
+        scan = nonnash.game_core._symmetry_scan
+
+        def counted_scan(g):
+            scans.append(1)
+            return scan(g)
+
+        monkeypatch.setattr(nonnash.game_core, "_symmetry_scan", counted_scan)
+        rng = random.Random(f"parsed-{kind}")
+        g = shared_rows_game(kind, 3, 3, rng)
+        assert is_symmetric(g) == (kind == "symmetric")
+        assert all(rows == g.own_rows[0] for rows in g.own_rows)
+        parsed = parse_game(serialize_game(GameDocument(game=g))).game
+        scans.clear()
+        mirrored.clear()
+        report = build_report(parsed)
+        assert (scans, mirrored) == ([1], [1] * mirrors)
+        assert report.maximin == maximin_values(g)
+        assert report.trace == iterate_elimination(g)
 
     def test_bounds_once_per_round(self, monkeypatch):
         scans = []
