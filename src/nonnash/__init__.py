@@ -16,7 +16,6 @@ from .errors import (
     DuplicateCell,
     DuplicateLabel,
     EmptySurvivorSet,
-    FormatError,
     GameError,
     GnfSyntaxError,
     IndexOutOfRange,

@@ -1,7 +1,7 @@
 """Exception types raised across the library.
 
-Everything derives from :class:`GameError`, so callers that only care about
-"this input was bad" can catch one class.
+Every class derives directly from :class:`GameError`, so callers that only
+care about "this input was bad" can catch one class.
 """
 
 
@@ -58,11 +58,7 @@ class BadRange(GameError):
     """Invalid numeric range (payoff bounds, strategy counts, ...)."""
 
 
-class FormatError(GameError):
-    """Base class for text-format errors."""
-
-
-class GnfSyntaxError(FormatError):
+class GnfSyntaxError(GameError):
     """Malformed line in a game document."""
 
     def __init__(self, line: int, expected: str):
@@ -71,7 +67,7 @@ class GnfSyntaxError(FormatError):
         self.expected = expected
 
 
-class VersionUnsupported(FormatError):
+class VersionUnsupported(GameError):
     """Document declares a format version this library does not read."""
 
 

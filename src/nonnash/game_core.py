@@ -61,13 +61,12 @@ class Game:
         separated text format.
     columns:
         The one stored table: one tuple per player of that player's payoffs
-        in profile enumeration order, passed in by every constructor;
-        :meth:`cell_index` is a cell's place in each.
+        in profile enumeration order, passed in by every constructor; a
+        cell's place in each is its profile's dot product with
+        :attr:`strides`.
 
-    :attr:`payoffs`, the table as one payoff vector per cell, is a view
-    derived from the columns for callers that want cells; no library path
-    reads it.  :attr:`strategy_counts`, :attr:`strides`, :attr:`own_rows`
-    and :attr:`symmetric` are computed on first use and cached.
+    :attr:`strategy_counts`, :attr:`strides`, :attr:`own_rows` and
+    :attr:`symmetric` are computed on first use and cached.
     ``own_rows[i][a]`` is player i's payoffs when i plays strategy a, one
     entry per joint opponent profile.  Opponent profiles are enumerated in the same mixed-radix order as cells
     with player i left out, so entry x of every row of player i refers to
@@ -107,10 +106,6 @@ class Game:
         return _symmetry_scan(self)
 
     @cached_property
-    def payoffs(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*self.columns))
-
-    @cached_property
     def own_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         n_cells = len(self.columns[0])
         out = []
@@ -130,13 +125,6 @@ class Game:
                 ]
             out.append(tuple(rows))
         return tuple(out)
-
-    def cell_index(self, profile: Profile) -> int:
-        """Mixed-radix index of a profile (player 0 most significant)."""
-        idx = 0
-        for v, stride in zip(profile, self.strides):
-            idx += v * stride
-        return idx
 
 
 def _strides(counts: tuple[int, ...]) -> tuple[int, ...]:
@@ -413,7 +401,8 @@ def new_game(strategy_labels, cells, *, max_entries: int = MAX_ENTRIES) -> Game:
 def payoff(g: Game, profile: Profile, player: int) -> int:
     """Payoff of `player` at `profile`; IndexOutOfRange unless both are indices."""
     check_index(player, g.n_players, "player")
-    return g.columns[player][g.cell_index(check_profile(profile, g.strategy_counts))]
+    profile = check_profile(profile, g.strategy_counts)
+    return g.columns[player][sum(map(mul, profile, g.strides))]
 
 
 def profiles(g: Game):

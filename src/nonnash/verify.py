@@ -176,8 +176,9 @@ def _hofstadter_individually_rational(r: AnalysisReport, *_) -> Verdict:
     g = r.game
     # Hofstadter profile (a, ..., a) is cell a * sum(strides): read only those.
     for p in r.hofstadter:
+        cell = p[0] * sum(g.strides)
         for i, (column, floor) in enumerate(zip(g.columns, r.maximin)):
-            if (u := column[p[0] * sum(g.strides)]) < floor:
+            if (u := column[cell]) < floor:
                 return Verdict(
                     HOFSTADTER_INDIVIDUALLY_RATIONAL,
                     False,

@@ -119,7 +119,7 @@ def serialize_referee(g: Game) -> str:
     for i, player_labels in enumerate(g.strategy_labels):
         lines.append(f"strategies {i} " + " ".join(player_labels))
     lines.append("payoffs")
-    lines.extend(" ".join(map(str, p + u)) for p, u in zip(all_profiles(g), g.payoffs))
+    lines.extend(" ".join(map(str, p + u)) for p, u in zip(all_profiles(g), zip(*g.columns)))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -241,7 +241,7 @@ def apply_payoff_map(g: Game, mapping) -> Game:
     callable); used for ordinal-invariance checks."""
     lookup = mapping.__getitem__ if isinstance(mapping, dict) else mapping
     cells = [
-        (p, tuple(lookup(u) for u in g.payoffs[g.cell_index(p)]))
+        (p, tuple(lookup(payoff(g, p, i)) for i in range(g.n_players)))
         for p in all_profiles(g)
     ]
     return new_game(g.strategy_labels, cells)

@@ -39,7 +39,7 @@ def three_player_ladder():
     noise = gen_random_symmetric_game(3, 4, 0, 2, seed=5)
     cells = [
         (p, tuple((4 - max(p)) * 10 + (4 - p[i]) + u for i, u in enumerate(vec)))
-        for p, vec in zip(profiles(noise), noise.payoffs)
+        for p, vec in zip(profiles(noise), zip(*noise.columns))
     ]
     return new_game([["top", "mid", "low", "z"]] * 3, cells)
 

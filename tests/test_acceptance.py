@@ -193,7 +193,7 @@ def test_criterion_7_ordinal_invariance():
             minimax_rationalizable_profiles(g),
             individually_rational_profiles(g),
         )
-        values = [u for cell in g.payoffs for u in cell]
+        values = [u for cell in zip(*g.columns) for u in cell]
         for _ in range(5):
             mapping = random_increasing_map(values, rng)
             h = apply_payoff_map(g, mapping)

@@ -463,7 +463,7 @@ class TestGen:
         code, out, _ = run_cli(capsys, "gen", "--players", "3", "--strategies", "3",
                                "--seed", "4", "--payoff-range=-5..5")
         assert code == 0
-        values = [u for cell in parse_game(out).game.payoffs for u in cell]
+        values = [u for column in parse_game(out).game.columns for u in column]
         assert len(values) == 81
         assert all(-5 <= u <= 5 for u in values)
         assert min(values) < 0

@@ -155,7 +155,7 @@ def test_is_symmetric_matches_oracle_under_one_payoff_edit():
             edit = (target, rng.next_in_range(0, n - 1))
             cells = [
                 (p, tuple(v + 1 if (p, i) == edit else v for i, v in enumerate(u)))
-                for p, u in zip(profiles(g), g.payoffs)
+                for p, u in zip(profiles(g), zip(*g.columns))
             ]
             h = new_game(g.strategy_labels, cells)
             assert is_symmetric(h) == symmetric_oracle(h), edit

@@ -53,7 +53,7 @@ def move_game(g, sigma, pi):
             moved[sigma[i][a]] = label
         labels[pi[i]] = moved
     cells = []
-    for p, vec in zip(profiles(g), g.payoffs):
+    for p, vec in zip(profiles(g), zip(*g.columns)):
         moved_vec = [None] * n
         for i in range(n):
             moved_vec[pi[i]] = vec[i]

@@ -46,7 +46,7 @@ class TestNewGame:
     def test_single_cell_game(self):
         g = single_cell_game()
         assert g.strategy_counts == (1,)
-        assert g.payoffs == ((7,),)
+        assert g.columns == ((7,),)
 
     def test_duplicate_cell_names_profile(self):
         cells = [((0, 0), (1, 1)), ((0, 0), (1, 1)), ((0, 1), (3, 0)),
@@ -204,7 +204,7 @@ class TestCellRules:
             new_game(self.LABELS, [((0, False), (1, 1))])
 
     def test_any_order_builds_the_same_game(self, g3x3):
-        cells = list(zip(profiles(g3x3), g3x3.payoffs))
+        cells = list(zip(profiles(g3x3), zip(*g3x3.columns)))
         rng = random.Random(5)
         for cut in range(len(cells) + 1):
             # an in-order prefix, then the rest shuffled
@@ -215,7 +215,7 @@ class TestCellRules:
     @pytest.mark.parametrize("order", [1, -1], ids=["bulk", "out-of-order"])
     def test_labels_kept_as_given(self, g3x3, order):
         labels = g3x3.strategy_labels
-        cells = list(zip(profiles(g3x3), g3x3.payoffs))[::order]
+        cells = list(zip(profiles(g3x3), zip(*g3x3.columns)))[::order]
         g = _build_flat_game(labels, [v for p, u in cells for v in p + u])
         assert g == g3x3
         assert g.strategy_labels is labels
@@ -232,6 +232,19 @@ class TestPayoff:
 
     def test_single_cell(self):
         assert payoff(single_cell_game(), (0,), 0) == 7
+
+    def test_reads_every_cell_as_given(self):
+        """Unequal counts give every player a different stride, so each
+        distinct payoff is found only at its own profile's place."""
+        labels = [["a", "b"], ["c", "d", "e"], ["f", "g", "h", "i"]]
+        cells = [
+            (p, tuple(100 * i + n for i in range(3)))
+            for n, p in enumerate(itertools.product(range(2), range(3), range(4)))
+        ]
+        random.Random(3).shuffle(cells)
+        g = new_game(labels, cells)
+        for p, u in cells:
+            assert tuple(payoff(g, p, i) for i in range(3)) == u
 
     def test_bad_player(self, pd):
         with pytest.raises(IndexOutOfRange):
@@ -373,7 +386,7 @@ class TestIsSymmetric:
 
     def test_broken_transposition(self, pd):
         # change u_1(Defect, Cooperate) from 0 to 2
-        cells = [(p, pd.payoffs[pd.cell_index(p)]) for p in profiles(pd)]
+        cells = [(p, (payoff(pd, p, 0), payoff(pd, p, 1))) for p in profiles(pd)]
         cells[1] = ((0, 1), (3, 2))
         g = new_game(pd.strategy_labels, cells)
         assert not is_symmetric(g)
@@ -485,7 +498,7 @@ class TestRestrict:
     def test_upper_left_block(self, g3x3):
         r = restrict(g3x3, [(0, 1), (0, 1)])
         assert r.strategy_labels == (("A", "B"), ("A", "B"))
-        assert r.payoffs == ((9, 9), (8, 6), (6, 8), (7, 7))
+        assert tuple(zip(*r.columns)) == ((9, 9), (8, 6), (6, 8), (7, 7))
 
     def test_full_restriction_is_identity(self, pd, chicken_game, g3x3):
         for g in (pd, chicken_game, g3x3):
@@ -502,10 +515,9 @@ class TestRestrict:
     )
     def test_full_restriction_keeps_the_columns(self, counts):
         """restrict gathers each column at the kept cells, so keeping them
-        all gives the game back; the payoffs view is the columns zipped."""
+        all gives the game back."""
         g = gen_random_game(len(counts), counts, -5, 5, seed=7)
         assert restrict(g, full_sets(g)) == g
-        assert g.payoffs == tuple(zip(*g.columns))
 
     def test_random_restriction_equals_per_cell_lookup(self):
         """The kept cells, built per player from strides, hold the payoffs
@@ -518,13 +530,13 @@ class TestRestrict:
             kept = list(itertools.product(*map(sorted, s)))
             r = restrict(g, s)
             assert r.strategy_counts == tuple(map(len, s))
-            assert r.payoffs == tuple(
+            assert tuple(zip(*r.columns)) == tuple(
                 tuple(payoff(g, p, i) for i in range(g.n_players)) for p in kept
             )
 
     def test_single_survivor(self, g3x3):
         r = restrict(g3x3, [(0,), (0,)])
-        assert r.payoffs == ((9, 9),)
+        assert tuple(zip(*r.columns)) == ((9, 9),)
 
     def test_empty_set_rejected(self, g3x3):
         with pytest.raises(EmptySurvivorSet):

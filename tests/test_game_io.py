@@ -313,7 +313,7 @@ class TestMatrixLines:
     def test_one_line_per_profile_off_two_players(self, counts):
         g = gen_random_game(len(counts), counts, -5, 5, seed=3)
         # the extremes and a negative payoff in the first and last cells
-        payoffs = list(g.payoffs)
+        payoffs = list(zip(*g.columns))
         payoffs[0] = (PAYOFF_MIN,) + payoffs[0][1:]
         payoffs[-1] = (PAYOFF_MAX,) * (len(counts) - 1) + (-1,)
         g = new_game(g.strategy_labels, zip(profiles(g), payoffs))
@@ -632,7 +632,7 @@ def _cell_lines(g, rng):
     """The cell lines of `g` in a shuffled order, each written with its own
     mix of separators, comments and line endings."""
     lines = []
-    for p, u in zip(profiles(g), g.payoffs):
+    for p, u in zip(profiles(g), zip(*g.columns)):
         tokens = [str(v) for v in p + u]
         line = "".join(tok + rng.choice((" ", "  ", "\t", " \t ")) for tok in tokens)
         line = rng.choice(("", " ", "\t")) + line.rstrip()
@@ -651,7 +651,7 @@ def test_parse_matches_new_game_on_shuffled_cells():
         head = [f"gnf 1\nplayers {n}\n"]
         head += [f"strategies {i} " + " ".join(g.strategy_labels[i]) + "\n" for i in range(n)]
         text = "".join(head + ["payoffs\n"] + _cell_lines(g, rng) + ["end\n"])
-        cells = list(zip(profiles(g), g.payoffs))
+        cells = list(zip(profiles(g), zip(*g.columns)))
         rng.shuffle(cells)
         assert parse_game(text).game == new_game(g.strategy_labels, cells) == g
 
@@ -748,7 +748,7 @@ class TestLargeDocument:
         shuffled = lines[: self.HEAD] + random.Random(5).sample(table, len(table)) + lines[-2:]
         tabbed = [line.replace(" ", "\t") for line in lines]
         built = [parse_game("\n".join(copy)).game for copy in (lines, tabbed, shuffled)]
-        built.append(new_game(g.strategy_labels, zip(profiles(g), g.payoffs)))
+        built.append(new_game(g.strategy_labels, zip(profiles(g), zip(*g.columns))))
         for route in built:
             assert route.columns == g.columns
             assert route == g and hash(route) == hash(g)
@@ -778,18 +778,18 @@ class TestLargeDocument:
         lines = self.edit(lines, 0, 1, "-0")
         lines = self.edit(lines, 1, 3, "-0")
         lines = self.edit(lines, 1, 4, "00")
-        parsed = self.parse(lines)
-        assert parsed.payoffs[0] == g.payoffs[0]
-        assert parsed.payoffs[1] == (0, 0, g.payoffs[1][2])
-        assert parsed.payoffs[2:] == g.payoffs[2:]
+        parsed, cells = list(zip(*self.parse(lines).columns)), list(zip(*g.columns))
+        assert parsed[0] == cells[0]
+        assert parsed[1] == (0, 0, cells[1][2])
+        assert parsed[2:] == cells[2:]
 
     def test_payoffs_at_the_bounds(self, big):
         g, lines = big
         lines = self.edit(lines, 0, 3, str(PAYOFF_MIN))
         lines = self.edit(lines, 15_624, 5, str(PAYOFF_MAX))
         parsed = self.parse(lines)
-        assert parsed.payoffs[0][0] == PAYOFF_MIN
-        assert parsed.payoffs[-1][2] == PAYOFF_MAX
+        assert parsed.columns[0][0] == PAYOFF_MIN
+        assert parsed.columns[2][-1] == PAYOFF_MAX
 
     @pytest.mark.parametrize(
         "j", [_CELL_SLICE - 1, _CELL_SLICE, 2 * _CELL_SLICE - 1, 2 * _CELL_SLICE]
@@ -864,7 +864,7 @@ class TestLargeDocument:
         j = _BLOCK + 3
         _, blocks = _count_conversions(monkeypatch)
         parsed = self.parse(self.edit(lines, j, 4, "-0"))
-        assert parsed.payoffs[j] == (g.payoffs[j][0], 0, g.payoffs[j][2])
+        assert [column[j] for column in parsed.columns] == [g.columns[0][j], 0, g.columns[2][j]]
         assert any(" -0 " in block for block in blocks)
 
     def test_payoff_of_640_digits(self, big):

@@ -491,7 +491,7 @@ class TestCodes:
     @pytest.mark.parametrize("name", sorted(CODED_GAMES))
     def test_flags_match_the_oracle(self, name):
         r = build_report(CODED_GAMES[name]())
-        assert len(r.codes) == len(r.game.payoffs)
+        assert len(r.codes) == len(r.game.columns[0])
         assert r.flags == flags_oracle(r)
 
     def test_codes_map_to_one_shared_record_per_code(self):
@@ -566,7 +566,7 @@ class TestOrdinalInvariance:
         for j in range(15):
             g = gen_random_symmetric_game(2, 4, 0, 30, seed=600 + j)
             mapping = random_increasing_map(
-                [u for cell in g.payoffs for u in cell], rng
+                [u for cell in zip(*g.columns) for u in cell], rng
             )
             h = apply_payoff_map(g, mapping)
             assert pure_nash(h) == pure_nash(g)

@@ -95,7 +95,7 @@ class TestGenerators:
 
     def test_degenerate_range(self):
         g = gen_random_game(1, (3,), 5, 5, seed=0)
-        assert all(cell == (5,) for cell in g.payoffs)
+        assert g.columns == ((5, 5, 5),)
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardExceeded):
@@ -123,7 +123,7 @@ class TestGenerators:
 
     def test_values_within_range(self):
         g = gen_random_game(2, (4, 4), -3, 3, seed=77)
-        assert all(-3 <= u <= 3 for cell in g.payoffs for u in cell)
+        assert all(-3 <= u <= 3 for column in g.columns for u in column)
 
     @given(st.integers(min_value=0, max_value=2**63))
     @settings(max_examples=80, deadline=None)
@@ -197,7 +197,7 @@ class TestGenerators:
         text = serialize_game(GameDocument(game=g))
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
         # the generators skip new_game; its validation still accepts the table
-        assert new_game(g.strategy_labels, zip(profiles(g), g.payoffs)) == g
+        assert new_game(g.strategy_labels, zip(profiles(g), zip(*g.columns))) == g
 
 
 # Every shape of 1..5 players and 1..6 strategies with at most 4096 cells,
@@ -836,39 +836,18 @@ class TestOneAnalysisPerGame:
         assert Game(g.strategy_labels, g.columns).own_rows == g.own_rows
         assert computed == [1]
 
-    @pytest.fixture
-    def payoff_builds(self, monkeypatch):
-        """Record each build of Game.payoffs, the per-cell view derived from
-        the columns."""
-        built = []
-        original = Game.payoffs.func
-
-        def counted(g):
-            built.append(1)
-            return original(g)
-
-        payoffs = functools.cached_property(counted)
-        payoffs.__set_name__(Game, "payoffs")
-        monkeypatch.setattr(Game, "payoffs", payoffs)
-        return built
-
     @pytest.mark.parametrize("players, k_max", [(2, 6), (3, 4)], ids=["2p", "3p"])
-    def test_sweep_never_builds_payoffs(self, payoff_builds, players, k_max):
-        """Every solver and checker a sweep runs reads the columns."""
+    def test_sweep_checks_every_game_with_every_property(self, players, k_max):
+        """A sweep from 1 strategy up runs every checker on every game."""
         config = SweepConfig(
             players=players, min_strategies=1, max_strategies=k_max, games=200,
             seed=8, properties=ALL_PROPERTIES,
         )
         assert sweep(config).games_checked == 200
-        assert payoff_builds == []
-        # the patched property does count a fresh game's build
-        g = gen_random_symmetric_game(players, 2, 0, 9, seed=1)
-        assert g.payoffs == tuple(zip(*g.columns))
-        assert payoff_builds == [1]
 
-    def test_cli_never_builds_payoffs(self, payoff_builds, games_dir, tmp_path, capsys):
+    def test_every_subcommand_passes_on_files(self, games_dir, tmp_path, capsys):
         """Every subcommand, on the 3x3 example and on a generated 3-player,
-        9-strategy file, parses, solves and renders from the columns."""
+        9-strategy file, exits 0 and writes nothing to stderr."""
         main = nonnash.cli.main
         assert main(["gen", "--players", "3", "--strategies", "9", "--symmetric"]) == 0
         generated = tmp_path / "g3p9.gnf"
@@ -884,7 +863,6 @@ class TestOneAnalysisPerGame:
                 assert main(argv) == 0, argv
         assert main(["search", "--players", "3", "--strategies", "1..4", "--games", "50"]) == 0
         assert capsys.readouterr().err == ""
-        assert payoff_builds == []
 
     @pytest.mark.parametrize("players, k_max", [(2, 6), (3, 4)], ids=["2p", "3p"])
     def test_sweep_never_scans_or_counts(self, calls, players, k_max, monkeypatch):
