@@ -8,13 +8,16 @@ The stream advances its state by a fixed odd constant and finalizes each
 new state with an xor-shift/multiply mix; everything is plain integer
 arithmetic mod 2**64.
 
-:func:`mix64_many` finalizes many states at once: each is a 64-bit lane
-in its own 128-bit slot of one int, packed little-endian on every host,
-so each step is one big-int operation over all lanes.  No slot carries:
-a lane times a 64-bit multiplier stays below 2**128, and every shifted
-and multiplied value is masked back to the low 64 bits of each slot.
-:func:`draw_streams`, the one bulk draw, mixes ``_LANES`` lanes per pass,
-so its memory is bounded.
+:func:`draw_streams`, the one bulk draw, finalizes many states at once:
+each is a 64-bit lane in its own 128-bit slot of one int, packed
+little-endian on every host, so each step is one big-int operation over
+all lanes.  A pass holds up to ``_LANES`` lanes, so its memory is bounded.
+Its states take one add: each stream's piece of the pass repeats one base
+over its lanes, and the step table adds (o + 1) * GOLDEN mod 2**64 to lane
+o.  No slot carries: the sum stays below 2**65 and is masked to 64 bits
+before the first shift, a lane times a 64-bit multiplier stays below
+2**128, and every shifted and multiplied value is masked back to the low
+64 bits of each slot.
 """
 
 import struct
@@ -25,8 +28,8 @@ GOLDEN = 0x9E3779B97F4A7C15
 # The two multipliers of the finalizer.
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
-# Lanes per mix64_many pass of the bulk draws: few passes, little memory.
-_LANES = 4096
+# Lanes per pass of the bulk draw: few passes, little memory.
+_LANES = 1024
 
 
 def mix64(z: int) -> int:
@@ -35,21 +38,6 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * MIX1) & MASK64
     z = ((z ^ (z >> 27)) * MIX2) & MASK64
     return z ^ (z >> 31)
-
-
-def mix64_many(states) -> list[int]:
-    """``[mix64(s) for s in states]`` for states in [0, 2**64), in one pass."""
-    n = len(states)
-    # one 64-bit word per half slot: the lanes in the even words, zeros in the odd
-    fmt = f"<{2 * n}Q"
-    words = [0] * (2 * n)
-    words[::2] = states
-    m = int.from_bytes(MASK64.to_bytes(16, "little") * n, "little")
-    z = int.from_bytes(struct.pack(fmt, *words), "little")
-    z = ((z ^ (z >> 30)) & m) * MIX1 & m
-    z = ((z ^ (z >> 27)) & m) * MIX2 & m
-    z ^= (z >> 31) & m
-    return list(struct.unpack(fmt, z.to_bytes(16 * n, "little"))[::2])
 
 
 class SplitMix64:
@@ -78,19 +66,56 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
+def _slot_tables(lanes: int) -> tuple[int, int]:
+    """MASK64, and the step (o + 1) * GOLDEN mod 2**64, in each slot o of
+    at least `lanes` 128-bit slots, packed little-endian."""
+    ones = ramp = n = 1  # 1, and o + 1, in each slot o of n slots, doubling n
+    while n < lanes:
+        ramp += (ramp + n * ones) << 128 * n
+        ones += ones << 128 * n
+        n *= 2
+    return MASK64 * ones, GOLDEN * ramp & MASK64 * ones
+
+
+_MASKS, _STEPS = _slot_tables(_LANES)
+
+
+def _mix_pass(bases, n: int) -> list[int]:
+    """mix64 of the `n` states of one pass: its packed `bases`, one 128-bit
+    slot per lane, plus the step table's first `n` slots."""
+    z = int.from_bytes(b"".join(bases), "little") + (_STEPS & ((1 << 128 * n) - 1))
+    z &= _MASKS
+    z = ((z ^ (z >> 30)) & _MASKS) * MIX1 & _MASKS
+    z = ((z ^ (z >> 27)) & _MASKS) * MIX2 & _MASKS
+    z ^= (z >> 31) & _MASKS
+    return list(struct.unpack(f"<{2 * n}Q", z.to_bytes(16 * n, "little"))[::2])
+
+
+def _passes(streams):
+    """The mixed states of the draws of ``(seed, count)`` `streams`, one list
+    per pass of up to ``_LANES`` lanes, filled stream after stream; a pass
+    is mixed only once a stream reaches it."""
+    bases, o = [], 0
+    for seed, count in streams:
+        # draw u sits in lane o + u - 1, whose step makes it seed + u * GOLDEN
+        base = seed - o * GOLDEN
+        while o + count >= _LANES:
+            bases.append((base & MASK64).to_bytes(16, "little") * (_LANES - o))
+            yield _mix_pass(bases, _LANES)
+            bases, count, o, base = [], count - _LANES + o, 0, base + _LANES * GOLDEN
+        if count:
+            bases.append((base & MASK64).to_bytes(16, "little") * count)
+            o += count
+    if o:
+        yield _mix_pass(bases, o)
+
+
 def draw_streams(streams, lo: int, hi: int):
     """Yield, per ``(seed, count)`` of `streams`, the first `count` draws of
     ``SplitMix64(seed).next_in_range(lo, hi)``, mixed ``_LANES`` at a time."""
     streams = list(streams)
     r = hi - lo + 1
-    states = chain.from_iterable(
-        [(seed + u * GOLDEN) & MASK64 for u in range(t, min(t + _LANES, count + 1))]
-        for seed, count in streams
-        for t in range(1, count + 1, _LANES)
-    )
-    # one pass per _LANES states, mixed and reduced only once a stream reaches it
-    passes = iter(lambda: list(islice(states, _LANES)), [])
-    values = chain.from_iterable([lo + z % r for z in mix64_many(lanes)] for lanes in passes)
+    values = chain.from_iterable([lo + z % r for z in zs] for zs in _passes(streams))
     for _, count in streams:
         yield list(islice(values, count))
 

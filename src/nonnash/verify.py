@@ -21,11 +21,12 @@ seed is any int, not a bool, read mod 2**64.  Sweep game ``j`` draws from
 the substream ``derive_seed(seed, j)``, in order: the strategy count, the
 game seed, the deletion-order seed.  A sweep builds one layout per
 strategy count and fills it for every game of that count, so its games
-equal the generator's.  It draws those three values per game, from the
-scalar stream, and the class values of its games not skipped per batch
-of up to ``_BATCH`` games, through ``rng.draw_streams``.  Each value is
-the one its stream would draw alone, so identical configurations give
-identical reports on any machine and under any worker count.
+equal the generator's.  Per batch of up to ``_BATCH`` games it draws
+through ``rng.draw_streams`` the substream seeds (seed j is draw j of the
+master stream), then those three values per game, then the class values
+of its games not skipped.  Each value is the one its stream would draw
+alone, so identical configurations give identical reports on any machine
+and under any worker count.
 """
 
 import itertools
@@ -54,7 +55,7 @@ from .game_core import (
     remove_pairs,
 )
 from .game_io import GameDocument, format_profile, serialize_game
-from .rng import SplitMix64, derive_seed, draw_streams
+from .rng import GOLDEN, MASK64, SplitMix64, derive_seed, draw_streams
 from .solvers import (
     AnalysisReport,
     RegionTag,
@@ -399,11 +400,12 @@ def _sweep_games(config: SweepConfig, start: int, stop: int):
     # each new count gets the generator's shape and size checks here.
     layouts: dict[int, _SymmetricLayout | None] = {}
     for a in range(start, stop, _BATCH):
+        # game j's substream seed is draw j of the master stream
+        seeds = next(draw_streams([(config.seed + a * GOLDEN, min(_BATCH, stop - a))], 0, MASK64))
         games = []
-        for j in range(a, min(a + _BATCH, stop)):
-            stream = SplitMix64(derive_seed(config.seed, j))
-            k = stream.next_in_range(config.min_strategies, config.max_strategies)
-            game_seed, order_seed = stream.next_u64(), stream.next_u64()
+        for raw, game_seed, order_seed in draw_streams([(s, 3) for s in seeds], 0, MASK64):
+            # the strategy count, as next_in_range reduces its draw
+            k = config.min_strategies + raw % (config.max_strategies - config.min_strategies + 1)
             if k not in layouts:
                 try:
                     check_size_guard(check_shape(config.players, k), config.max_entries)

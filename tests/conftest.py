@@ -32,15 +32,15 @@ GAMES_DIR = REPO_ROOT / "games"
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The lane count of every rng.mix64_many pass the bulk draw makes."""
+    """The lane count of every packed pass the bulk draw mixes."""
     sizes = []
-    mix64_many = nonnash.rng.mix64_many
+    mix_pass = nonnash.rng._mix_pass
 
-    def counting_mix64_many(states):
-        sizes.append(len(states))
-        return mix64_many(states)
+    def counting_mix_pass(bases, n):
+        sizes.append(n)
+        return mix_pass(bases, n)
 
-    monkeypatch.setattr(nonnash.rng, "mix64_many", counting_mix64_many)
+    monkeypatch.setattr(nonnash.rng, "_mix_pass", counting_mix_pass)
     return sizes
 
 

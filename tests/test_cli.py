@@ -199,6 +199,36 @@ def test_pinned_three_player_search(capsys, workers):
     assert (code, err, sha256(timeless)) == (0, "", SEARCH_3P_SHA256)
 
 
+# sha256 of `search` stdout without its elapsed: line, on four shapes: 2,000
+# games of 2 players; 3 players; 60..80 strategies, whose games have 3,600
+# to 6,400 class values, so the packed passes span games; and 4 players
+# at 1..3 strategies, where 1-strategy games have one row per player.  None
+# of the game counts is a multiple of 64, so at 2 workers the second chunk
+# starts inside a draw batch.
+PINNED_SEARCHES = [
+    ("--games 2000 --seed 7",
+     "16f5dec7261683587698800a8aaf4e18d2fc26fcf6a630f4f1ad6a261f8cf88b"),
+    ("--players 3 --games 300",
+     "82fcb328d581808f1a8c896a6e6e96f4b9f11b1cebd50e0c0c1b7fbe918b1a6e"),
+    ("--strategies 60..80 --games 12 --seed 4",
+     "aa3c8dd00a7701a426c973e7c5bf6d23368c4128640d838c00d8481f264dedba"),
+    ("--players 4 --strategies 1..3 --games 200",
+     "59d87fcdba29f2f31873f23d90da0f33643e3844321de59a797eb35f1c855a9c"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_SEARCHES, ids=[a for a, _ in PINNED_SEARCHES])
+def test_pinned_search_at_one_and_two_workers(capsys, monkeypatch, inline_pool, args, digest):
+    monkeypatch.setattr(nonnash.verify.os, "cpu_count", lambda: 2)
+    for workers in ("1", "2"):
+        code, out, err = run_cli(capsys, "search", *args.split(), "--workers", workers)
+        timeless = "".join(
+            line for line in out.splitlines(keepends=True) if not line.startswith("elapsed:")
+        )
+        assert (code, err, sha256(timeless)) == (0, "", digest), workers
+    assert inline_pool == [2]
+
+
 # sha256 of the stdout of `gen` on large shapes: the symmetric layout and
 # the serializer of 15,625, 14,400 and 6,561 cells, payoffs at 19 digits,
 # and an asymmetric table.

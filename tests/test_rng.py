@@ -4,9 +4,7 @@ import pytest
 
 from nonnash import SplitMix64, derive_seed
 from nonnash.game_core import PAYOFF_MAX, PAYOFF_MIN
-from nonnash.rng import (
-    _LANES, GOLDEN, MASK64, draw_streams, mix64, mix64_many,
-)
+from nonnash.rng import _LANES, GOLDEN, MASK64, draw_streams, mix64
 
 from oracles import draws_referee
 
@@ -35,21 +33,28 @@ def test_first_draws_are_pinned():
 EDGE_STATES = [0, 1, 2**63, MASK64, GOLDEN, (2 * GOLDEN) & MASK64, (-GOLDEN) & MASK64]
 
 
+def lone_draws(states):
+    """mix64 of each state, as the first draw of a stream of its own: the
+    states sit side by side in the packed passes."""
+    return [z for [z] in draw_streams([(s - GOLDEN, 1) for s in states], 0, MASK64)]
+
+
 @pytest.mark.parametrize("lanes", [0, 1, 10_000])
-def test_mix64_many_equals_mix64(lanes):
+def test_lone_draws_equal_mix64(lanes):
     rng = random.Random(lanes)
     states = [rng.choice(EDGE_STATES) if rng.random() < 0.2 else rng.getrandbits(64)
               for _ in range(lanes)]
-    assert mix64_many(states) == [mix64(s) for s in states]
+    assert lone_draws(states) == [mix64(s) for s in states]
 
 
-def test_mix64_many_edge_lanes():
-    # every lane's high bits next to every other's: no slot may carry
-    assert mix64_many(EDGE_STATES) == list(map(mix64, EDGE_STATES))
+def test_lone_draws_edge_lanes():
+    # every lane's high bits next to every other's, and bases whose step
+    # carries past 2**64: no slot may carry
+    assert lone_draws(EDGE_STATES) == list(map(mix64, EDGE_STATES))
     for s in EDGE_STATES:
-        assert mix64_many([s]) == [mix64(s)]
+        assert lone_draws([s]) == [mix64(s)]
     multiples = [(t * GOLDEN) & MASK64 for t in range(1, 500)]
-    assert mix64_many(multiples) == list(map(mix64, multiples))
+    assert lone_draws(multiples) == list(map(mix64, multiples))
 
 
 @pytest.mark.parametrize(

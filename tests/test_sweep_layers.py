@@ -8,7 +8,7 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "sweep_layers.py"
 
 STEPS = [
-    "generation", "build_report", "is_symmetric", "_best_diagonal", "_rational_mask",
+    "generation", "_symmetric_game", "build_report", "is_symmetric", "_best_diagonal", "_rational_mask",
     "_iterate", "hofstadter-rationalizable", "hofstadter-individually-rational",
     "ir-survives-round-1", "_check_game", "sweep()",
 ]

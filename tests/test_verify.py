@@ -671,10 +671,15 @@ class TestSweep:
         # workers a second chunk that starts inside a batch
         SweepConfig(min_strategies=2, max_strategies=12, games=200, seed=8, max_entries=200),
         # games of 4,096 to 5,184 class values: each takes more than one
-        # mix64_many pass, and a pass mixes the end of one game with the
+        # packed pass, and a pass mixes the end of one game with the
         # start of the next
         LARGE_SWEEP,
-    ], ids=["2p-size-guard", "3p", "2p-batches", "2p-large"])
+        # seeds outside [0, 2**64), which every packed header lane must read
+        # mod 2**64 as the scalar stream does; at two workers the second
+        # chunk starts inside a batch
+        SweepConfig(games=100, seed=-3),
+        SweepConfig(players=3, max_strategies=4, games=150, seed=2**70 + 1),
+    ], ids=["2p-size-guard", "3p", "2p-batches", "2p-large", "2p-seed-3", "3p-seed-2**70+1"])
     def test_sweep_equals_its_replay(self, config, monkeypatch, inline_pool):
         expected = self.replay(config)
         assert expected[0] and expected[3] and expected[4]
@@ -691,7 +696,7 @@ class TestSweep:
         assert inline_pool == [2]
 
     def test_large_games_mix_bounded_passes(self, passes):
-        """However many class values a batch's games hold, each mix64_many
+        """However many class values a batch's games hold, each packed
         pass of a sweep takes at most ``rng._LANES`` lanes."""
         sweep(LARGE_SWEEP)
         assert sum(passes) > 6 * 4096

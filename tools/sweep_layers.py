@@ -7,7 +7,9 @@ Takes its configs from the benchmark's ``sweep-2p`` workload in
 configs of ``--games`` 2-player games each.  For every config it times,
 as the minimum over ``--reps`` runs, in microseconds per game:
 
-* ``generation``: ``verify._sweep_games``, the sweep's drawing and placing;
+* ``generation``: ``verify._sweep_games``, the sweep's drawing and placing,
+  and beneath it ``_symmetric_game``, the placing alone, on the class
+  values each game draws;
 * ``build_report``, and beneath it the parts it runs once per game:
   ``is_symmetric``, ``_best_diagonal``, ``_rational_mask`` (the IR mask,
   against the report's maximin) and ``_iterate`` (elimination, whose
@@ -35,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import nonnash  # noqa: E402
-from nonnash import solvers, verify  # noqa: E402
+from nonnash import game_core, rng, solvers, verify  # noqa: E402
 
 
 def configs(pool: int, games: int) -> list[verify.SweepConfig]:
@@ -69,9 +71,25 @@ def layer_times(config: verify.SweepConfig, reps: int) -> dict[str, float]:
         return [g for g, _ in verify._sweep_games(config, 0, config.games)]
 
     seeds = [seed for _, seed in verify._sweep_games(config, 0, config.games)]
+    # each game's layout and class values, drawn from its substream as the
+    # sweep draws them
+    layouts, placed = {}, []
+    for j in range(config.games):
+        stream = nonnash.SplitMix64(nonnash.derive_seed(config.seed, j))
+        k = stream.next_in_range(config.min_strategies, config.max_strategies)
+        if k not in layouts:
+            layouts[k] = game_core._symmetric_layout(config.players, verify._labels(k))
+        values = rng.draw_streams(
+            [(stream.next_u64(), layouts[k][2])], config.payoff_lo, config.payoff_hi
+        )
+        placed.append((layouts[k], next(values)))
+    assert [game_core._symmetric_game(*d) for d in placed] == games()
     reports = [solvers.build_report(g) for g in games()]
     steps = {
         "generation": (lambda _: list(verify._sweep_games(config, 0, config.games)), list),
+        "  _symmetric_game": (
+            lambda drawn: [game_core._symmetric_game(*d) for d in drawn], lambda: placed
+        ),
         "build_report": (lambda gs: list(map(solvers.build_report, gs)), games),
         "  is_symmetric": (lambda gs: list(map(solvers.is_symmetric, gs)), games),
         "  _best_diagonal": (lambda gs: list(map(solvers._best_diagonal, gs)), games),
